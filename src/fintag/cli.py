@@ -340,9 +340,8 @@ def _cmd_fix(args) -> int:
     fixed_records = []
     discarded = []
     for record, warnings in read_records(args.input):
-        issues = check(record, warnings)
         outcome = fix(record, warnings)
-        tally.add(record.provenance or "unknown", issues, discarded=not outcome.fixed)
+        tally.add(record.provenance or "unknown", outcome.issues, discarded=not outcome.fixed)
         if outcome.fixed:
             fixed_records.append(outcome.record)
         else:

@@ -16,6 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .llm_client import CompletionRequest, call_client
 from .markup import Form, derive_original, parse
 from .patterns import (
     ANTONYMS,
@@ -153,16 +154,17 @@ Unsupported."""
 
 
 def llm_judge(client) -> Judge:
-    """Wrap a chat-completion client as a judge callable."""
-    from .llm_client import CompletionRequest
+    """Wrap a chat-completion client as a judge callable; with a cached
+    profile its calls replay from the cache."""
 
     def judge(fact: str, reference: str) -> JudgeVerdict:
-        reply = client.complete(
+        reply = call_client(
+            client,
             CompletionRequest(
                 system=JUDGE_SYSTEM_PROMPT,
                 user=JUDGE_PROMPT_TEMPLATE.format(reference=reference, fact=fact),
                 seed_tag="judge",
-            )
+            ),
         )
         text = reply.text.strip().lower()
         if text.startswith("supported") or " supported" in f" {text}":

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .detect_eval import strip_reply_envelope
-from .llm_client import CompletionRequest
+from .llm_client import CompletionRequest, call_client
 from .markup import (
     Edit,
     ErrorType,
@@ -620,14 +620,6 @@ class InsertionFailure(Exception):
         super().__init__(f"insertion failed quality gate: {detail}")
 
 
-def _call_client(client, request):
-    cached = getattr(client, "cached_complete", None)
-    profile = getattr(client, "profile", None)
-    if cached is not None and profile is not None and getattr(profile, "cache_path", None):
-        return cached(request)
-    return client.complete(request)
-
-
 def insert_llm(
     passage: str,
     context: str,
@@ -655,7 +647,7 @@ def insert_llm(
         prompt = build_insertion_prompt(
             passage, context, plan, exemplar_pool, seed=plan.seed + attempt
         )
-        reply = _call_client(
+        reply = call_client(
             client,
             CompletionRequest(
                 system=INSERTION_SYSTEM_PROMPT,

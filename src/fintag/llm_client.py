@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-import requests
-
 MAX_ATTEMPTS = 5
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
@@ -74,6 +72,11 @@ class CompletionReply:
 
 
 def _default_transport(profile: ClientProfile, payload: dict, headers: dict) -> tuple[int, str]:
+    # Imported here, not at module level: the HTTP stack costs more start-up
+    # time than the rest of the package, and only a cache miss against a
+    # live endpoint needs it.
+    import requests
+
     try:
         response = requests.post(
             profile.endpoint, json=payload, headers=headers, timeout=profile.timeout
@@ -224,6 +227,17 @@ class LlmClient:
                             # Corrupt cache lines degrade to misses.
                             continue
         return self._cache
+
+
+def call_client(client, request: CompletionRequest) -> CompletionReply:
+    """One completion from any chat-completion client: through the replay
+    cache when the client has a profile with a `cache_path`, else a plain
+    `complete`. Every LLM call of the pipeline goes through here."""
+    cached = getattr(client, "cached_complete", None)
+    profile = getattr(client, "profile", None)
+    if cached is not None and profile is not None and getattr(profile, "cache_path", None):
+        return cached(request)
+    return client.complete(request)
 
 
 _clients: dict[ClientProfile, LlmClient] = {}

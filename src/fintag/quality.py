@@ -76,11 +76,16 @@ class TaggedRecord:
 
 @dataclass(frozen=True)
 class FixOutcome:
-    """Result of `fix`: a repaired record, or the reasons it was discarded."""
+    """Result of `fix`: a repaired record, or the reasons it was discarded.
+
+    `issues` holds everything `check` found on the input, fixable or not,
+    whether the record was kept or discarded.
+    """
 
     record: TaggedRecord | None
     applied: tuple
     reasons: tuple
+    issues: tuple = ()
 
     @property
     def fixed(self) -> bool:
@@ -193,10 +198,10 @@ def fix(
     Total function: a discard is a value, not an error. Fixed records
     re-pass `check` with zero issues.
     """
-    issues = check(record, parse_warnings)
+    issues = tuple(check(record, parse_warnings))
     unfixable = tuple(i for i in issues if not i.fixable)
     if unfixable:
-        return FixOutcome(None, (), unfixable)
+        return FixOutcome(None, (), unfixable, issues)
     if not issues:
         return FixOutcome(record, (), ())
 
@@ -222,8 +227,8 @@ def fix(
     fixed = replace(record, doc=TaggedDocument(tuple(new_segments), record.doc.form))
     residue = check(fixed)
     if residue:  # repairs must converge; bail out rather than loop
-        return FixOutcome(None, (), tuple(residue))
-    return FixOutcome(fixed, tuple(issues), ())
+        return FixOutcome(None, (), tuple(residue), issues)
+    return FixOutcome(fixed, issues, (), issues)
 
 
 class QualityTally:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -17,6 +20,7 @@ from conftest import (
     make_context,
     make_passage,
 )
+import fintag
 from fintag.cli import dispatch
 from fintag.corpus import QARecord, write_qa_records
 
@@ -31,6 +35,18 @@ def _qa_file(path, n=30, seed=0):
         )
     write_qa_records(path, records)
     return records
+
+
+def test_cli_import_leaves_http_stack_unloaded():
+    # The HTTP stack is for live LLM calls only; every stage process pays
+    # for whatever `fintag.cli` imports.
+    src = os.path.dirname(os.path.dirname(fintag.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, fintag.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_usage_error_exits_2(capsys):
@@ -104,6 +120,20 @@ def test_validate_reports_defects(tmp_path, capsys):
     assert payload["clean"] == 1
     assert payload["flagged"][0]["id"] == "bad"
     assert payload["flagged"][0]["issues"][0]["kind"] == "invalid_format"
+
+
+def test_fix_tally_counts_fixable_issues_of_discarded_records(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    row = {"id": "r1", "original": "Not the tagged passage.", "provenance": "model-x", "seed": 0,
+           "tagged": "Cash was <relation><delete>$5</delete><mark>$5</mark></relation>."}
+    records.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    tally = tmp_path / "tally.json"
+    assert dispatch(["fix", "--input", str(records), "--output", str(tmp_path / "fixed.jsonl"),
+                     "--tally", str(tally)]) == 0
+    capsys.readouterr()
+    counts = json.loads(tally.read_text(encoding="utf-8"))["tally"]["model-x"]
+    assert counts["discarded"] == 1
+    assert counts["identical_text"] == 1 and counts["inconsistent_content"] == 1
 
 
 def test_split_deterministic(tmp_path, capsys):

@@ -3,6 +3,7 @@ and FactScore aggregation."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -14,11 +15,12 @@ from fintag.edit_eval import (
     VerdictLabel,
     containment_judge,
     llm_judge,
+    score_corpus,
     score_editing,
     split_facts,
 )
 from fintag.insertion import InsertionPlan, insert_rule_based
-from fintag.llm_client import CompletionReply
+from fintag.llm_client import ClientProfile, CompletionReply, LlmClient
 from fintag.markup import ErrorType, derive_erroneous, serialize, to_target_output
 
 
@@ -213,3 +215,31 @@ def test_llm_judge_parses_verdicts():
     assert llm_judge(StubClient("Supported"))("f", "r").label is VerdictLabel.SUPPORTED
     assert llm_judge(StubClient("Unsupported."))("f", "r").label is VerdictLabel.UNSUPPORTED
     assert llm_judge(StubClient("cannot say"))("f", "r").label is VerdictLabel.ABSTAIN
+
+
+def test_llm_judge_replays_from_cache(tmp_path):
+    rows = [
+        {"id": "e1", "edited": WORKED_ORIGINAL, "reference": WORKED_ORIGINAL},
+        {"id": "e2", "edited": WORKED_ERRONEOUS, "reference": WORKED_ORIGINAL},
+    ]
+    profile = ClientProfile(name="judge", endpoint="http://unit.test/v1/chat",
+                            model="judge-model", cache_path=str(tmp_path / "judge.jsonl"))
+    calls = []
+
+    def recording(profile, payload, headers):
+        user = payload["messages"][1]["content"]
+        fact = user.split("Statement: ", 1)[1].split("\n", 1)[0]
+        calls.append(fact)
+        verdict = "Supported" if fact in WORKED_ORIGINAL else "Unsupported"
+        return 200, json.dumps({"choices": [{"message": {"content": verdict}}]})
+
+    def offline(profile, payload, headers):
+        calls.append(None)
+        raise AssertionError("replay must not reach the transport")
+
+    first = score_corpus(rows, llm_judge(LlmClient(profile, recording, sleeper=lambda s: None)))
+    assert calls and first[1] < 1.0
+    calls.clear()
+    second = score_corpus(rows, llm_judge(LlmClient(profile, offline, sleeper=lambda s: None)))
+    assert second == first
+    assert calls == []

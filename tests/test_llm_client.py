@@ -187,3 +187,13 @@ def test_in_flight_never_exceeds_limit():
     for t in threads:
         t.join()
     assert state["peak"] <= 3
+
+
+def test_default_transport_maps_refused_connection_to_transport_error():
+    # Nothing listens on the discard port; the refusal must surface as a
+    # counted TRANSPORT failure after the retries, not as a raw exception.
+    profile = _profile(endpoint="http://127.0.0.1:9/v1/chat/completions", timeout=0.5)
+    client = LlmClient(profile, sleeper=lambda s: None)
+    with pytest.raises(ClientError) as info:
+        client.complete(_request())
+    assert info.value.kind is ClientErrorKind.TRANSPORT

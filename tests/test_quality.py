@@ -87,6 +87,36 @@ class TestDefectExemplars:
         assert [i.kind for i in outcome.reasons] == [IssueKind.INCONSISTENT_CONTENT]
 
 
+@pytest.mark.parametrize(
+    "tagged,original",
+    [
+        (INCORRECT_TYPE_TAGGED, INCORRECT_TYPE_ORIGINAL),
+        (IDENTICAL_TEXT_TAGGED, IDENTICAL_TEXT_ORIGINAL),
+        (INVALID_FORMAT_TAGGED, INVALID_FORMAT_ORIGINAL),
+        (INCONSISTENT_CONTENT_TAGGED, INCONSISTENT_CONTENT_ORIGINAL),
+        (IDENTICAL_TEXT_ORIGINAL, IDENTICAL_TEXT_ORIGINAL),
+    ],
+    ids=["incorrect_type", "identical_text", "invalid_format", "inconsistent_content", "clean"],
+)
+def test_fix_outcome_carries_every_checked_issue(tagged, original):
+    record, warnings = _record(tagged, original)
+    outcome = fix(record, warnings)
+    assert list(outcome.issues) == check(record, warnings)
+    if not outcome.fixed:
+        assert set(outcome.reasons) <= set(outcome.issues)
+
+
+def test_discarded_record_keeps_its_fixable_issues():
+    record, warnings = _record(IDENTICAL_TEXT_TAGGED, "Not the tagged passage.")
+    outcome = fix(record, warnings)
+    assert not outcome.fixed
+    assert [i.kind for i in outcome.reasons] == [IssueKind.INCONSISTENT_CONTENT]
+    assert [i.kind for i in outcome.issues] == [
+        IssueKind.IDENTICAL_TEXT,
+        IssueKind.INCONSISTENT_CONTENT,
+    ]
+
+
 class TestClassifier:
     @pytest.mark.parametrize(
         "original,error,expected",
