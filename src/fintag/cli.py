@@ -32,7 +32,13 @@ from .detect_eval import (
     read_gold_documents,
     read_predictions,
 )
-from .edit_eval import containment_judge, llm_judge, read_editing_rows, score_corpus
+from .edit_eval import (
+    containment_judge,
+    llm_judge,
+    read_editing_rows,
+    score_editing,
+    summarize_scores,
+)
 from .insertion import (
     InserterConfig,
     InsertionFailure,
@@ -461,6 +467,14 @@ def _cmd_eval_detect(args) -> int:
     labels = FAVA_LABELS if args.label_set == "fava" else DEFAULT_LABELS
     gold = read_gold_documents(args.gold, labels)
     preds = read_predictions(args.pred)
+    # Unpaired gold ids score as empty replies; unpaired predictions are ignored.
+    unpredicted = [rid for rid in gold if rid not in preds]
+    ungolded = [rid for rid in preds if rid not in gold]
+    print(
+        f"eval-detect: {_ids_with_examples(unpredicted, 'gold ids without a prediction')}; "
+        f"{_ids_with_examples(ungolded, 'prediction ids without gold')}",
+        file=sys.stderr,
+    )
     report = evaluate_corpus(gold, preds, labels, args.match_mode)
     if args.format == "json":
         payload = {
@@ -479,6 +493,11 @@ def _cmd_eval_detect(args) -> int:
     return 0
 
 
+def _ids_with_examples(ids: list[str], what: str, limit: int = 5) -> str:
+    text = f"{len(ids)} {what}"
+    return f"{text} (e.g. {', '.join(ids[:limit])})" if ids else text
+
+
 def _cmd_eval_edit(args) -> int:
     rows = read_editing_rows(args.input)
     if args.judge == "containment":
@@ -489,7 +508,12 @@ def _cmd_eval_edit(args) -> int:
         if args.profile not in profiles:
             raise ValueError(f"unknown client profile {args.profile!r}")
         judge = llm_judge(LlmClient(profiles[args.profile]))
-    results, mean = score_corpus(rows, judge)
+    scored = [(row["id"], score_editing(row["edited"], row["reference"], judge)) for row in rows]
+    units = sum(fs.total for _, fs in scored)
+    failed = sum(fs.failed for _, fs in scored)
+    if failed and failed == units:
+        raise ValueError(f"the {args.judge} judge failed on all {units} units")
+    results, mean = summarize_scores(scored)
     payload = {
         "meta": _meta("eval-edit", judge=args.judge),
         "records": results,
@@ -497,8 +521,8 @@ def _cmd_eval_edit(args) -> int:
         "mean_pct": round(100 * mean, 1),
     }
     _write_json(args.output, payload)
-    # One table-style row: editor/judge label and the percentage score.
-    print(f"{args.judge:<16}{100 * mean:6.1f}", file=sys.stderr)
+    # One table-style row: judge label, percentage score, judge failures.
+    print(f"{args.judge:<16}{100 * mean:6.1f}  failed {failed}/{units} units", file=sys.stderr)
     return 0
 
 

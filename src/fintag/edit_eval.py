@@ -11,8 +11,10 @@ deflate scores.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -24,6 +26,9 @@ from .patterns import (
     extract_numbers,
     sentence_spans,
 )
+
+log = logging.getLogger(__name__)
+
 
 class VerdictLabel(Enum):
     SUPPORTED = "supported"
@@ -42,13 +47,19 @@ Judge = Callable[[str, str], JudgeVerdict]
 
 @dataclass(frozen=True)
 class FactScore:
+    """Units of a passage by verdict; `failed` counts the abstentions that
+    came from a judge exception."""
+
     supported: int
     total: int
     abstained: int
+    failed: int = 0
 
     def __post_init__(self) -> None:
         if self.supported + self.abstained > self.total:
             raise ValueError("supported + abstained cannot exceed total")
+        if self.failed > self.abstained:
+            raise ValueError("failed cannot exceed abstained")
 
     @property
     def score(self) -> float:
@@ -76,6 +87,23 @@ def _content_words(text: str) -> set[str]:
     }
 
 
+@lru_cache(maxsize=1)
+def _reference_index(
+    reference: str,
+) -> tuple[frozenset[str], tuple[tuple[frozenset[str], str], ...]]:
+    """The reference's number set and each sentence with its content words.
+
+    One entry suffices: `score_editing` judges every unit of a passage
+    against the same reference. Relation words are scanned only in the
+    sentence a fact picks as its counterpart, which measured faster than
+    scanning every sentence up front.
+    """
+    sentences = split_facts(reference) or [reference]
+    return frozenset(extract_numbers(reference)), tuple(
+        (frozenset(_content_words(s)), s) for s in sentences
+    )
+
+
 def containment_judge(fact: str, reference: str) -> JudgeVerdict:
     """Deterministic offline judge; never abstains.
 
@@ -84,8 +112,8 @@ def containment_judge(fact: str, reference: str) -> JudgeVerdict:
     is contradicted by its antonym in the reference sentence sharing the
     most content words with the fact.
     """
-    fact_numbers = extract_numbers(fact)
-    missing = fact_numbers - extract_numbers(reference)
+    ref_numbers, ref_sentences = _reference_index(reference)
+    missing = extract_numbers(fact) - ref_numbers
     if missing:
         return JudgeVerdict(
             VerdictLabel.UNSUPPORTED,
@@ -94,14 +122,10 @@ def containment_judge(fact: str, reference: str) -> JudgeVerdict:
 
     relation_words = {m.group().lower() for m in RELATION_WORD_RE.finditer(fact)}
     if relation_words:
-        ref_sentences = split_facts(reference) or [reference]
         fact_words = _content_words(fact)
-        counterpart = max(
-            ref_sentences, key=lambda s: len(_content_words(s) & fact_words)
-        )
-        counterpart_lower = counterpart.lower()
+        _, counterpart = max(ref_sentences, key=lambda s: len(s[0] & fact_words))
         counterpart_words = {
-            m.group().lower() for m in RELATION_WORD_RE.finditer(counterpart_lower)
+            m.group().lower() for m in RELATION_WORD_RE.finditer(counterpart.lower())
         }
         for word in relation_words:
             antonym = ANTONYMS[word]
@@ -118,22 +142,27 @@ def score_editing(edited: str, reference: str, judge: Judge) -> FactScore:
 
     Residual tags are stripped first (lenient parse in target-output form,
     rendering corrections and dropping statement-level tags). A judge
-    exception abstains that unit; it never fails the whole evaluation.
+    exception abstains that unit and is counted in `failed`; it never fails
+    the whole evaluation. The passage's first failure is logged with its
+    traceback.
     """
     doc, _ = parse(edited, Form.TARGET_OUTPUT)
     final_text = derive_original(doc)
     units = split_facts(final_text)
-    supported = abstained = 0
+    supported = abstained = failed = 0
     for unit in units:
         try:
             verdict = judge(unit, reference)
         except Exception:
+            if not failed:
+                log.warning("judge failed on a unit; failed units count as abstentions", exc_info=True)
+            failed += 1
             verdict = JudgeVerdict(VerdictLabel.ABSTAIN, "judge failure")
         if verdict.label is VerdictLabel.SUPPORTED:
             supported += 1
         elif verdict.label is VerdictLabel.ABSTAIN:
             abstained += 1
-    return FactScore(supported, len(units), abstained)
+    return FactScore(supported, len(units), abstained, failed)
 
 
 # Minimal supported/unsupported template for LLM judging; recorded here so
@@ -180,18 +209,23 @@ def llm_judge(client) -> Judge:
 def score_corpus(rows: Iterable[dict], judge: Judge) -> tuple[list[dict], float]:
     """Score {"id", "edited", "reference"} rows; returns per-record results
     and the corpus mean score."""
-    results = []
-    for row in rows:
-        fs = score_editing(row["edited"], row["reference"], judge)
-        results.append(
-            {
-                "id": row["id"],
-                "supported": fs.supported,
-                "total": fs.total,
-                "abstained": fs.abstained,
-                "score": round(fs.score, 4),
-            }
-        )
+    return summarize_scores(
+        [(row["id"], score_editing(row["edited"], row["reference"], judge)) for row in rows]
+    )
+
+
+def summarize_scores(scored: Iterable[tuple[str, FactScore]]) -> tuple[list[dict], float]:
+    """Per-record results and the corpus mean score of (id, FactScore) pairs."""
+    results = [
+        {
+            "id": rid,
+            "supported": fs.supported,
+            "total": fs.total,
+            "abstained": fs.abstained,
+            "score": round(fs.score, 4),
+        }
+        for rid, fs in scored
+    ]
     mean = sum(r["score"] for r in results) / len(results) if results else 0.0
     return results, mean
 

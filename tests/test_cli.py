@@ -211,6 +211,76 @@ def test_eval_edit_containment(tmp_path, capsys):
     assert by_id["e2"]["score"] < 1.0
 
 
+def _edit_rows(path):
+    path.write_text(
+        "".join(
+            json.dumps({"id": rid, "edited": edited, "reference": WORKED_ORIGINAL}) + "\n"
+            for rid, edited in (("e1", WORKED_ORIGINAL), ("e2", WORKED_ERRONEOUS))
+        ),
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_eval_edit_reports_judge_failures(tmp_path, capsys, caplog, monkeypatch):
+    import fintag.cli as cli
+
+    judge = cli.containment_judge
+
+    def fails_on_dates(fact, reference):
+        if "2008" in fact:
+            raise RuntimeError("judge down")
+        return judge(fact, reference)
+
+    monkeypatch.setattr(cli, "containment_judge", fails_on_dates)
+    out = tmp_path / "edit-report.json"
+    assert dispatch(["eval-edit", "--input", str(_edit_rows(tmp_path / "rows.jsonl")),
+                     "--output", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "failed 1/3 units" in err
+    assert "RuntimeError: judge down" in caplog.text
+    e2 = json.loads(out.read_text(encoding="utf-8"))["records"][1]
+    assert e2 == {"id": "e2", "supported": 1, "total": 2, "abstained": 1, "score": 1.0}
+
+
+def test_eval_edit_fails_when_the_judge_fails_every_unit(tmp_path, capsys, monkeypatch):
+    import fintag.cli as cli
+
+    def unreachable(fact, reference):
+        raise ConnectionError("endpoint unreachable")
+
+    monkeypatch.setattr(cli, "containment_judge", unreachable)
+    out = tmp_path / "edit-report.json"
+    assert dispatch(["eval-edit", "--input", str(_edit_rows(tmp_path / "rows.jsonl")),
+                     "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "fintag: error: the containment judge failed on all 3 units" in err
+    assert not out.exists()
+
+
+def test_eval_detect_reports_unpaired_ids(tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        "".join(
+            json.dumps({"id": f"g{i}", "input": WORKED_ERRONEOUS, "target": WORKED_TARGET}) + "\n"
+            for i in range(8)
+        ),
+        encoding="utf-8",
+    )
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(
+        "".join(json.dumps({"id": rid, "raw": WORKED_TARGET}) + "\n" for rid in ("g0", "x1", "x2")),
+        encoding="utf-8",
+    )
+    report = tmp_path / "detect.json"
+    assert dispatch(["eval-detect", "--gold", str(pairs), "--pred", str(preds),
+                     "--format", "json", "--output", str(report)]) == 0
+    err = capsys.readouterr().err
+    assert ("eval-detect: 7 gold ids without a prediction (e.g. g1, g2, g3, g4, g5); "
+            "2 prediction ids without gold (e.g. x1, x2)") in err
+    assert json.loads(report.read_text(encoding="utf-8"))["binary"]["f1"] < 100.0
+
+
 def test_insert_honours_config_file(tmp_path, capsys):
     qa = tmp_path / "qa.jsonl"
     _qa_file(qa, n=20, seed=4)

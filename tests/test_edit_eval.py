@@ -4,11 +4,14 @@ and FactScore aggregation."""
 from __future__ import annotations
 
 import json
+import logging
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import WORKED_ERRONEOUS, WORKED_ORIGINAL, make_context, make_passage
+from fintag import edit_eval
 from fintag.edit_eval import (
     FactScore,
     JudgeVerdict,
@@ -18,10 +21,12 @@ from fintag.edit_eval import (
     score_corpus,
     score_editing,
     split_facts,
+    summarize_scores,
 )
 from fintag.insertion import InsertionPlan, insert_rule_based
 from fintag.llm_client import ClientProfile, CompletionReply, LlmClient
 from fintag.markup import ErrorType, derive_erroneous, serialize, to_target_output
+from fintag.patterns import ANTONYMS, RELATION_WORD_RE, extract_numbers
 
 
 class TestSplitFacts:
@@ -93,6 +98,140 @@ class TestContainmentJudge:
             assert verdict.label is not VerdictLabel.ABSTAIN
 
 
+def per_fact_containment_judge(fact: str, reference: str) -> JudgeVerdict:
+    """The containment judge as it was before the reference index: it
+    analyses the whole reference for every fact. Kept verbatim as the
+    oracle for the indexed judge."""
+    fact_numbers = extract_numbers(fact)
+    missing = fact_numbers - extract_numbers(reference)
+    if missing:
+        return JudgeVerdict(
+            VerdictLabel.UNSUPPORTED,
+            f"values absent from reference: {sorted(missing)}",
+        )
+
+    relation_words = {m.group().lower() for m in RELATION_WORD_RE.finditer(fact)}
+    if relation_words:
+        ref_sentences = split_facts(reference) or [reference]
+        fact_words = edit_eval._content_words(fact)
+        counterpart = max(
+            ref_sentences, key=lambda s: len(edit_eval._content_words(s) & fact_words)
+        )
+        counterpart_lower = counterpart.lower()
+        counterpart_words = {
+            m.group().lower() for m in RELATION_WORD_RE.finditer(counterpart_lower)
+        }
+        for word in relation_words:
+            antonym = ANTONYMS[word]
+            if antonym in counterpart_words and word not in counterpart_words:
+                return JudgeVerdict(
+                    VerdictLabel.UNSUPPORTED,
+                    f"{word!r} contradicts {antonym!r} in the reference",
+                )
+    return JudgeVerdict(VerdictLabel.SUPPORTED)
+
+
+_RELATION_PAIRS = (("rose", "fell"), ("increased", "decreased"), ("up", "down"),
+                   ("has", "does not have"))
+# A small vocabulary so that facts and reference sentences often tie on
+# shared content words. "loſs" and "RİSE" match the relation regex under
+# IGNORECASE but lower-case to no lexicon entry.
+_WORDS = ("sales", "costs", "margin", "the", "of", "loſs", "RİSE")
+_NUMBERS = ("$1,200", "1,200", "19.5", "19.50", "2018", "12%", "7", "3,")
+
+
+@st.composite
+def _token(draw):
+    kind = draw(st.sampled_from(("word", "relation", "number")))
+    if kind == "word":
+        return draw(st.sampled_from(_WORDS))
+    if kind == "number":
+        return draw(st.sampled_from(_NUMBERS))
+    word = draw(st.sampled_from(_RELATION_PAIRS))[draw(st.integers(0, 1))]
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(c.upper() if up else c for c, up in zip(word, upper))
+
+
+_SENTENCE = st.lists(_token(), min_size=1, max_size=4)
+_SEPARATOR = st.sampled_from((". ", ".\n", "! ", " ", ", "))
+
+
+def _join(sentences, separators):
+    return "".join(" ".join(words).capitalize() + sep for words, sep in zip(sentences, separators))
+
+
+@st.composite
+def _reference_and_facts(draw):
+    """A reference and facts built mostly from its own words, some with a
+    relation word flipped, so overlaps tie and contradictions are common."""
+    sentences = draw(st.lists(_SENTENCE, max_size=4))
+    separators = draw(st.lists(_SEPARATOR, min_size=len(sentences), max_size=len(sentences)))
+    reference = _join(sentences, separators) or draw(st.sampled_from(("", " ", "\n\t ")))
+    pool = [w for words in sentences for w in words]
+    flips = {a: b for pair in _RELATION_PAIRS for a, b in (pair, pair[::-1])}
+    facts = []
+    for _ in range(draw(st.integers(1, 4))):
+        own = st.sampled_from(pool) if pool else _token()
+        words = draw(st.lists(st.one_of(own, _token()), min_size=1, max_size=5))
+        if draw(st.booleans()):
+            words = [flips.get(w.lower(), w) for w in words]
+        facts.append(_join([words], ["."]))
+    return reference, facts
+
+
+def _outcome(judge, fact, reference):
+    try:
+        verdict = judge(fact, reference)
+    except Exception as exc:  # the oracle's failures must be reproduced too
+        return type(exc).__name__
+    return verdict.label, verdict.rationale
+
+
+class TestReferenceIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(_reference_and_facts())
+    def test_indexed_judge_matches_per_fact_oracle(self, case):
+        reference, facts = case
+        for fact in facts:
+            assert _outcome(containment_judge, fact, reference) == _outcome(
+                per_fact_containment_judge, fact, reference
+            )
+
+    def test_tie_picks_first_sentence(self):
+        # Both sentences share one content word with the fact; only the
+        # first contradicts it.
+        fact = "Sales and costs rose."
+        verdict = containment_judge(fact, "Sales fell. Costs increased.")
+        assert verdict.label is VerdictLabel.UNSUPPORTED
+        assert containment_judge(fact, "Costs increased. Sales fell.").label is VerdictLabel.SUPPORTED
+
+    def test_whitespace_reference_is_its_own_sentence(self):
+        assert containment_judge("Sales rose.", "  ").label is VerdictLabel.SUPPORTED
+        assert containment_judge("Sales rose 7.", "  ").label is VerdictLabel.UNSUPPORTED
+
+    def test_reference_numbers_are_extracted_once_per_passage(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return extract_numbers(text)
+
+        monkeypatch.setattr(edit_eval, "extract_numbers", counting)
+        edit_eval._reference_index.cache_clear()
+        reference = "Sales rose to $1,200 in 2018. Costs fell to 19.5. Margin was 12%."
+        edited = "Sales rose to $1,200 in 2018. Costs fell to 19.5. Margin was 7%. Sales rose."
+        fs = score_editing(edited, reference, containment_judge)
+        assert fs.total == 4
+        assert calls.count(reference) == 1
+        assert len(calls) == fs.total + 1
+
+    def test_index_holds_only_immutable_values(self):
+        numbers, sentences = edit_eval._reference_index("Sales rose 7. Costs fell.")
+        assert isinstance(numbers, frozenset) and isinstance(sentences, tuple)
+        for words, sentence in sentences:
+            assert isinstance(words, frozenset) and isinstance(sentence, str)
+
+
 class TestFactScore:
     def test_score_definition(self):
         assert FactScore(3, 4, 0).score == 0.75
@@ -103,6 +242,12 @@ class TestFactScore:
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             FactScore(3, 2, 0)
+        with pytest.raises(ValueError):
+            FactScore(0, 2, 1, failed=2)
+
+    def test_failed_leaves_score_unchanged(self):
+        assert FactScore(2, 4, 2, failed=2).score == FactScore(2, 4, 2).score
+        assert FactScore(0, 3, 3).failed == 0
 
 
 class TestScoreEditing:
@@ -139,6 +284,29 @@ class TestScoreEditing:
 
         fs = score_editing("One is fine. Two is fine.", "ref", flaky)
         assert fs.total == 2 and fs.abstained == 1 and fs.supported == 1
+        assert fs.failed == 1
+
+    def test_refusals_are_not_failures(self):
+        def refuses(fact, reference):
+            return JudgeVerdict(VerdictLabel.ABSTAIN, "no idea")
+
+        assert score_editing("One. Two.", "ref", refuses).failed == 0
+
+    def test_first_failure_of_a_passage_is_logged_with_traceback(self, caplog):
+        def broken(fact, reference):
+            raise RuntimeError("endpoint unreachable")
+
+        with caplog.at_level(logging.WARNING, logger="fintag.edit_eval"):
+            fs = score_editing("One. Two. Three.", "ref", broken)
+        assert fs.failed == fs.abstained == fs.total == 3
+        assert len(caplog.records) == 1
+        assert "endpoint unreachable" in caplog.text
+        assert "Traceback" in caplog.text
+
+    def test_summary_leaves_failed_out_of_records(self):
+        results, mean = summarize_scores([("a", FactScore(1, 2, 1, failed=1))])
+        assert results == [{"id": "a", "supported": 1, "total": 2, "abstained": 1, "score": 1.0}]
+        assert mean == 1.0
 
     def test_unit_order_invariance(self):
         a = "Revenue was $5 million. Costs were $9 million."
