@@ -4,82 +4,71 @@ Parses and renders the inline error-tag markup, synthesizes tagged
 training data via controlled error insertion, enforces a four-criteria
 quality gate, and scores detection and editing outputs with per-type
 metrics.
+
+Importing the package loads no submodule: each public name below is
+imported from its home submodule on first use (PEP 562), so a process
+pays only for the layers it touches.
 """
 
-from .markup import (
-    Edit,
-    ErrorType,
-    Form,
-    ParseError,
-    ParseResult,
-    ParseWarning,
-    Segment,
-    Statement,
-    TaggedDocument,
-    TagSpan,
-    Text,
-    derive_erroneous,
-    derive_original,
-    parse,
-    serialize,
-    to_target_output,
-)
-from .quality import (
-    FixOutcome,
-    IssueKind,
-    QualityIssue,
-    QualityTally,
-    TaggedRecord,
-    check,
-    classify_span_type,
-    fix,
-)
-from .insertion import (
-    InserterConfig,
-    InsertionFailure,
-    InsertionPlan,
-    InsertionResult,
-    InsertionSkip,
-    build_insertion_prompt,
-    insert_llm,
-    insert_rule_based,
-    plan_errors,
-)
-from .corpus import (
-    DistributionReport,
-    QARecord,
-    TrainingPair,
-    distribution_report,
-    emit_training_pair,
-    filter_grounded,
-    ingest,
-    split,
-)
-from .detect_eval import (
-    DetectionReport,
-    MatchSet,
-    align,
-    evaluate_corpus,
-    f1_from_pr,
-    parse_prediction,
-    score,
-)
-from .edit_eval import (
-    FactScore,
-    JudgeVerdict,
-    VerdictLabel,
-    containment_judge,
-    score_editing,
-    split_facts,
-)
-from .llm_client import (
-    ClientError,
-    ClientProfile,
-    CompletionReply,
-    CompletionRequest,
-    LlmClient,
-    cached_complete,
-    complete,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+
+class FintagError(Exception):
+    """Base of the package's own operational errors (`ClientError`,
+    `InsertionFailure`), which a CLI stage reports with exit code 1."""
+
+
+# Home submodule -> the public names it exports through the package.
+_EXPORTS = {
+    "markup": (
+        "Edit", "ErrorType", "Form", "ParseError", "ParseResult", "ParseWarning",
+        "Segment", "Statement", "TaggedDocument", "TagSpan", "Text",
+        "derive_erroneous", "derive_original", "parse", "serialize", "to_target_output",
+    ),
+    "quality": (
+        "FixOutcome", "IssueKind", "QualityIssue", "QualityTally", "TaggedRecord",
+        "check", "classify_span_type", "fix",
+    ),
+    "insertion": (
+        "InserterConfig", "InsertionFailure", "InsertionPlan", "InsertionResult",
+        "InsertionSkip", "build_insertion_prompt", "insert_llm", "insert_rule_based",
+        "plan_errors",
+    ),
+    "corpus": (
+        "DistributionReport", "QARecord", "TrainingPair", "distribution_report",
+        "emit_training_pair", "filter_grounded", "ingest", "split",
+    ),
+    "detect_eval": (
+        "DetectionReport", "MatchSet", "align", "evaluate_corpus", "f1_from_pr",
+        "parse_prediction", "score",
+    ),
+    "edit_eval": (
+        "FactScore", "JudgeVerdict", "VerdictLabel", "containment_judge",
+        "score_editing", "split_facts",
+    ),
+    "llm_client": (
+        "ClientError", "ClientProfile", "CompletionReply", "CompletionRequest",
+        "LlmClient", "cached_complete", "complete",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"patterns", "prompts"}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

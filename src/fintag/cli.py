@@ -9,61 +9,13 @@ identical inputs and seeds produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import __version__
-from .corpus import (
-    IngestStats,
-    distribution_report,
-    emit_training_pair,
-    filter_grounded,
-    ingest,
-    split as split_records,
-    write_pairs,
-)
-from .detect_eval import (
-    DEFAULT_LABELS,
-    FAVA_LABELS,
-    evaluate_corpus,
-    read_gold_documents,
-    read_predictions,
-)
-from .edit_eval import (
-    containment_judge,
-    llm_judge,
-    read_editing_rows,
-    score_editing,
-    summarize_scores,
-)
-from .insertion import (
-    InserterConfig,
-    InsertionFailure,
-    insert_llm,
-    insert_rule_based,
-    load_exemplars,
-    plan_errors,
-)
-from .llm_client import ClientError, ClientProfile, LlmClient
-from .markup import (
-    ErrorType,
-    Form,
-    derive_erroneous,
-    derive_original,
-    parse,
-    serialize,
-    to_target_output,
-)
-from .quality import (
-    QualityTally,
-    check,
-    fix,
-    read_records,
-    write_records,
-)
+# Each command imports the layers it runs inside its handler, so a stage
+# process loads only those.
+from . import FintagError, __version__
 
 
 def main(argv=None) -> int:
@@ -76,9 +28,10 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # FintagError covers ClientError and InsertionFailure.
     try:
         return args.handler(args)
-    except (OSError, ValueError, KeyError, ClientError, InsertionFailure) as exc:
+    except (OSError, ValueError, KeyError, FintagError) as exc:
         print(f"fintag: error: {exc}", file=sys.stderr)
         return 1
 
@@ -170,7 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- config ----------------------------------------------------------------
 
 
-def _load_ini(path: str | None) -> configparser.ConfigParser:
+def _load_ini(path: str | None):
+    import configparser
+
     cp = configparser.ConfigParser()
     if path:
         with open(path, encoding="utf-8") as fh:
@@ -178,7 +133,10 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
-def _inserter_config(cp: configparser.ConfigParser) -> InserterConfig:
+def _inserter_config(cp):
+    from .insertion import InserterConfig
+    from .markup import ErrorType
+
     if not cp.has_section("inserter"):
         return InserterConfig()
     section = cp["inserter"]
@@ -199,7 +157,9 @@ def _inserter_config(cp: configparser.ConfigParser) -> InserterConfig:
     return InserterConfig(**kwargs)
 
 
-def _client_profiles(cp: configparser.ConfigParser) -> list[ClientProfile]:
+def _client_profiles(cp) -> list:
+    from .llm_client import ClientProfile
+
     profiles = []
     for section_name in cp.sections():
         if not section_name.startswith("client:"):
@@ -220,7 +180,7 @@ def _client_profiles(cp: configparser.ConfigParser) -> list[ClientProfile]:
     return profiles
 
 
-def _config_echo(config: InserterConfig) -> dict:
+def _config_echo(config) -> dict:
     return {
         "clean_probability": config.clean_probability,
         "type_weights": {k.value: w for k, w in config.type_weights.items()},
@@ -245,6 +205,16 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _cmd_insert(args) -> int:
+    from .corpus import IngestStats, filter_grounded, ingest
+    from .insertion import (
+        InsertionFailure,
+        insert_llm,
+        insert_rule_based,
+        load_exemplars,
+        plan_errors,
+    )
+    from .quality import write_records
+
     cp = _load_ini(args.config)
     config = _inserter_config(cp)
     stats = IngestStats()
@@ -270,6 +240,10 @@ def _cmd_insert(args) -> int:
         profiles = _client_profiles(cp)
         if not profiles:
             raise ValueError("llm mode needs at least one [client:...] config section")
+        from concurrent.futures import ThreadPoolExecutor
+
+        from .llm_client import LlmClient
+
         clients = [LlmClient(profile) for profile in profiles]
 
         def run(item):
@@ -315,6 +289,8 @@ def _cmd_insert(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .quality import check, read_records
+
     rows = []
     clean = 0
     for record, warnings in read_records(args.input):
@@ -342,6 +318,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fix(args) -> int:
+    from .quality import QualityTally, fix, read_records, write_records
+
     tally = QualityTally()
     fixed_records = []
     discarded = []
@@ -369,6 +347,8 @@ def _cmd_fix(args) -> int:
 
 
 def _derive_text(doc, form: str) -> str:
+    from .markup import derive_erroneous, derive_original, serialize, to_target_output
+
     if form == "original":
         return derive_original(doc)
     if form == "erroneous":
@@ -377,6 +357,9 @@ def _derive_text(doc, form: str) -> str:
 
 
 def _cmd_derive(args) -> int:
+    from .markup import Form, parse
+    from .quality import read_records
+
     if args.raw:
         text = Path(args.input).read_text(encoding="utf-8")
         if text.endswith("\n"):
@@ -404,6 +387,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    from .corpus import split as split_records
+
     with open(args.input, encoding="utf-8") as fh:
         lines = [
             line.rstrip("\n")
@@ -429,6 +414,9 @@ def _maybe_keys(line: str):
 
 
 def _cmd_pairs(args) -> int:
+    from .corpus import emit_training_pair, ingest, write_pairs
+    from .quality import check, read_records
+
     qa_by_id = {qa.id: qa for qa in ingest(args.qa, args.source)}
     pairs = []
     for record, warnings in read_records(args.records):
@@ -447,6 +435,9 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .corpus import distribution_report
+    from .quality import read_records
+
     records = [record for record, _ in read_records(args.input)]
     source_of = None
     if args.sources:
@@ -464,6 +455,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_eval_detect(args) -> int:
+    from .detect_eval import (
+        DEFAULT_LABELS,
+        FAVA_LABELS,
+        evaluate_corpus,
+        read_gold_documents,
+        read_predictions,
+    )
+
     labels = FAVA_LABELS if args.label_set == "fava" else DEFAULT_LABELS
     gold = read_gold_documents(args.gold, labels)
     preds = read_predictions(args.pred)
@@ -499,6 +498,14 @@ def _ids_with_examples(ids: list[str], what: str, limit: int = 5) -> str:
 
 
 def _cmd_eval_edit(args) -> int:
+    from .edit_eval import (
+        containment_judge,
+        llm_judge,
+        read_editing_rows,
+        score_editing,
+        summarize_scores,
+    )
+
     rows = read_editing_rows(args.input)
     if args.judge == "containment":
         judge = containment_judge
@@ -507,6 +514,8 @@ def _cmd_eval_edit(args) -> int:
         profiles = {p.name: p for p in _client_profiles(cp)}
         if args.profile not in profiles:
             raise ValueError(f"unknown client profile {args.profile!r}")
+        from .llm_client import LlmClient
+
         judge = llm_judge(LlmClient(profiles[args.profile]))
     scored = [(row["id"], score_editing(row["edited"], row["reference"], judge)) for row in rows]
     units = sum(fs.total for _, fs in scored)

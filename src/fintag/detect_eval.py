@@ -12,7 +12,6 @@ the gold kind, keeping per-kind columns independent.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -27,6 +26,7 @@ from .markup import (
     parse,
 )
 from .patterns import squash_ws
+from .prompts import strip_reply_envelope
 
 DEFAULT_LABELS = (
     "numerical", "temporal", "entity", "relation", "contradictory", "unverifiable",
@@ -40,40 +40,6 @@ _ABBREV = {
     "contradictory": "Con.", "unverifiable": "Unv.", "invented": "Inv.",
     "subjective": "Sub.",
 }
-
-_FENCE_OPEN_RE = re.compile(r"^```[A-Za-z0-9_-]*[ \t]*\n?")
-_FENCE_CLOSE_RE = re.compile(r"\n?```\s*$")
-
-
-def strip_reply_envelope(raw: str, keys: Sequence[str] = ("Edited",)) -> str:
-    """Unwrap a model reply: optional code fences, then an optional one-key
-    JSON envelope ({"Edited": ...}); tolerates single-quoted and bare keys
-    and unescaped content. Returns the payload unchanged when no envelope
-    is recognized."""
-    s = raw.strip()
-    if s.startswith("```"):
-        s = _FENCE_CLOSE_RE.sub("", _FENCE_OPEN_RE.sub("", s)).strip()
-    if s.startswith("{") and s.endswith("}"):
-        try:
-            obj = json.loads(s)
-        except json.JSONDecodeError:
-            obj = None
-        if isinstance(obj, dict):
-            for key in keys:
-                if key in obj and isinstance(obj[key], str):
-                    return obj[key]
-        for key in keys:
-            m = re.match(
-                rf"^\{{\s*['\"]?{re.escape(key)}['\"]?\s*:\s*(.*?)\s*\}}$",
-                s,
-                re.DOTALL,
-            )
-            if m:
-                inner = m.group(1)
-                if len(inner) >= 2 and inner[0] in "'\"" and inner[-1] == inner[0]:
-                    inner = inner[1:-1]
-                return inner
-    return s
 
 
 def parse_prediction(raw: str, extra_statement_tags: tuple = ()) -> tuple[TaggedDocument, tuple]:

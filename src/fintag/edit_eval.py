@@ -18,7 +18,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .llm_client import CompletionRequest, call_client
 from .markup import Form, derive_original, parse
 from .patterns import (
     ANTONYMS,
@@ -120,15 +119,21 @@ def containment_judge(fact: str, reference: str) -> JudgeVerdict:
             f"values absent from reference: {sorted(missing)}",
         )
 
-    relation_words = {m.group().lower() for m in RELATION_WORD_RE.finditer(fact)}
+    # Relation words in order of first appearance, so the rationale names
+    # the first contradicted one. A word the regex matches only under
+    # Unicode case folding ("loſs") has no lexicon entry and is skipped.
+    relation_words = {
+        word: ANTONYMS[word]
+        for word in (m.group().lower() for m in RELATION_WORD_RE.finditer(fact))
+        if word in ANTONYMS
+    }
     if relation_words:
         fact_words = _content_words(fact)
         _, counterpart = max(ref_sentences, key=lambda s: len(s[0] & fact_words))
         counterpart_words = {
             m.group().lower() for m in RELATION_WORD_RE.finditer(counterpart.lower())
         }
-        for word in relation_words:
-            antonym = ANTONYMS[word]
+        for word, antonym in relation_words.items():
             if antonym in counterpart_words and word not in counterpart_words:
                 return JudgeVerdict(
                     VerdictLabel.UNSUPPORTED,
@@ -185,6 +190,7 @@ Unsupported."""
 def llm_judge(client) -> Judge:
     """Wrap a chat-completion client as a judge callable; with a cached
     profile its calls replay from the cache."""
+    from .llm_client import CompletionRequest, call_client
 
     def judge(fact: str, reference: str) -> JudgeVerdict:
         reply = call_client(

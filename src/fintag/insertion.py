@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .detect_eval import strip_reply_envelope
+from . import FintagError
 from .llm_client import CompletionRequest, call_client
 from .markup import (
     Edit,
@@ -44,6 +44,7 @@ from .prompts import (
     INSERTION_PROMPT_TEMPLATE,
     INSERTION_SYSTEM_PROMPT,
     TAG_DEFINITIONS,
+    strip_reply_envelope,
 )
 from .quality import TaggedRecord, fix
 
@@ -611,7 +612,7 @@ def build_insertion_prompt(
     )
 
 
-class InsertionFailure(Exception):
+class InsertionFailure(FintagError):
     """The LLM inserter exhausted its retries on unfixable defects."""
 
     def __init__(self, issues: Iterable):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from . import FintagError
+
 MAX_ATTEMPTS = 5
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
@@ -33,7 +35,7 @@ class ClientErrorKind(Enum):
     BAD_REPLY = "bad_reply"
 
 
-class ClientError(Exception):
+class ClientError(FintagError):
     def __init__(self, kind: ClientErrorKind, message: str):
         super().__init__(f"{kind.value}: {message}")
         self.kind = kind

@@ -37,16 +37,83 @@ def _qa_file(path, n=30, seed=0):
     return records
 
 
-def test_cli_import_leaves_http_stack_unloaded():
-    # The HTTP stack is for live LLM calls only; every stage process pays
-    # for whatever `fintag.cli` imports.
+def _run_probe(probe, *argv, cwd=None):
+    """Stdout of `python -c probe argv...` in a fresh process that imports
+    this checkout's fintag."""
     src = os.path.dirname(os.path.dirname(fintag.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+def test_cli_import_leaves_http_stack_unloaded():
+    # The HTTP stack is for live LLM calls only; every stage process pays
+    # for whatever `fintag.cli` imports.
     probe = "import sys, fintag.cli; print('requests' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _run_probe(probe).strip() == "False"
+
+
+_LOADED_PROBE = (
+    "import json, sys\n"
+    "from fintag.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'fintag')))\n"
+    "sys.exit(rc)\n"
+)
+
+
+def _stage_modules(tmp_path, *argv):
+    """The fintag modules a CLI stage process has loaded when it ends."""
+    return set(json.loads(_run_probe(_LOADED_PROBE, *argv, cwd=tmp_path).splitlines()[-1]))
+
+
+def test_package_import_loads_no_submodule():
+    probe = "import sys, fintag; print(sorted(m for m in sys.modules if m.startswith('fintag')))"
+    assert _run_probe(probe).strip() == "['fintag']"
+
+
+def test_version_loads_only_the_cli(tmp_path):
+    assert _stage_modules(tmp_path, "--version") == {"fintag", "fintag.cli"}
+
+
+def _stage_argv(tmp_path, stage):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=4)
+    records = tmp_path / "records.jsonl"
+    if stage == "insert":
+        return ["insert", "--input", str(qa), "--output", str(records)]
+    if stage == "fix":
+        assert dispatch(["insert", "--input", str(qa), "--output", str(records)]) == 0
+        return ["fix", "--input", str(records), "--output", str(tmp_path / "fixed.jsonl")]
+    if stage == "eval-edit":
+        rows = _edit_rows(tmp_path / "rows.jsonl")
+        return ["eval-edit", "--input", str(rows), "--judge", "containment",
+                "--output", str(tmp_path / "edit.json")]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"id": "g0", "input": WORKED_ERRONEOUS, "target": WORKED_TARGET})
+                     + "\n", encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": "g0", "raw": WORKED_TARGET}) + "\n", encoding="utf-8")
+    return ["eval-detect", "--gold", str(pairs), "--pred", str(preds),
+            "--output", str(tmp_path / "detect.txt")]
+
+
+@pytest.mark.parametrize(
+    "stage, runs, unloaded",
+    [
+        ("eval-detect", "detect_eval", ("insertion", "quality", "corpus", "edit_eval", "llm_client")),
+        ("eval-edit", "edit_eval", ("insertion", "quality", "corpus", "detect_eval", "llm_client")),
+        ("fix", "quality", ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client")),
+        ("insert", "insertion", ("detect_eval", "edit_eval")),
+    ],
+)
+def test_stage_loads_only_the_layers_it_runs(tmp_path, capsys, stage, runs, unloaded):
+    loaded = _stage_modules(tmp_path, *_stage_argv(tmp_path, stage))
+    capsys.readouterr()
+    assert f"fintag.{runs}" in loaded
+    assert not loaded & {f"fintag.{name}" for name in unloaded}
 
 
 def test_usage_error_exits_2(capsys):
@@ -223,16 +290,16 @@ def _edit_rows(path):
 
 
 def test_eval_edit_reports_judge_failures(tmp_path, capsys, caplog, monkeypatch):
-    import fintag.cli as cli
+    import fintag.edit_eval as edit_eval
 
-    judge = cli.containment_judge
+    judge = edit_eval.containment_judge
 
     def fails_on_dates(fact, reference):
         if "2008" in fact:
             raise RuntimeError("judge down")
         return judge(fact, reference)
 
-    monkeypatch.setattr(cli, "containment_judge", fails_on_dates)
+    monkeypatch.setattr(edit_eval, "containment_judge", fails_on_dates)
     out = tmp_path / "edit-report.json"
     assert dispatch(["eval-edit", "--input", str(_edit_rows(tmp_path / "rows.jsonl")),
                      "--output", str(out)]) == 0
@@ -244,12 +311,12 @@ def test_eval_edit_reports_judge_failures(tmp_path, capsys, caplog, monkeypatch)
 
 
 def test_eval_edit_fails_when_the_judge_fails_every_unit(tmp_path, capsys, monkeypatch):
-    import fintag.cli as cli
+    import fintag.edit_eval as edit_eval
 
     def unreachable(fact, reference):
         raise ConnectionError("endpoint unreachable")
 
-    monkeypatch.setattr(cli, "containment_judge", unreachable)
+    monkeypatch.setattr(edit_eval, "containment_judge", unreachable)
     out = tmp_path / "edit-report.json"
     assert dispatch(["eval-edit", "--input", str(_edit_rows(tmp_path / "rows.jsonl")),
                      "--output", str(out)]) == 1

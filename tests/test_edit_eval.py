@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +93,28 @@ class TestContainmentJudge:
         )
         assert verdict.label is VerdictLabel.SUPPORTED
 
+    def test_relation_word_without_lexicon_entry_is_skipped(self):
+        # "loſs" and "RİSE" match the relation regex only under Unicode case
+        # folding; lower-cased, neither is a lexicon key.
+        assert containment_judge("The loſs was small.", "x").label is VerdictLabel.SUPPORTED
+        assert containment_judge("Sales RİSE.", "Sales fell.").label is VerdictLabel.SUPPORTED
+        verdict = containment_judge("The loſs rose.", "The loss fell.")
+        assert verdict.rationale == "'rose' contradicts 'fell' in the reference"
+
+    def test_rationale_names_the_first_contradicted_word_under_any_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(edit_eval.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "from fintag.edit_eval import containment_judge\n"
+            "print(containment_judge('Sales rose and margin increased.',"
+            " 'Sales fell and margin decreased.').rationale)\n"
+        )
+        for seed in range(7):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
+            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                 text=True, check=True)
+            assert out.stdout.strip() == "'rose' contradicts 'fell' in the reference", seed
+
     def test_never_abstains(self):
         rng = random.Random(2)
         for _ in range(50):
@@ -100,8 +125,10 @@ class TestContainmentJudge:
 
 def per_fact_containment_judge(fact: str, reference: str) -> JudgeVerdict:
     """The containment judge as it was before the reference index: it
-    analyses the whole reference for every fact. Kept verbatim as the
-    oracle for the indexed judge."""
+    analyses the whole reference for every fact. Kept as the oracle for
+    the indexed judge, with the judge's two later fixes: relation words
+    are checked in order of first appearance, and one without a lexicon
+    entry is skipped."""
     fact_numbers = extract_numbers(fact)
     missing = fact_numbers - extract_numbers(reference)
     if missing:
@@ -110,7 +137,11 @@ def per_fact_containment_judge(fact: str, reference: str) -> JudgeVerdict:
             f"values absent from reference: {sorted(missing)}",
         )
 
-    relation_words = {m.group().lower() for m in RELATION_WORD_RE.finditer(fact)}
+    relation_words = [
+        word
+        for word in dict.fromkeys(m.group().lower() for m in RELATION_WORD_RE.finditer(fact))
+        if word in ANTONYMS
+    ]
     if relation_words:
         ref_sentences = split_facts(reference) or [reference]
         fact_words = edit_eval._content_words(fact)
