@@ -54,7 +54,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"patterns", "prompts"}
+_SUBMODULES = frozenset(_EXPORTS) | {"jsonl", "patterns", "prompts"}
 
 __all__ = list(_HOME)
 

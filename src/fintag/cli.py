@@ -318,6 +318,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fix(args) -> int:
+    from .jsonl import write_jsonl
     from .quality import QualityTally, fix, read_records, write_records
 
     tally = QualityTally()
@@ -332,11 +333,10 @@ def _cmd_fix(args) -> int:
             discarded.append(
                 {"id": record.id, "reasons": [i.kind.value for i in outcome.reasons]}
             )
-    write_records(args.output, fixed_records, meta=_meta("fix", seed=args.seed))
+    meta = _meta("fix", seed=args.seed)
+    write_records(args.output, fixed_records, meta=meta)
     if args.discarded:
-        with open(args.discarded, "w", encoding="utf-8") as fh:
-            for row in discarded:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        write_jsonl(args.discarded, discarded, meta=meta)
     if args.tally:
         _write_json(args.tally, {"meta": _meta("fix"), "tally": tally.to_json()})
     print(
@@ -357,6 +357,7 @@ def _derive_text(doc, form: str) -> str:
 
 
 def _cmd_derive(args) -> int:
+    from .jsonl import write_jsonl
     from .markup import Form, parse
     from .quality import read_records
 
@@ -373,44 +374,26 @@ def _cmd_derive(args) -> int:
         else:
             print(out)
         return 0
-    lines = []
-    for record, warnings in read_records(args.input):
-        lines.append(json.dumps({"id": record.id, "text": _derive_text(record.doc, args.form)}, ensure_ascii=False))
-    body = "\n".join(
-        [json.dumps({"_meta": _meta("derive", form=args.form)}, ensure_ascii=False)] + lines
-    ) + "\n"
-    if args.output:
-        Path(args.output).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+    rows = [
+        {"id": record.id, "text": _derive_text(record.doc, args.form)}
+        for record, _ in read_records(args.input)
+    ]
+    write_jsonl(args.output, rows, meta=_meta("derive", form=args.form))
     return 0
 
 
 def _cmd_split(args) -> int:
     from .corpus import split as split_records
+    from .jsonl import read_jsonl, write_jsonl
 
-    with open(args.input, encoding="utf-8") as fh:
-        lines = [
-            line.rstrip("\n")
-            for line in fh
-            if line.strip() and "_meta" not in _maybe_keys(line)
-        ]
+    # Kept lines are copied verbatim, not re-encoded.
+    lines = [text for _, _, text in read_jsonl(args.input)]
     train, val = split_records(lines, ratio=args.ratio, seed=args.seed)
-    header = json.dumps(
-        {"_meta": _meta("split", seed=args.seed, ratio=args.ratio)}, ensure_ascii=False
-    )
-    Path(args.train_out).write_text("\n".join([header] + train) + "\n", encoding="utf-8")
-    Path(args.val_out).write_text("\n".join([header] + val) + "\n", encoding="utf-8")
+    meta = _meta("split", seed=args.seed, ratio=args.ratio)
+    write_jsonl(args.train_out, train, meta)
+    write_jsonl(args.val_out, val, meta)
     print(f"split: train={len(train)} val={len(val)}", file=sys.stderr)
     return 0
-
-
-def _maybe_keys(line: str):
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
-        return ()
-    return obj.keys() if isinstance(obj, dict) else ()
 
 
 def _cmd_pairs(args) -> int:

@@ -5,7 +5,6 @@ and report error-type distributions.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, field
@@ -13,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from .jsonl import read_jsonl, write_jsonl
 from .markup import derive_erroneous, label_of, serialize, to_target_output
 from .patterns import extract_numbers
 from .prompts import build_detection_prompt, passage_of_prompt
@@ -46,11 +46,15 @@ class QARecord:
 
 @dataclass
 class IngestStats:
-    read: int = 0
     kept: int = 0
     skipped: int = 0
     hook_failures: int = 0
     reasons: list = field(default_factory=list)
+
+    @property
+    def read(self) -> int:
+        """Data lines read: every one is either kept or skipped."""
+        return self.kept + self.skipped
 
     def skip(self, line_no: int, reason: str) -> None:
         self.skipped += 1
@@ -69,34 +73,21 @@ def ingest(
 ) -> Iterator[QARecord]:
     """Yield validated QA records from a JSONL file.
 
-    Malformed lines (bad JSON, missing fields, empty response, no
-    documents) are skipped with a counted warning in `stats`. `field_map`
-    renames source keys onto the expected schema, e.g. {"documents":
-    "context"} for corpora laid out differently.
+    Malformed lines (bad JSON, not an object, missing fields, empty
+    response, no documents) are skipped with a counted warning in `stats`.
+    `field_map` renames source keys onto the expected schema, e.g.
+    {"documents": "context"} for corpora laid out differently.
     """
     stats = stats if stats is not None else IngestStats()
     mapping = dict(zip(_REQUIRED_FIELDS, _REQUIRED_FIELDS)) | (field_map or {})
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            stats.read += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                stats.skip(line_no, f"bad JSON ({exc.msg})")
-                continue
-            if "_meta" in obj:
-                stats.read -= 1
-                continue
-            try:
-                record = _validate(obj, mapping, source_label)
-            except ValueError as exc:
-                stats.skip(line_no, str(exc))
-                continue
-            stats.kept += 1
-            yield record
+    for line_no, obj, _ in read_jsonl(path, skip=stats.skip):
+        try:
+            record = _validate(obj, mapping, source_label)
+        except ValueError as exc:
+            stats.skip(line_no, str(exc))
+            continue
+        stats.kept += 1
+        yield record
 
 
 def _validate(obj: dict, mapping: dict, source_label: str) -> QARecord:
@@ -126,23 +117,13 @@ def _validate(obj: dict, mapping: dict, source_label: str) -> QARecord:
 
 
 def write_qa_records(path: str | Path, records: Iterable[QARecord]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": r.id,
-                        "documents": list(r.documents),
-                        "question": r.question,
-                        "response": r.response,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            count += 1
-    return count
+    return write_jsonl(
+        path,
+        (
+            {"id": r.id, "documents": list(r.documents), "question": r.question, "response": r.response}
+            for r in records
+        ),
+    )
 
 
 def filter_grounded(
@@ -216,34 +197,18 @@ def emit_training_pair(record: TaggedRecord, qa: QARecord) -> TrainingPair:
 
 
 def write_pairs(path: str | Path, pairs: Iterable[TrainingPair], meta: dict | None = None) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"_meta": meta}, ensure_ascii=False) + "\n")
-        for pair in pairs:
-            fh.write(
-                json.dumps(
-                    {"id": pair.id, "prompt": pair.prompt, "target": pair.target, "meta": pair.meta},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            count += 1
-    return count
+    return write_jsonl(
+        path,
+        ({"id": p.id, "prompt": p.prompt, "target": p.target, "meta": p.meta} for p in pairs),
+        meta,
+    )
 
 
 def read_pairs(path: str | Path) -> list[TrainingPair]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                continue
-            pairs.append(TrainingPair(str(obj["id"]), obj["prompt"], obj["target"], obj.get("meta", {})))
-    return pairs
+    return [
+        TrainingPair(str(obj["id"]), obj["prompt"], obj["target"], obj.get("meta", {}))
+        for _, obj, _ in read_jsonl(path)
+    ]
 
 
 _KIND_ROWS = (

@@ -11,11 +11,11 @@ the gold kind, keeping per-kind columns independent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .jsonl import read_jsonl
 from .markup import (
     FAVA_EXTRA_STATEMENT_TAGS,
     Form,
@@ -148,24 +148,8 @@ class KindCounts:
 
 
 @dataclass
-class BinaryCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+class BinaryCounts(KindCounts):
     tn: int = 0
-
-    @property
-    def precision(self) -> float:
-        return _rate(self.tp, self.tp + self.fp)
-
-    @property
-    def recall(self) -> float:
-        return _rate(self.tp, self.tp + self.fn)
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
 
 
 @dataclass
@@ -334,30 +318,12 @@ def read_gold_documents(path: str | Path, labels: tuple = DEFAULT_LABELS) -> dic
     """Load gold documents from a training-pair JSONL (parses each target
     in target-output form)."""
     extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
-    gold: dict[str, TaggedDocument] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                continue
-            doc, _ = parse(obj["target"], Form.TARGET_OUTPUT, extra_statement_tags=extra)
-            gold[str(obj["id"])] = doc
-    return gold
+    return {
+        str(obj["id"]): parse(obj["target"], Form.TARGET_OUTPUT, extra_statement_tags=extra).document
+        for _, obj, _ in read_jsonl(path)
+    }
 
 
 def read_predictions(path: str | Path) -> dict:
     """Load raw predictions from JSONL of {"id", "raw"}."""
-    preds: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                continue
-            preds[str(obj["id"])] = obj["raw"]
-    return preds
+    return {str(obj["id"]): obj["raw"] for _, obj, _ in read_jsonl(path)}

@@ -10,7 +10,6 @@ deflate scores.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -18,6 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .jsonl import read_jsonl
 from .markup import Form, derive_original, parse
 from .patterns import (
     ANTONYMS,
@@ -237,14 +237,4 @@ def summarize_scores(scored: Iterable[tuple[str, FactScore]]) -> tuple[list[dict
 
 
 def read_editing_rows(path: str | Path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                continue
-            rows.append(obj)
-    return rows
+    return [obj for _, obj, _ in read_jsonl(path)]

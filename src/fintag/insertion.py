@@ -14,7 +14,6 @@ clean.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import FintagError
-from .llm_client import CompletionRequest, call_client
+from .jsonl import read_jsonl
 from .markup import (
     Edit,
     ErrorType,
@@ -563,17 +562,10 @@ DEFAULT_EXEMPLARS = (
 
 def load_exemplars(path: str | Path) -> tuple:
     """Read an exemplar pool from JSONL of {"kind", "passage", "tagged"}."""
-    pool = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                continue
-            pool.append(Exemplar(ErrorType(obj["kind"]), obj["passage"], obj["tagged"]))
-    return tuple(pool)
+    return tuple(
+        Exemplar(ErrorType(obj["kind"]), obj["passage"], obj["tagged"])
+        for _, obj, _ in read_jsonl(path)
+    )
 
 
 def build_insertion_prompt(
@@ -637,6 +629,8 @@ def insert_llm(
     with a fresh prompt seed. Raises InsertionFailure after `max_retries`
     extra attempts, or ClientError on transport failure.
     """
+    from .llm_client import CompletionRequest, call_client
+
     rid = record_id if record_id is not None else f"llm-{plan.seed}"
     provenance = getattr(client, "name", "") or "llm"
     if plan.clean:

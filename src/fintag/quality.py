@@ -15,13 +15,13 @@ Defect classes:
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .jsonl import read_jsonl, write_jsonl
 from .markup import (
     Edit,
     ErrorType,
@@ -294,38 +294,24 @@ def record_to_json(record: TaggedRecord) -> dict:
 
 def write_records(path: str | Path, records: Iterable[TaggedRecord], meta: dict | None = None) -> int:
     """Write records as JSONL; returns the number written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"_meta": meta}, ensure_ascii=False) + "\n")
-        for record in records:
-            fh.write(json.dumps(record_to_json(record), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    return write_jsonl(path, (record_to_json(r) for r in records), meta)
 
 
 def read_records(path: str | Path) -> Iterator[tuple[TaggedRecord, tuple]]:
     """Yield (record, parse_warnings) pairs from a records JSONL file.
 
     The tagged text is re-parsed leniently so downstream checks see format
-    defects; `_meta` header lines are skipped.
+    defects.
     """
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                continue
-            doc, warnings = parse(obj["tagged"], Form.TAGGED_PASSAGE)
-            yield (
-                TaggedRecord(
-                    id=str(obj["id"]),
-                    original=obj["original"],
-                    doc=doc,
-                    provenance=obj.get("provenance", ""),
-                    seed=obj.get("seed"),
-                ),
-                warnings,
-            )
+    for _, obj, _ in read_jsonl(path):
+        doc, warnings = parse(obj["tagged"], Form.TAGGED_PASSAGE)
+        yield (
+            TaggedRecord(
+                id=str(obj["id"]),
+                original=obj["original"],
+                doc=doc,
+                provenance=obj.get("provenance", ""),
+                seed=obj.get("seed"),
+            ),
+            warnings,
+        )

@@ -106,7 +106,7 @@ def _stage_argv(tmp_path, stage):
         ("eval-detect", "detect_eval", ("insertion", "quality", "corpus", "edit_eval", "llm_client")),
         ("eval-edit", "edit_eval", ("insertion", "quality", "corpus", "detect_eval", "llm_client")),
         ("fix", "quality", ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client")),
-        ("insert", "insertion", ("detect_eval", "edit_eval")),
+        ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client")),
     ],
 )
 def test_stage_loads_only_the_layers_it_runs(tmp_path, capsys, stage, runs, unloaded):
@@ -195,12 +195,16 @@ def test_fix_tally_counts_fixable_issues_of_discarded_records(tmp_path, capsys):
            "tagged": "Cash was <relation><delete>$5</delete><mark>$5</mark></relation>."}
     records.write_text(json.dumps(row) + "\n", encoding="utf-8")
     tally = tmp_path / "tally.json"
+    discarded = tmp_path / "discarded.jsonl"
     assert dispatch(["fix", "--input", str(records), "--output", str(tmp_path / "fixed.jsonl"),
-                     "--tally", str(tally)]) == 0
+                     "--tally", str(tally), "--discarded", str(discarded), "--seed", "3"]) == 0
     capsys.readouterr()
     counts = json.loads(tally.read_text(encoding="utf-8"))["tally"]["model-x"]
     assert counts["discarded"] == 1
     assert counts["identical_text"] == 1 and counts["inconsistent_content"] == 1
+    header, row = [json.loads(line) for line in discarded.read_text(encoding="utf-8").splitlines()]
+    assert header["_meta"]["command"] == "fix" and header["_meta"]["seed"] == 3
+    assert row == {"id": "r1", "reasons": ["inconsistent_content"]}
 
 
 def test_split_deterministic(tmp_path, capsys):
@@ -222,6 +226,40 @@ def test_split_deterministic(tmp_path, capsys):
     train_lines = outs[0][0].decode().strip().splitlines()
     val_lines = outs[0][1].decode().strip().splitlines()
     assert len(train_lines) - 1 == 95 and len(val_lines) - 1 == 5  # minus _meta
+
+
+def test_split_rejects_a_corrupt_line(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"id": 0}\n{oops\n{"id": 2}\n', encoding="utf-8")
+    train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    assert dispatch(["split", "--input", str(data), "--train-out", str(train),
+                     "--val-out", str(val)]) == 1
+    err = capsys.readouterr().err
+    assert f"fintag: error: {data}:2: bad JSON" in err
+    assert not train.exists() and not val.exists()
+
+
+@pytest.mark.parametrize("bad_line", ["5", '"a string with _meta in it"'])
+@pytest.mark.parametrize("stage", ["eval-detect", "eval-edit"])
+def test_strict_stage_reports_a_non_object_line(tmp_path, capsys, stage, bad_line):
+    argv = _stage_argv(tmp_path, stage)
+    path = tmp_path / ("pairs.jsonl" if stage == "eval-detect" else "rows.jsonl")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    lines = path.read_text(encoding="utf-8").count("\n")
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == f"fintag: error: {path}:{lines}: not a JSON object"
+
+
+def test_insert_counts_a_non_object_line_as_skipped(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=3)
+    with open(qa, "a", encoding="utf-8") as fh:
+        fh.write("5\n")
+    out = tmp_path / "records.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out)]) == 0
+    assert "read=4 kept=3 skipped_lines=1 records=3" in capsys.readouterr().err
 
 
 def test_eval_detect_gold_as_prediction_scores_100(tmp_path, capsys):

@@ -80,6 +80,18 @@ class TestIngest:
         records = list(ingest(path, stats=stats))
         assert len(records) == 1 and stats.skipped == 2
 
+    def test_non_object_lines_are_skipped_not_taken_for_headers(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        good = {"id": "ok", "documents": ["d"], "question": "q", "response": "a"}
+        path.write_text(
+            "5\n" + json.dumps("a string with _meta in it") + "\n" + json.dumps(good) + "\n",
+            encoding="utf-8",
+        )
+        stats = IngestStats()
+        assert [r.id for r in ingest(path, stats=stats)] == ["ok"]
+        assert (stats.read, stats.kept, stats.skipped) == (3, 1, 2)
+        assert stats.reasons == ["line 1: not a JSON object", "line 2: not a JSON object"]
+
     def test_field_map(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         path.write_text(

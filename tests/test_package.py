@@ -3,7 +3,9 @@ object its home submodule defines."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +47,16 @@ def test_stage_errors_share_one_base():
 
     assert issubclass(ClientError, fintag.FintagError)
     assert issubclass(InsertionFailure, fintag.FintagError)
+
+
+def test_only_the_jsonl_module_spells_the_meta_key():
+    # The JSONL envelope (blank lines, the `_meta` header) lives in one
+    # module; any other module that names the key is handling it itself.
+    package = Path(fintag.__file__).parent
+    spelled = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value == "_meta" or '"_meta"' in node.value:
+                    spelled.add(path.name)
+    assert spelled == {"jsonl.py"}
