@@ -50,7 +50,7 @@ _EXPORTS = {
     ),
     "llm_client": (
         "ClientError", "ClientProfile", "CompletionReply", "CompletionRequest",
-        "LlmClient", "cached_complete", "complete",
+        "LlmClient",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -33,8 +33,13 @@ from .markup import (
 )
 from .patterns import (
     MONTH_NAMES,
+    MONTH_RE,
     NUMBER_TOKEN_RE,
+    ORDINAL_QUARTER_RE,
+    QUARTER_NUM_RE,
+    QUARTER_ORDINALS,
     RELATION_WORD_RE,
+    TEMPORAL_SITE_RE,
     YEAR_RE,
     flip_relation_word,
     sentence_spans,
@@ -79,7 +84,8 @@ class InserterConfig:
 
 @dataclass(frozen=True)
 class InsertionPlan:
-    """How many errors of which kinds one passage receives."""
+    """How many errors of which kinds one passage receives. Each kind is
+    coerced to an ErrorType, so an unknown kind raises ValueError."""
 
     clean: bool
     count: int
@@ -87,6 +93,7 @@ class InsertionPlan:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kinds", tuple(ErrorType(k) for k in self.kinds))
         if self.clean and (self.count != 0 or self.kinds):
             raise ValueError("a clean plan carries no errors")
         if self.count != len(self.kinds):
@@ -132,29 +139,7 @@ def plan_errors(passage: str, config: InserterConfig | None = None, seed: int = 
 
 # --- rule-based insertion -------------------------------------------------
 
-_MONTH_ALT = "|".join(MONTH_NAMES)
-_YEAR = r"(?:1[89]\d\d|20\d\d)"
-
-_TEMPORAL_SITE_RE = re.compile(
-    rf"""\b(?:
-        (?:{_MONTH_ALT})\s+\d{{1,2}},?\s+{_YEAR}
-        | (?:{_MONTH_ALT})\s+{_YEAR}
-        | fiscal(?:\s+year)?\s+{_YEAR}
-        | fy\s?{_YEAR}
-        | q[1-4]\s+{_YEAR}
-        | (?:first|second|third|fourth)\s+quarter(?:\s+of\s+{_YEAR})?
-        | {_YEAR}
-    )\b""",
-    re.IGNORECASE | re.VERBOSE,
-)
-
-_BARE_YEAR_RE = re.compile(r"(?:1[89]|20)\d\d")
-_MONTH_WORD_RE = re.compile(rf"\b(?:{_MONTH_ALT})\b", re.IGNORECASE)
-_ORDINAL_RE = re.compile(r"\b(first|second|third|fourth)\b", re.IGNORECASE)
-_QUARTER_NUM_RE = re.compile(r"\b[Qq]([1-4])\b")
-
 _MONTH_TITLES = tuple(m.title() for m in MONTH_NAMES)
-_ORDINALS = ("first", "second", "third", "fourth")
 
 _CAP_SPAN_RE = re.compile(r"\b[A-Z][A-Za-z&'-]*(?:\s+[A-Z][A-Za-z&'-]*)+\b")
 
@@ -205,7 +190,7 @@ def _format_like(value: float, decimals: int, grouped: bool) -> str:
 def _perturb_number_token(token: str, rng: random.Random) -> str | None:
     """Shift a number token's value by a nonzero +/-10..50% factor while
     preserving its formatting (currency sigil, separators, precision)."""
-    m = re.fullmatch(r"([$€£]?)(\d[\d,]*(?:\.\d+)?)(%?)", token)
+    m = NUMBER_TOKEN_RE.fullmatch(token)
     if m is None:
         return None
     prefix, core, suffix = m.groups()
@@ -224,13 +209,20 @@ def _perturb_number_token(token: str, rng: random.Random) -> str | None:
     return prefix + bumped + suffix
 
 
+def _shift_year(year: str, rng: random.Random) -> str:
+    """Move a year by 1..5 either way, staying inside the year grammar."""
+    value = int(year)
+    shifts = [d for d in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5) if YEAR_RE.fullmatch(str(value + d))]
+    return str(value + rng.choice(shifts))
+
+
 def _perturb_temporal(span: str, rng: random.Random) -> str | None:
     """Shift a year by +/-1..5 or substitute the month/quarter."""
     moves = []
     year_m = YEAR_RE.search(span)
-    month_m = _MONTH_WORD_RE.search(span)
-    ordinal_m = _ORDINAL_RE.search(span)
-    quarter_m = _QUARTER_NUM_RE.search(span)
+    month_m = MONTH_RE.search(span)
+    ordinal_m = ORDINAL_QUARTER_RE.search(span)
+    quarter_m = QUARTER_NUM_RE.search(span)
     if year_m:
         moves.append("year")
     if month_m:
@@ -241,9 +233,7 @@ def _perturb_temporal(span: str, rng: random.Random) -> str | None:
         return None
     move = rng.choice(moves)
     if move == "year":
-        year = int(year_m.group())
-        delta = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
-        return span[: year_m.start()] + str(year + delta) + span[year_m.end():]
+        return span[: year_m.start()] + _shift_year(year_m.group(), rng) + span[year_m.end():]
     if move == "month":
         original = month_m.group()
         replacement = rng.choice(
@@ -254,23 +244,23 @@ def _perturb_temporal(span: str, rng: random.Random) -> str | None:
         return span[: month_m.start()] + replacement + span[month_m.end():]
     if ordinal_m:
         original = ordinal_m.group()
-        replacement = rng.choice([o for o in _ORDINALS if o != original.lower()])
+        replacement = rng.choice([o for o in QUARTER_ORDINALS if o != original.lower()])
         if original[0].isupper():
             replacement = replacement.title()
         return span[: ordinal_m.start()] + replacement + span[ordinal_m.end():]
-    digit = quarter_m.group(1)
-    replacement = rng.choice([d for d in "1234" if d != digit])
-    return span[: quarter_m.start(1)] + replacement + span[quarter_m.end(1):]
+    at = quarter_m.end() - 1  # the quarter's digit
+    replacement = rng.choice([d for d in "1234" if d != span[at]])
+    return span[:at] + replacement + span[at + 1:]
 
 
 def _temporal_sites(text: str) -> list:
-    return [(m.start(), m.end(), m.group()) for m in _TEMPORAL_SITE_RE.finditer(text)]
+    return [(m.start(), m.end(), m.group()) for m in TEMPORAL_SITE_RE.finditer(text)]
 
 
 def _numeric_sites(text: str, temporal_spans: list) -> list:
     sites = []
     for m in NUMBER_TOKEN_RE.finditer(text):
-        if _BARE_YEAR_RE.fullmatch(m.group()):
+        if YEAR_RE.fullmatch(m.group()):
             continue  # bare years belong to the temporal inserter
         if any(not (m.end() <= s or m.start() >= e) for s, e, _ in temporal_spans):
             continue
@@ -307,8 +297,8 @@ def _flip_sentence(sentence: str, rng: random.Random) -> str | None:
             return sentence[: m.start()] + flipped + sentence[m.end():]
     for m in sorted(NUMBER_TOKEN_RE.finditer(sentence), key=lambda x: rng.random()):
         token = m.group()
-        if _BARE_YEAR_RE.fullmatch(token):
-            replacement = str(int(token) + rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
+        if YEAR_RE.fullmatch(token):
+            replacement = _shift_year(token, rng)
         else:
             replacement = _perturb_number_token(token, rng)
         if replacement is not None and replacement != token:

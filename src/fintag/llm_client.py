@@ -240,25 +240,3 @@ def call_client(client, request: CompletionRequest) -> CompletionReply:
     if cached is not None and profile is not None and getattr(profile, "cache_path", None):
         return cached(request)
     return client.complete(request)
-
-
-_clients: dict[ClientProfile, LlmClient] = {}
-_clients_lock = threading.Lock()
-
-
-def _client_for(profile: ClientProfile, transport=None, sleeper=time.sleep) -> LlmClient:
-    if transport is not None or sleeper is not time.sleep:
-        return LlmClient(profile, transport, sleeper)
-    with _clients_lock:
-        client = _clients.get(profile)
-        if client is None:
-            client = _clients[profile] = LlmClient(profile)
-        return client
-
-
-def complete(profile: ClientProfile, request: CompletionRequest, *, transport=None, sleeper=time.sleep) -> CompletionReply:
-    return _client_for(profile, transport, sleeper).complete(request)
-
-
-def cached_complete(profile: ClientProfile, request: CompletionRequest, *, transport=None, sleeper=time.sleep) -> CompletionReply:
-    return _client_for(profile, transport, sleeper).cached_complete(request)

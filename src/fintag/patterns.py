@@ -1,5 +1,9 @@
-"""Shared lexical machinery: number/date token shapes, the relation antonym
-lexicon, and deterministic sentence segmentation.
+"""Shared lexical machinery: the number and date grammars, the relation
+antonym lexicon, and deterministic sentence segmentation.
+
+It is the one home of the number and date grammars: every regex for a
+number, year, month or quarter is built here from the pieces below, and
+other modules import the compiled scanners instead of writing their own.
 
 Everything here is pure and regex-based so the modules built on top of it
 (quality gate, rule-based inserter, grounding filter, containment judge)
@@ -15,27 +19,51 @@ MONTH_NAMES = (
     "january", "february", "march", "april", "may", "june",
     "july", "august", "september", "october", "november", "december",
 )
+QUARTER_ORDINALS = ("first", "second", "third", "fourth")
 
 _MONTH_ALT = "|".join(MONTH_NAMES)
 _YEAR = r"(?:1[89]\d\d|20\d\d)"
-_ORDINAL_QUARTER = r"(?:first|second|third|fourth)"
+_DAY = r"\d{1,2}"
+_ORDINAL_QUARTER = rf"(?:{'|'.join(QUARTER_ORDINALS)})"
+_QUARTER_NUM = r"q[1-4]"
 
 YEAR_RE = re.compile(_YEAR)
+MONTH_RE = re.compile(rf"\b(?:{_MONTH_ALT})\b", re.IGNORECASE)
+ORDINAL_QUARTER_RE = re.compile(rf"\b{_ORDINAL_QUARTER}\b", re.IGNORECASE)
+QUARTER_NUM_RE = re.compile(rf"\b{_QUARTER_NUM}\b", re.IGNORECASE)
 
 # Span shapes used to decide what an edited span "looks like". These are
 # fullmatch patterns over a trimmed span, not prose scanners.
 TEMPORAL_SPAN_RE = re.compile(
     rf"""(?:
-        (?:{_MONTH_ALT})(?:\s+\d{{1,2}}\s*,?)?(?:\s+{_YEAR})?
+        (?:{_MONTH_ALT})(?:\s+{_DAY}\s*,?)?(?:\s+{_YEAR})?
         | {_YEAR}(?:\s*[-–]\s*{_YEAR})?
         | (?:fiscal(?:\s+year)?|fy)\s*{_YEAR}
-        | q[1-4](?:\s+(?:of\s+)?{_YEAR})?
+        | {_QUARTER_NUM}(?:\s+(?:of\s+)?{_YEAR})?
         | {_ORDINAL_QUARTER}\s+quarter(?:\s+of\s+{_YEAR})?
     )""",
     re.IGNORECASE | re.VERBOSE,
 )
 
-_NUM_CORE = r"(?:\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+(?:\.\d+)?)"
+# Prose scanner for the date sites the rule-based inserter perturbs; a
+# narrower, word-bounded cousin of TEMPORAL_SPAN_RE.
+TEMPORAL_SITE_RE = re.compile(
+    rf"""\b(?:
+        (?:{_MONTH_ALT})\s+{_DAY},?\s+{_YEAR}
+        | (?:{_MONTH_ALT})\s+{_YEAR}
+        | fiscal(?:\s+year)?\s+{_YEAR}
+        | fy\s?{_YEAR}
+        | {_QUARTER_NUM}\s+{_YEAR}
+        | {_ORDINAL_QUARTER}\s+quarter(?:\s+of\s+{_YEAR})?
+        | {_YEAR}
+    )\b""",
+    re.IGNORECASE | re.VERBOSE,
+)
+
+# Digits, optionally in thousands groups, then an optional decimal part. A
+# grouped run stops at a group boundary, so the comma in "1,000, up" stays
+# prose; a literal first digit, not an alternation, keeps prose scans fast.
+_NUM_CORE = r"\d(?:\d{0,2}(?:,\d{3})+(?!\d)|\d*)(?:\.\d+)?"
 _MAGNITUDE = r"(?:hundred|thousand|million|billion|trillion|bn|mm|k|bps|basis\s+points|percent|percentage\s+points)"
 
 NUMERIC_SPAN_RE = re.compile(
@@ -43,8 +71,9 @@ NUMERIC_SPAN_RE = re.compile(
     re.IGNORECASE | re.VERBOSE,
 )
 
-# Prose scanner for number-ish tokens (grounding filter, containment judge).
-NUMBER_TOKEN_RE = re.compile(r"[$€£]?\d[\d,]*(?:\.\d+)?%?")
+# Prose scanner for number tokens (inserter, grounding filter, containment
+# judge); its groups are the currency sigil, the number and the percent sign.
+NUMBER_TOKEN_RE = re.compile(rf"([$€£]?)({_NUM_CORE})(%?)")
 
 
 def is_temporal_span(span: str) -> bool:

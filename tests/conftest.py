@@ -101,7 +101,8 @@ def _amount(rng: random.Random) -> str:
 
 def make_passage(rng: random.Random) -> str:
     """A clean multi-sentence financial passage with sites for every error
-    kind: entities, numbers, dates, years and relation verbs."""
+    kind: entities, numbers, dates, years and relation verbs, including
+    integers followed directly by a comma ("1,000, up from 900,")."""
     e1 = rng.choice(_ENTITIES)
     e2 = rng.choice([e for e in _ENTITIES if e != e1])
     y1 = rng.randint(2008, 2024)
@@ -127,6 +128,10 @@ def make_passage(rng: random.Random) -> str:
         ),
         lambda: f"Gross margin {rng.choice(_REL)} to {rng.uniform(10, 60):.1f}% in fiscal {y1}.",
         lambda: f"Interest expense on the notes due {month} {y1} was ${_amount(rng)} million.",
+        lambda: (
+            f"Sales were {rng.randint(1000, 99999):,}, up from {rng.randint(100, 999)}, "
+            f"in fiscal {y2}."
+        ),
     )
     for _ in range(rng.randint(2, 5)):
         sents.append(rng.choice(pool)())

@@ -7,6 +7,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     IDENTICAL_TEXT_ORIGINAL,
@@ -28,7 +30,15 @@ from fintag.insertion import (
     plan_errors,
 )
 from fintag.llm_client import CompletionReply
-from fintag.markup import Edit, ErrorType, Statement, derive_original, serialize
+from fintag.markup import (
+    Edit,
+    ErrorType,
+    Statement,
+    derive_erroneous,
+    derive_original,
+    serialize,
+)
+from fintag.patterns import NUMBER_TOKEN_RE
 from fintag.quality import check
 
 
@@ -73,6 +83,17 @@ class TestPlanErrors:
             InsertionPlan(True, 1, (ErrorType.ENTITY,), 0)
         with pytest.raises(ValueError):
             InsertionPlan(False, 2, (ErrorType.ENTITY,), 0)
+
+    def test_plan_kind_given_by_value_is_coerced(self):
+        plan = InsertionPlan(False, 1, ("numerical",), 0)
+        assert plan.kinds == (ErrorType.NUMERICAL,)
+        result = insert_rule_based("Revenue was $5.2 million.", "", plan, seed=0)
+        assert result.applied == (ErrorType.NUMERICAL,)
+        assert result.record.doc.kinds() == [ErrorType.NUMERICAL]
+
+    def test_unknown_plan_kind_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            InsertionPlan(False, 1, ("bogus",), 0)
 
     def test_monte_carlo_matches_configured_distribution(self):
         passage = " ".join(["tok"] * 120)  # two errors per non-clean plan
@@ -138,6 +159,29 @@ class TestRuleBasedInserter:
                 assert edit.original_text == "41.2%"
                 assert re.fullmatch(r"\d+\.\d%", edit.error_text)
 
+    def test_numerical_edits_leave_the_comma_after_a_number(self):
+        passage = "Sales were 1,000, up from 900, in the year."
+        plan = _plan(ErrorType.NUMERICAL, ErrorType.NUMERICAL)
+        for seed in range(10):
+            doc = insert_rule_based(passage, "", plan, seed=seed).record.doc
+            edits = [s for s in doc.segments if isinstance(s, Edit)]
+            assert [e.original_text for e in edits] == ["1,000", "900"]
+            # "900" is ungrouped, so its replacement is too.
+            assert "," not in edits[1].error_text
+            erroneous, _ = derive_erroneous(doc)
+            assert re.fullmatch(r"Sales were [\d,]+, up from \d+, in the year\.", erroneous)
+            assert derive_original(doc) == passage
+
+    def test_contradictory_copy_keeps_the_comma_of_a_date(self):
+        passage = "Harbor Financial held cash of $88.1 million as of March 28, 2019."
+        for seed in range(20):
+            result = insert_rule_based(passage, "", _plan(ErrorType.CONTRADICTORY), seed=seed)
+            (stmt,) = [s for s in result.record.doc.segments if isinstance(s, Statement)]
+            assert re.fullmatch(
+                r"Harbor Financial held cash of \$[\d.]+ million as of March \d+, \d{4}\.",
+                stmt.content,
+            ), stmt.content
+
     def test_entity_replacement_harvests_context(self):
         passage = "Net income attributable to Harbor Financial was $55.2 million."
         context = "Filings for Harbor Financial and Summit Industrial in 2021."
@@ -200,6 +244,83 @@ class TestRuleBasedInserter:
             tags = result.record.doc.kinds()
             assert len(tags) == plan.count - len(result.skipped)
             assert len(result.applied) == len(tags)
+
+
+# Punctuated prose built from every number and date shape the grammar
+# knows, each followed by the punctuation prose puts after it.
+_YEARS = st.integers(1800, 2099)
+_NUMBER = st.one_of(
+    st.integers(0, 10**9).map(str),
+    st.integers(1000, 10**9).map("{:,}".format),
+    st.tuples(st.integers(0, 10**7), st.integers(1, 3)).map(lambda t: f"{t[0] / 9:.{t[1]}f}"),
+    st.tuples(st.integers(0, 10**9), st.integers(1, 3)).map(lambda t: f"{t[0] / 9:,.{t[1]}f}"),
+)
+_AMOUNT = st.builds(
+    lambda sigil, number, percent: sigil + number + percent,
+    st.sampled_from(["", "$", "€", "£"]),
+    _NUMBER,
+    st.sampled_from(["", "", "%"]),
+)
+_MONTH = st.sampled_from(["March", "September", "may", "December"])
+_DATE = st.one_of(
+    st.builds("{} {}, {}".format, _MONTH, st.integers(1, 31), _YEARS),
+    st.builds("{} {} {}".format, _MONTH, st.integers(1, 31), _YEARS),
+    st.builds("{} {}".format, _MONTH, _YEARS),
+    st.builds("fiscal {}".format, _YEARS),
+    st.builds("fiscal year {}".format, _YEARS),
+    st.builds("{}{}".format, st.sampled_from(["FY", "FY ", "fy"]), _YEARS),
+    st.builds("Q{} {}".format, st.integers(1, 4), _YEARS),
+    st.builds("{} quarter".format, st.sampled_from(["first", "Second", "third", "fourth"])),
+    st.builds("{} quarter of {}".format, st.sampled_from(["first", "fourth"]), _YEARS),
+    st.builds("{}-{}".format, _YEARS, _YEARS),
+    _YEARS.map(str),
+)
+_WORD = st.sampled_from(
+    ["revenue", "was", "in", "rose", "fell", "higher", "up", "from", "Harbor Financial",
+     "Atlas Energy", "the", "notes", "due", "compared", "with"]
+)
+_PUNCT = st.sampled_from(["", "", "", ",", ";", ":", ")"])
+_TOKEN = st.builds(lambda t, p: t + p, st.one_of(_WORD, _AMOUNT, _DATE), _PUNCT)
+_SENTENCE = st.builds(
+    lambda first, rest, end: " ".join([first, *rest]) + end,
+    st.sampled_from(["Revenue", "In", "Atlas Energy", "Sales", "(The"]),
+    st.lists(_TOKEN, min_size=1, max_size=10),
+    st.sampled_from([".", ".", "!", "?", ""]),
+)
+_PROSE = st.builds(
+    lambda sents, seps: "".join(s + sep for s, sep in zip(sents, seps)).rstrip(),
+    st.lists(_SENTENCE, min_size=1, max_size=4),
+    st.lists(st.sampled_from([" ", " ", "\n", "  "]), min_size=4, max_size=4),
+)
+_KINDS = st.lists(st.sampled_from(list(ErrorType)), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(passage=_PROSE, kinds=_KINDS, seed=st.integers(0, 2**16))
+def test_rule_insertion_reconstructs_punctuated_prose(passage, kinds, seed):
+    result = insert_rule_based(passage, passage, _plan(*kinds, seed=seed), seed=seed)
+    assert derive_original(result.record.doc) == passage
+    assert check(result.record) == []
+
+
+def test_shifted_year_stays_a_year():
+    # "1800" shifted down or "2099" shifted up would leave the year grammar,
+    # and the gate would then read the temporal edit as numerical.
+    for passage in ("Revenue March 1, 1800.", "The notes mature in 2099."):
+        for seed in range(20):
+            result = insert_rule_based(passage, "", _plan(ErrorType.TEMPORAL), seed=seed)
+            assert check(result.record) == [], serialize(result.record.doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(passage=_PROSE, count=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_numerical_edits_swap_whole_number_tokens(passage, count, seed):
+    plan = _plan(*[ErrorType.NUMERICAL] * count, seed=seed)
+    result = insert_rule_based(passage, "", plan, seed=seed)
+    for seg in result.record.doc.segments:
+        if isinstance(seg, Edit):
+            assert NUMBER_TOKEN_RE.fullmatch(seg.original_text), seg
+            assert NUMBER_TOKEN_RE.fullmatch(seg.error_text), seg
 
 
 class TestInsertionPrompt:

@@ -154,16 +154,6 @@ class TestCache:
             client.cached_complete(_request())
 
 
-def test_module_level_functions(tmp_path):
-    from fintag.llm_client import cached_complete, complete
-
-    transport = SequenceTransport([(200, _reply_body("module fn"))])
-    profile = _profile(cache_path=str(tmp_path / "c.jsonl"))
-    assert complete(profile, _request(), transport=transport, sleeper=lambda s: None).text == "module fn"
-    reply = cached_complete(profile, _request(), transport=transport, sleeper=lambda s: None)
-    assert reply.text == "module fn"
-
-
 def test_in_flight_never_exceeds_limit():
     lock = threading.Lock()
     state = {"now": 0, "peak": 0}

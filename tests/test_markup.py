@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 import string
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     INVALID_FORMAT_TAGGED,
@@ -17,6 +21,8 @@ from conftest import (
     make_passage,
 )
 from fintag.markup import (
+    EDITABLE_TYPES,
+    STATEMENT_TYPES,
     Edit,
     ErrorType,
     Form,
@@ -256,3 +262,62 @@ class TestDerivedProperties:
             target_text = serialize(to_target_output(doc))
             back, _ = parse(target_text, Form.TARGET_OUTPUT, strict=True)
             assert TaggedDocument(back.segments, Form.TAGGED_PASSAGE) == doc
+
+
+# --- properties over generated markup ----------------------------------------
+
+_TAGS = [f"<{c}{n}>" for n in [t.value for t in ErrorType] + ["delete", "mark", "x"] for c in ("", "/")]
+_PIECE = st.text(st.sampled_from("ab <>/\n\t\u2003é2,."), max_size=4)
+_GAP = st.text(st.sampled_from(" \n\t\u2003"), max_size=2)
+# A well-formed editable tag, children in either order, with whitespace
+# around them: rare to hit by concatenating single tags.
+_EDIT_MARKUP = st.builds(
+    lambda kind, gaps, children, swap: (
+        f"<{kind.value}>{gaps[0]}" + gaps[1].join(children[::-1] if swap else children)
+        + f"{gaps[2]}</{kind.value}>"
+    ),
+    st.sampled_from(EDITABLE_TYPES),
+    st.tuples(_GAP, _GAP, _GAP),
+    st.tuples(_PIECE.map("<delete>{}</delete>".format), _PIECE.map("<mark>{}</mark>".format)),
+    st.booleans(),
+)
+_MARKUP = st.lists(st.sampled_from(_TAGS) | _PIECE | _EDIT_MARKUP, max_size=24).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_MARKUP, form=st.sampled_from(list(Form)))
+def test_lenient_parse_keeps_every_byte(text, form):
+    doc, _ = parse(text, form)
+    rendered = serialize(doc)
+    # Serializing adds nothing; the only input dropped is the insignificant
+    # whitespace between an editable tag and its children.
+    assert not Counter(rendered) - Counter(text)
+    assert all(ch.isspace() for ch in (Counter(text) - Counter(rendered)).elements())
+    if not any(isinstance(seg, Edit) for seg in doc.segments):
+        assert rendered == text
+
+
+_TAG_SHAPE_RE = re.compile(r"<(/?)([A-Za-z]+)>")
+_CONTENT = st.text(st.sampled_from("ab <>/\n\u2003é2,.$%"), max_size=8)
+_SEGMENT = st.one_of(
+    st.builds(Text, _CONTENT),
+    st.builds(Edit, st.sampled_from(EDITABLE_TYPES), _CONTENT, _CONTENT),
+    st.builds(Statement, st.sampled_from(STATEMENT_TYPES), _CONTENT),
+)
+_DOCUMENTS = st.builds(
+    TaggedDocument, st.lists(_SEGMENT, max_size=8).map(tuple), st.sampled_from(list(Form))
+).filter(
+    lambda doc: not any(
+        _TAG_SHAPE_RE.search(piece)
+        for seg in doc.segments
+        for piece in ((seg.original_text, seg.error_text) if isinstance(seg, Edit) else (seg.content,))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_parse_inverts_serialize(doc):
+    back, warnings = parse(serialize(doc), doc.form, strict=True)
+    assert warnings == ()
+    assert back == doc
