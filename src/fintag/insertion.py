@@ -32,6 +32,7 @@ from .markup import (
     parse,
 )
 from .patterns import (
+    DAY_OF_MONTH_RE,
     MONTH_NAMES,
     MONTH_RE,
     NUMBER_TOKEN_RE,
@@ -257,15 +258,39 @@ def _temporal_sites(text: str) -> list:
     return [(m.start(), m.end(), m.group()) for m in TEMPORAL_SITE_RE.finditer(text)]
 
 
+def _inside_a_word(text: str, start: int, end: int) -> bool:
+    """Whether text[start:end] touches a letter or digit on its left, or a
+    letter or "-letter" on its right."""
+    after = text[end:end + 2]
+    return (
+        text[start - 1:start].isalnum()
+        or after[:1].isalpha()
+        or (after[:1] == "-" and after[1:].isalpha())
+    )
+
+
 def _numeric_sites(text: str, temporal_spans: list) -> list:
+    """Number tokens outside every date site. Both scans run left to right
+    over non-overlapping matches, so one cursor walks the date sites."""
     sites = []
+    spans = iter(temporal_spans)
+    past_the_end = (len(text), len(text), "")
+    span_start, span_end, _ = next(spans, past_the_end)
     for m in NUMBER_TOKEN_RE.finditer(text):
         if YEAR_RE.fullmatch(m.group()):
             continue  # bare years belong to the temporal inserter
-        if any(not (m.end() <= s or m.start() >= e) for s, e, _ in temporal_spans):
-            continue
+        if _inside_a_word(text, m.start(), m.end()):
+            continue  # "Q1", "10-K": a label, not a quantity
+        while span_end <= m.start():
+            span_start, span_end, _ = next(spans, past_the_end)
+        if span_start < m.end():
+            continue  # inside a date site
         sites.append((m.start(), m.end(), m.group()))
     return sites
+
+
+def _relation_sites(text: str) -> list:
+    return [(m.start(), m.end(), m.group()) for m in RELATION_WORD_RE.finditer(text)]
 
 
 def _entity_sites(text: str) -> list:
@@ -288,14 +313,18 @@ def _entity_sites(text: str) -> list:
 
 def _flip_sentence(sentence: str, rng: random.Random) -> str | None:
     """One contradictory rewrite of a sentence: flip a relation word, else
-    perturb a number or shift a year."""
+    perturb a number or shift a year. The day of a date is left alone, so
+    a copy never names "March 41"."""
     relations = list(RELATION_WORD_RE.finditer(sentence))
     if relations:
         m = rng.choice(relations)
         flipped = flip_relation_word(m.group())
         if flipped is not None:
             return sentence[: m.start()] + flipped + sentence[m.end():]
+    days = {m.span(1) for m in DAY_OF_MONTH_RE.finditer(sentence)}
     for m in sorted(NUMBER_TOKEN_RE.finditer(sentence), key=lambda x: rng.random()):
+        if m.span() in days:
+            continue
         token = m.group()
         if YEAR_RE.fullmatch(token):
             replacement = _shift_year(token, rng)
@@ -332,16 +361,28 @@ def insert_rule_based(
     applied: list = []
     skipped: list = []
 
-    temporal_spans = _temporal_sites(passage)
-    numeric_spans = _numeric_sites(passage, temporal_spans)
-    entity_spans = _entity_sites(passage)
-    relation_spans = [(m.start(), m.end(), m.group()) for m in RELATION_WORD_RE.finditer(passage)]
-
-    sents = sentence_spans(passage)
+    # Each scanner runs only when a planned kind reads its sites. The
+    # scanners draw nothing from `rng`, so skipping one changes no output.
+    kinds = plan.kinds
+    end_ok = bool(passage) and not passage[-1].isspace()
+    temporal_spans = (
+        _temporal_sites(passage)
+        if ErrorType.TEMPORAL in kinds or ErrorType.NUMERICAL in kinds
+        else []
+    )
+    numeric_spans = _numeric_sites(passage, temporal_spans) if ErrorType.NUMERICAL in kinds else []
+    entity_spans = _entity_sites(passage) if ErrorType.ENTITY in kinds else []
+    # Context names are harvested once per record, and only when there is
+    # a passage entity to replace.
+    context_entities = [cand for _, _, cand in _entity_sites(context)] if entity_spans else []
+    relation_spans = _relation_sites(passage) if ErrorType.RELATION in kinds else []
+    needs_sentences = ErrorType.CONTRADICTORY in kinds or (
+        ErrorType.UNVERIFIABLE in kinds and not end_ok
+    )
+    sents = sentence_spans(passage) if needs_sentences else []
     mid_points = [
         s2 for (s, e), (s2, e2) in zip(sents, sents[1:]) if passage[e:s2] == " "
     ]
-    end_ok = bool(passage) and not passage[-1].isspace()
 
     def place_edit(kind: ErrorType, sites: list, perturb) -> str | None:
         free = [site for site in sites if not _overlaps(site[0], site[1], claimed)]
@@ -361,7 +402,7 @@ def insert_rule_based(
         elif kind is ErrorType.TEMPORAL:
             reason = place_edit(kind, temporal_spans, lambda s: _perturb_temporal(s, rng))
         elif kind is ErrorType.ENTITY:
-            reason = _place_entity(passage, context, entity_spans, claimed, edits, rng)
+            reason = _place_entity(entity_spans, context_entities, claimed, edits, rng)
         elif kind is ErrorType.RELATION:
             reason = place_edit(kind, relation_spans, flip_relation_word)
         elif kind is ErrorType.CONTRADICTORY:
@@ -381,16 +422,12 @@ def insert_rule_based(
     return InsertionResult(record, plan, tuple(applied), tuple(skipped))
 
 
-def _place_entity(passage, context, entity_spans, claimed, edits, rng) -> str | None:
+def _place_entity(entity_spans, context_entities, claimed, edits, rng) -> str | None:
     free = [site for site in entity_spans if not _overlaps(site[0], site[1], claimed)]
     if not free:
         return "no capitalized multi-word span"
     start, end, span = rng.choice(free)
-    harvested = [
-        cand
-        for _, _, cand in _entity_sites(context)
-        if cand.lower() != span.lower()
-    ]
+    harvested = [cand for cand in context_entities if cand.lower() != span.lower()]
     pool = harvested or [e for e in FALLBACK_ENTITIES if e.lower() != span.lower()]
     replacement = rng.choice(pool)
     claimed.append((start, end))

@@ -21,10 +21,12 @@ def read_jsonl(
 
     `line_no` counts from 1 over every line, blank ones included; `text`
     is the line as read, without its line break. Blank lines and `_meta`
-    header lines are skipped. A line that is not valid JSON or not a JSON
-    object raises `ValueError("<path>:<line_no>: <reason>")`, or, when
-    `skip` is given, is passed to `skip(line_no, reason)` and reading goes
-    on.
+    header lines are skipped. A line that is not valid JSON, not a JSON
+    object, or holds a string UTF-8 cannot encode (a lone-surrogate escape
+    such as "\\ud800") raises `ValueError("<path>:<line_no>: <reason>")`,
+    or, when `skip` is given, is passed to `skip(line_no, reason)` and
+    reading goes on. A string no writer can encode is thus rejected where
+    it is read, not halfway through writing an output.
     """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -36,14 +38,27 @@ def read_jsonl(
             except json.JSONDecodeError as exc:
                 reason = f"bad JSON ({exc.msg})"
             else:
-                if isinstance(obj, dict):
+                if not isinstance(obj, dict):
+                    reason = "not a JSON object"
+                elif "\\u" in stripped and not _encodes_as_utf8(obj):
+                    reason = "lone surrogate in a string (UTF-8 cannot encode it)"
+                else:
                     if _META not in obj:
                         yield line_no, obj, line.rstrip("\n")
                     continue
-                reason = "not a JSON object"
             if skip is None:
                 raise ValueError(f"{path}:{line_no}: {reason}")
             skip(line_no, reason)
+
+
+def _encodes_as_utf8(obj: dict) -> bool:
+    # The file decoded as UTF-8, so only a "\\u" escape can yield a string
+    # that does not encode back; callers test for one first.
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def write_jsonl(

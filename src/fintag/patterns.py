@@ -13,7 +13,6 @@ stay deterministic and offline.
 from __future__ import annotations
 
 import re
-from decimal import Decimal, InvalidOperation
 
 MONTH_NAMES = (
     "january", "february", "march", "april", "may", "june",
@@ -31,6 +30,8 @@ YEAR_RE = re.compile(_YEAR)
 MONTH_RE = re.compile(rf"\b(?:{_MONTH_ALT})\b", re.IGNORECASE)
 ORDINAL_QUARTER_RE = re.compile(rf"\b{_ORDINAL_QUARTER}\b", re.IGNORECASE)
 QUARTER_NUM_RE = re.compile(rf"\b{_QUARTER_NUM}\b", re.IGNORECASE)
+# Group 1 is the day of a month-name date ("March 28, 2019").
+DAY_OF_MONTH_RE = re.compile(rf"\b(?:{_MONTH_ALT})\s+({_DAY})\b", re.IGNORECASE)
 
 # Span shapes used to decide what an edited span "looks like". These are
 # fullmatch patterns over a trimmed span, not prose scanners.
@@ -71,9 +72,12 @@ NUMERIC_SPAN_RE = re.compile(
     re.IGNORECASE | re.VERBOSE,
 )
 
-# Prose scanner for number tokens (inserter, grounding filter, containment
-# judge); its groups are the currency sigil, the number and the percent sign.
+# Prose scanner for the number tokens the inserter edits; its groups are the
+# currency sigil, the number and the percent sign.
 NUMBER_TOKEN_RE = re.compile(rf"([$€£]?)({_NUM_CORE})(%?)")
+# The bare core finds the same numbers as NUMBER_TOKEN_RE, and a pattern
+# that starts with a digit scans prose about twice as fast (extract_numbers).
+_NUMBER_CORE_RE = re.compile(_NUM_CORE)
 
 
 def is_temporal_span(span: str) -> bool:
@@ -84,32 +88,41 @@ def is_numeric_span(span: str) -> bool:
     return bool(NUMERIC_SPAN_RE.fullmatch(span.strip()))
 
 
+def _canonical_number(core: str) -> str:
+    """Canonical value string of a `_NUM_CORE` match: ASCII digits, no
+    thousands separators, no leading zeros before the point and no
+    trailing zeros after it ("012,000.50" -> "12000.5").
+
+    The value is kept exactly, whatever its length.
+    """
+    if not core.isascii():
+        core = "".join(ch if ch.isascii() else str(int(ch)) for ch in core)
+    whole, _, fraction = core.replace(",", "").partition(".")
+    whole = whole.lstrip("0") or "0"
+    fraction = fraction.rstrip("0")
+    return f"{whole}.{fraction}" if fraction else whole
+
+
 def normalize_number(token: str) -> str | None:
-    """Canonical value string for a number token, or None if not numeric.
+    """Canonical value string for a number token, or None if `token`,
+    stripped, is not one `NUMBER_TOKEN_RE` match (as "1e5" or "-3" are not).
 
     "$19.50" and "19.5" normalize identically; thousands separators and
-    currency/percent sigils are ignored.
+    currency/percent sigils are ignored, and Unicode digits read as their
+    ASCII values. Values are exact at any length: no rounding to 28
+    significant digits, as `Decimal.normalize` did.
     """
-    core = token.strip().strip("$€£%").replace(",", "")
-    if not core:
-        return None
-    try:
-        value = Decimal(core)
-    except InvalidOperation:
-        return None
-    normalized = value.normalize()
-    # Decimal renders 3500 as 3.5E+3 after normalize; undo scientific form.
-    return format(normalized, "f")
+    m = NUMBER_TOKEN_RE.fullmatch(token.strip())
+    return None if m is None else _canonical_number(m.group(2))
 
 
 def extract_numbers(text: str) -> set[str]:
-    """All normalized number/year tokens appearing in `text`."""
-    out = set()
-    for m in NUMBER_TOKEN_RE.finditer(text):
-        norm = normalize_number(m.group())
-        if norm is not None:
-            out.add(norm)
-    return out
+    """All normalized number/year values appearing in `text`.
+
+    Sigils and percent signs never change a value, so the scan reads bare
+    number cores and normalizes each distinct one once.
+    """
+    return {_canonical_number(core) for core in set(_NUMBER_CORE_RE.findall(text))}
 
 
 # Relation words whose flip inverts the claim. Kept symmetric: the mapping

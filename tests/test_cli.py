@@ -37,13 +37,17 @@ def _qa_file(path, n=30, seed=0):
     return records
 
 
+def _checkout_env(**extra):
+    """The environment of a fresh process that imports this checkout's fintag."""
+    src = os.path.dirname(os.path.dirname(fintag.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def _run_probe(probe, *argv, cwd=None):
     """Stdout of `python -c probe argv...` in a fresh process that imports
     this checkout's fintag."""
-    src = os.path.dirname(os.path.dirname(fintag.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, cwd=cwd,
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=_checkout_env(), cwd=cwd,
                          capture_output=True, text=True, check=True)
     return out.stdout
 
@@ -237,6 +241,20 @@ def test_split_rejects_a_corrupt_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"fintag: error: {data}:2: bad JSON" in err
     assert not train.exists() and not val.exists()
+
+
+def test_fix_rejects_a_lone_surrogate_before_writing(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text(
+        '{"id": "a", "original": "x", "tagged": "x"}\n'
+        '{"id": "b", "original": "y\\ud800", "tagged": "y"}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "fixed.jsonl"
+    assert dispatch(["fix", "--input", str(records), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == f"fintag: error: {records}:2: lone surrogate in a string (UTF-8 cannot encode it)"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad_line", ["5", '"a string with _meta in it"'])
@@ -478,6 +496,21 @@ def test_insert_llm_mode_round_robin_and_cache(tmp_path, capsys, stub_endpoint):
         if "_meta" in r:
             continue
         assert "<numerical>" in r["tagged"]
+
+
+def test_rule_insert_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=40, seed=8)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"records-{hash_seed}.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "fintag.cli", "insert", "--input", str(qa), "--output", str(out),
+             "--seed", "5"],
+            env=_checkout_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_rerun_byte_identical(tmp_path, capsys):

@@ -92,6 +92,16 @@ class TestIngest:
         assert (stats.read, stats.kept, stats.skipped) == (3, 1, 2)
         assert stats.reasons == ["line 1: not a JSON object", "line 2: not a JSON object"]
 
+    def test_lone_surrogate_line_is_skipped(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        good = '{"id": "ok", "documents": ["d \\ud83d\\ude00"], "question": "q", "response": "a"}'
+        bad = '{"id": "x", "documents": ["d"], "question": "q", "response": "a\\ud800"}'
+        path.write_text(f"{bad}\n{good}\n", encoding="utf-8")
+        stats = IngestStats()
+        assert [r.id for r in ingest(path, stats=stats)] == ["ok"]
+        assert (stats.read, stats.kept, stats.skipped) == (2, 1, 1)
+        assert stats.reasons == ["line 1: lone surrogate in a string (UTF-8 cannot encode it)"]
+
     def test_field_map(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         path.write_text(

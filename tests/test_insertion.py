@@ -18,6 +18,7 @@ from conftest import (
     make_context,
     make_passage,
 )
+from fintag import insertion
 from fintag.insertion import (
     DEFAULT_TYPE_WEIGHTS,
     InserterConfig,
@@ -38,7 +39,7 @@ from fintag.markup import (
     derive_original,
     serialize,
 )
-from fintag.patterns import NUMBER_TOKEN_RE
+from fintag.patterns import NUMBER_TOKEN_RE, YEAR_RE
 from fintag.quality import check
 
 
@@ -182,6 +183,25 @@ class TestRuleBasedInserter:
                 stmt.content,
             ), stmt.content
 
+    def test_a_number_inside_a_word_is_not_a_numerical_site(self):
+        # "Q1" is a quarter and "10-K" a form name, not quantities to perturb.
+        labels = "Revenue in Q1 rose sharply, and the 10-K was filed."
+        with_amount = "Revenue in Q1 was $5.2 million, and the 10-K was filed."
+        for seed in range(10):
+            result = insert_rule_based(labels, "", _plan(ErrorType.NUMERICAL, seed=seed), seed=seed)
+            assert serialize(result.record.doc) == labels
+            assert [s.reason for s in result.skipped] == ["no applicable site"]
+            doc = insert_rule_based(with_amount, "", _plan(ErrorType.NUMERICAL), seed=seed).record.doc
+            assert [e.original_text for e in doc.segments if isinstance(e, Edit)] == ["$5.2"]
+
+    def test_contradictory_copy_never_names_an_impossible_day(self):
+        passage = "Cash was high as of March 28, 2019."
+        for seed in range(50):
+            result = insert_rule_based(passage, "", _plan(ErrorType.CONTRADICTORY), seed=seed)
+            (stmt,) = [s for s in result.record.doc.segments if isinstance(s, Statement)]
+            day = re.fullmatch(r"Cash was high as of March (\d+), \d{4}\.", stmt.content).group(1)
+            assert int(day) <= 31, stmt.content
+
     def test_entity_replacement_harvests_context(self):
         passage = "Net income attributable to Harbor Financial was $55.2 million."
         context = "Filings for Harbor Financial and Summit Industrial in 2021."
@@ -246,6 +266,56 @@ class TestRuleBasedInserter:
             assert len(result.applied) == len(tags)
 
 
+_SCANNERS = ("_temporal_sites", "_numeric_sites", "_entity_sites", "_relation_sites", "sentence_spans")
+
+
+def _count_scans(monkeypatch) -> list:
+    """Patch every site scanner of the inserter to log (name, text) per call."""
+    calls = []
+    for name in _SCANNERS:
+        def counting(text, *args, _name=name, _scan=getattr(insertion, name)):
+            calls.append((_name, text))
+            return _scan(text, *args)
+
+        monkeypatch.setattr(insertion, name, counting)
+    return calls
+
+
+# One sentence with a site for every kind.
+_ALL_SITES = "Revenue at Harbor Financial rose to $19.5 million in September 2018."
+
+
+@pytest.mark.parametrize(
+    "kind, passage, scanners",
+    [
+        (ErrorType.NUMERICAL, _ALL_SITES, {"_temporal_sites", "_numeric_sites"}),
+        (ErrorType.TEMPORAL, _ALL_SITES, {"_temporal_sites"}),
+        (ErrorType.ENTITY, _ALL_SITES, {"_entity_sites"}),
+        (ErrorType.RELATION, _ALL_SITES, {"_relation_sites"}),
+        (ErrorType.CONTRADICTORY, _ALL_SITES, {"sentence_spans"}),
+        (ErrorType.UNVERIFIABLE, _ALL_SITES, set()),
+        # Trailing whitespace rules out the end, so the statement needs a
+        # sentence start.
+        (ErrorType.UNVERIFIABLE, "Revenue rose. Costs fell.\n", {"sentence_spans"}),
+    ],
+)
+def test_a_plan_runs_only_the_scanners_its_kinds_read(monkeypatch, kind, passage, scanners):
+    calls = _count_scans(monkeypatch)
+    result = insert_rule_based(passage, "Summit Industrial and Atlas Energy.", _plan(kind), seed=1)
+    assert {name for name, _ in calls} == scanners
+    assert result.applied == (kind,)
+
+
+def test_entity_plan_harvests_the_context_once(monkeypatch):
+    calls = _count_scans(monkeypatch)
+    rng = random.Random(5)
+    passage = make_passage(rng)
+    context = make_context(rng, passage)
+    result = insert_rule_based(passage, context, _plan(*[ErrorType.ENTITY] * 6), seed=5)
+    assert len(result.applied) > 1
+    assert calls.count(("_entity_sites", context)) == 1
+
+
 # Punctuated prose built from every number and date shape the grammar
 # knows, each followed by the punctuation prose puts after it.
 _YEARS = st.integers(1800, 2099)
@@ -301,6 +371,21 @@ def test_rule_insertion_reconstructs_punctuated_prose(passage, kinds, seed):
     result = insert_rule_based(passage, passage, _plan(*kinds, seed=seed), seed=seed)
     assert derive_original(result.record.doc) == passage
     assert check(result.record) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(passage=_PROSE)
+def test_numeric_sites_skip_exactly_the_tokens_in_date_sites(passage):
+    temporal = insertion._temporal_sites(passage)
+    # The quadratic scan the one-cursor walk replaced.
+    expected = [
+        (m.start(), m.end(), m.group())
+        for m in NUMBER_TOKEN_RE.finditer(passage)
+        if not YEAR_RE.fullmatch(m.group())
+        and not insertion._inside_a_word(passage, m.start(), m.end())
+        and not any(m.start() < e and s < m.end() for s, e, _ in temporal)
+    ]
+    assert insertion._numeric_sites(passage, temporal) == expected
 
 
 def test_shifted_year_stays_a_year():

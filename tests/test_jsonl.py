@@ -52,6 +52,12 @@ def test_text_is_the_line_as_read(tmp_path):
     assert [text for _, _, text in read_jsonl(path)] == [' {"id":1}  ', '{"id": "\\u00e9"}']
 
 
+def test_escaped_surrogate_pair_reads_as_one_character(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "\\ud83d\\ude00 \\u00e9"}\n', encoding="utf-8")
+    assert [obj for _, obj, _ in read_jsonl(path)] == [{"id": "\U0001f600 é"}]
+
+
 def test_str_rows_are_written_as_given(tmp_path):
     path = tmp_path / "rows.jsonl"
     write_jsonl(path, ['{"id":1}', {"id": "é"}], meta={"command": "split"})
@@ -67,6 +73,8 @@ def test_str_rows_are_written_as_given(tmp_path):
         ("5", "not a JSON object"),
         ('"a string with _meta in it"', "not a JSON object"),
         ("[1, 2]", "not a JSON object"),
+        ('{"id": "x\\ud800"}', "lone surrogate in a string (UTF-8 cannot encode it)"),
+        ('{"\\udfff": 1}', "lone surrogate in a string (UTF-8 cannot encode it)"),
     ],
 )
 def test_bad_line_raises_with_path_and_line(tmp_path, line, reason):

@@ -4,14 +4,21 @@ and the rule that `patterns` is their only home."""
 from __future__ import annotations
 
 import ast
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fintag
-from fintag.patterns import NUMBER_TOKEN_RE, extract_numbers, is_numeric_span
+from fintag.patterns import (
+    _NUM_CORE,
+    NUMBER_TOKEN_RE,
+    extract_numbers,
+    is_numeric_span,
+    normalize_number,
+)
 
 
 @pytest.mark.parametrize(
@@ -57,6 +64,82 @@ def test_prose_scan_finds_each_number_whole(core, sigil, percent, tail):
     token = sigil + core + percent
     assert [m.group() for m in NUMBER_TOKEN_RE.finditer(f"was {token}{tail}")] == [token]
     assert is_numeric_span(token)
+
+
+def _decimal_normalize(token: str) -> str | None:
+    """The `Decimal` normalizer `normalize_number` replaced, kept as the
+    oracle for values of at most 28 significant digits."""
+    core = token.strip().strip("$€£%").replace(",", "")
+    if not core:
+        return None
+    try:
+        value = Decimal(core)
+    except InvalidOperation:
+        return None
+    return format(value.normalize(), "f")
+
+
+def _token_scan_extract(text: str) -> set:
+    """The `extract_numbers` that scanned whole tokens and normalized each
+    one with `Decimal`."""
+    return {
+        norm
+        for m in NUMBER_TOKEN_RE.finditer(text)
+        if (norm := _decimal_normalize(m.group())) is not None
+    }
+
+
+def _significant_digits(core: str) -> int:
+    digits = "".join(str(int(ch)) for ch in core if ch not in ",.")
+    return len(digits.strip("0"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(core=st.from_regex(_NUM_CORE, fullmatch=True).filter(lambda c: _significant_digits(c) <= 28))
+def test_normalizer_agrees_with_decimal_up_to_28_digits(core):
+    # from_regex draws `\d` from every Unicode decimal digit, not only ASCII.
+    assert normalize_number(core) == _decimal_normalize(core)
+    assert extract_numbers(core) == {_decimal_normalize(core)}
+
+
+def test_unicode_digits_normalize_to_ascii():
+    assert normalize_number("٣٠.٥٠") == "30.5"  # Arabic-Indic "30.50"
+    assert extract_numbers("२,०००") == {"2000"}  # Devanagari "2,000"
+
+
+def test_values_past_28_significant_digits_stay_exact():
+    # Decimal.normalize rounded this to 12345678901234567890123456790.
+    assert normalize_number("$12,345,678,901,234,567,890,123,456,789") == "12345678901234567890123456789"
+    assert extract_numbers("0.12345678901234567890123456789") == {"0.12345678901234567890123456789"}
+
+
+@pytest.mark.parametrize("token", ["", "$", "abc", "1e5", "-3", "1,2,3"])
+def test_normalize_number_rejects_what_is_not_one_number_token(token):
+    assert normalize_number(token) is None
+
+
+_PROSE_NUMBER = st.builds(
+    lambda sigil, core, percent: sigil + core + percent,
+    st.sampled_from(["", "$", "€", "£", "$$", "US$"]),
+    _NUMBERS | st.from_regex(r"\d{1,4}(,\d{1,4}){0,2}(\.\d{1,3})?", fullmatch=True),
+    st.sampled_from(["", "%", "%%"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.lists(
+        _PROSE_NUMBER | st.sampled_from(["revenue", "Q", "FY", "-", ",", ".", " ", "(", ")"]),
+        max_size=12,
+    ),
+    seps=st.lists(st.sampled_from(["", " ", ", ", ". "]), min_size=12, max_size=12),
+)
+def test_core_scan_finds_what_the_token_scan_found(parts, seps):
+    text = "".join(part + sep for part, sep in zip(parts, seps))
+    # Parts may run together into one long number; past 28 significant
+    # digits the oracle rounds.
+    assume(all(_significant_digits(m.group(2)) <= 28 for m in NUMBER_TOKEN_RE.finditer(text)))
+    assert extract_numbers(text) == _token_scan_extract(text)
 
 
 def _regex_literals_with_digit_class(source: str) -> list:
