@@ -193,12 +193,16 @@ def _meta(command: str, **extra) -> dict:
     return {"tool": "fintag", "version": __version__, "command": command, **extra}
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, ensure_ascii=False, indent=2)
+def _write_text(path: str | None, text: str) -> None:
+    """Write `text` and a newline to `path`, or print it to stdout."""
     if path:
         Path(path).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, ensure_ascii=False, indent=2))
 
 
 # --- commands --------------------------------------------------------------
@@ -368,11 +372,7 @@ def _cmd_derive(args) -> int:
         doc, warnings = parse(text, Form.TAGGED_PASSAGE)
         for w in warnings:
             print(f"warning: {w.message}", file=sys.stderr)
-        out = _derive_text(doc, args.form)
-        if args.output:
-            Path(args.output).write_text(out + "\n", encoding="utf-8")
-        else:
-            print(out)
+        _write_text(args.output, _derive_text(doc, args.form))
         return 0
     rows = [
         {"id": record.id, "text": _derive_text(record.doc, args.form)}
@@ -429,11 +429,7 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         _write_json(args.output, {"meta": _meta("report"), **report.to_json()})
     else:
-        text = report.format_table()
-        if args.output:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
+        _write_text(args.output, report.format_table())
     return 0
 
 
@@ -467,11 +463,7 @@ def _cmd_eval_detect(args) -> int:
         }
         _write_json(args.output, payload)
     else:
-        text = report.format_table()
-        if args.output:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
+        _write_text(args.output, report.format_table())
     return 0
 
 

@@ -133,6 +133,11 @@ class KindCounts:
     fp: int = 0
     fn: int = 0
 
+    def add(self, other: KindCounts) -> None:
+        self.tp += other.tp
+        self.fp += other.fp
+        self.fn += other.fn
+
     @property
     def precision(self) -> float:
         return _rate(self.tp, self.tp + self.fp)
@@ -151,6 +156,10 @@ class KindCounts:
 class BinaryCounts(KindCounts):
     tn: int = 0
 
+    def add(self, other: BinaryCounts) -> None:
+        super().add(other)
+        self.tn += other.tn
+
 
 @dataclass
 class DetectionReport:
@@ -163,8 +172,9 @@ class DetectionReport:
     def macro_overall(self) -> tuple[float, float, float]:
         """Unweighted mean of per-kind precision/recall, F1 from those.
 
-        The default overall metric is micro; macro sits behind this flag
-        for corpora where kind imbalance should not dominate.
+        `overall` is the micro aggregate; `to_json` reports this macro one
+        beside it as `overall_macro`, for corpora where kind imbalance
+        should not dominate.
         """
         labels = self.labels
         precision = sum(self.per_kind[l].precision for l in labels) / len(labels)
@@ -237,11 +247,9 @@ def score(
     for p in match.unmatched_pred:
         bucket(p.kind).fp += 1
 
-    overall = KindCounts(
-        tp=sum(c.tp for c in per_kind.values()),
-        fp=sum(c.fp for c in per_kind.values()),
-        fn=sum(c.fn for c in per_kind.values()),
-    )
+    overall = KindCounts()
+    for counts in per_kind.values():
+        overall.add(counts)
     binary = BinaryCounts()
     gold_pos, pred_pos = gold_doc.has_tags, pred_doc.has_tags
     if gold_pos and pred_pos:
@@ -263,17 +271,9 @@ def combine_reports(reports: Iterable[DetectionReport], labels: tuple = DEFAULT_
     unparseable = 0
     for report in reports:
         for label, counts in report.per_kind.items():
-            target = per_kind.setdefault(label, KindCounts())
-            target.tp += counts.tp
-            target.fp += counts.fp
-            target.fn += counts.fn
-        overall.tp += report.overall.tp
-        overall.fp += report.overall.fp
-        overall.fn += report.overall.fn
-        binary.tp += report.binary.tp
-        binary.fp += report.binary.fp
-        binary.fn += report.binary.fn
-        binary.tn += report.binary.tn
+            per_kind.setdefault(label, KindCounts()).add(counts)
+        overall.add(report.overall)
+        binary.add(report.binary)
         unparseable += report.unparseable
     return DetectionReport(per_kind, overall, binary, unparseable, labels)
 

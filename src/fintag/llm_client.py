@@ -70,7 +70,7 @@ class CompletionRequest:
 class CompletionReply:
     text: str  # recorded verbatim, never trimmed
     model: str
-    latency: float
+    latency: float  # measured on a live call; 0.0 when replayed from the cache
 
 
 def _default_transport(profile: ClientProfile, payload: dict, headers: dict) -> tuple[int, str]:
@@ -185,11 +185,10 @@ class LlmClient:
             return hit
         reply = self.complete(request)
         with self._cache_lock:
-            self._cache[key] = reply
-            entry = {
-                "key": key,
-                "reply": {"text": reply.text, "model": reply.model, "latency": reply.latency},
-            }
+            # A hit replays text and model only: the measured latency varies
+            # between runs, and the cache's bytes must not.
+            self._cache[key] = CompletionReply(reply.text, reply.model, 0.0)
+            entry = {"key": key, "reply": {"text": reply.text, "model": reply.model}}
             with open(self.profile.cache_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
         return reply
@@ -223,7 +222,7 @@ class LlmClient:
                             entry = json.loads(line)
                             reply = entry["reply"]
                             self._cache[entry["key"]] = CompletionReply(
-                                reply["text"], reply["model"], float(reply["latency"])
+                                reply["text"], reply["model"], 0.0
                             )
                         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                             # Corrupt cache lines degrade to misses.

@@ -155,7 +155,8 @@ class ParseErrorKind(Enum):
 
 
 class ParseError(ValueError):
-    """Strict-mode parse failure; pinpoints the offending tag."""
+    """Strict-mode parse failure: the first construct the lenient parse
+    demoted, with its kind, offset and tag."""
 
     def __init__(self, kind: ParseErrorKind, offset: int, tag: str, message: str):
         super().__init__(f"{kind.value} at offset {offset} ({tag}): {message}")
@@ -168,14 +169,20 @@ class ParseError(ValueError):
 class ParseWarning:
     """Lenient-mode diagnostic.
 
-    category "demoted" means structure was lost (tag text kept literally);
-    "order" flags a non-canonical delete/mark order for the declared form.
+    A warning with a `kind` demoted a construct to literal text (category
+    "demoted": structure was lost, every byte kept); one without a kind
+    flags a non-canonical delete/mark order for the declared form (category
+    "order").
     """
 
     message: str
     offset: int
     tag: str
-    category: str = "demoted"
+    kind: ParseErrorKind | None
+
+    @property
+    def category(self) -> str:
+        return "order" if self.kind is None else "demoted"
 
 
 @dataclass(frozen=True)
@@ -205,9 +212,10 @@ class _Tok:
 
 
 class _Demote(Exception):
-    """Internal lenient-mode signal: literalize the opener and resume."""
+    """Internal signal: literalize the opener and resume after it."""
 
-    def __init__(self, message: str):
+    def __init__(self, kind: ParseErrorKind, message: str):
+        self.kind = kind
         self.message = message
 
 
@@ -232,12 +240,11 @@ def parse(
 ) -> ParseResult:
     """Parse `text` into a TaggedDocument.
 
-    Strict mode raises ParseError on the first grammar violation. Lenient
-    mode (default) always succeeds: violating constructs are demoted to
-    literal text and reported as warnings, so the AST preserves every input
-    byte.
+    Parsing never fails: violating constructs are demoted to literal text and
+    reported as warnings that name their ParseErrorKind, so the AST preserves
+    every input byte. Strict mode runs the same parse and raises ParseError
+    from the first demotion.
     """
-    statement_names = {t.value for t in STATEMENT_TYPES} | set(extra_statement_tags)
     editable_names = {t.value for t in EDITABLE_TYPES}
     known = _known_names(extra_statement_tags)
 
@@ -255,8 +262,8 @@ def parse(
             segments.append(Text("".join(buf)))
             buf.clear()
 
-    def demote(tok: _Tok, message: str) -> None:
-        warnings.append(ParseWarning(message, tok.start, tok.raw))
+    def demote(tok: _Tok, kind: ParseErrorKind, message: str) -> None:
+        warnings.append(ParseWarning(message, tok.start, tok.raw, kind))
         buf.append(text[tok.start:tok.end])
 
     i = 0
@@ -267,41 +274,19 @@ def parse(
         if tok is None:
             break
         if tok.name not in known:
-            if strict:
-                raise ParseError(
-                    ParseErrorKind.UNKNOWN_TAG, tok.start, tok.raw, "not a grammar tag"
-                )
-            demote(tok, f"unknown tag {tok.raw} kept as text")
+            demote(tok, ParseErrorKind.UNKNOWN_TAG, f"unknown tag {tok.raw} kept as text")
         elif tok.closing:
-            if strict:
-                raise ParseError(
-                    ParseErrorKind.STRAY_CHILD, tok.start, tok.raw, "closer without opener"
-                )
-            demote(tok, f"stray closer {tok.raw} kept as text")
+            demote(tok, ParseErrorKind.STRAY_CHILD, f"stray closer {tok.raw} kept as text")
         elif tok.name in _CHILD_NAMES:
-            if strict:
-                raise ParseError(
-                    ParseErrorKind.STRAY_CHILD,
-                    tok.start,
-                    tok.raw,
-                    "delete/mark outside an editable tag",
-                )
-            demote(tok, f"orphan {tok.raw} kept as text")
-        elif tok.name in editable_names:
+            demote(tok, ParseErrorKind.STRAY_CHILD, f"orphan {tok.raw} kept as text")
+        else:
             try:
-                seg, i, pos, extra = _parse_edit(text, toks, i, form, strict, known)
+                if tok.name in editable_names:
+                    seg, i, pos, extra = _parse_edit(text, toks, i, form, known)
+                else:
+                    seg, i, pos, extra = _parse_statement(text, toks, i, known)
             except _Demote as d:
-                demote(tok, d.message)
-            else:
-                flush()
-                segments.append(seg)
-                warnings.extend(extra)
-                continue
-        else:  # statement-level opener
-            try:
-                seg, i, pos, extra = _parse_statement(text, toks, i, strict, known)
-            except _Demote as d:
-                demote(tok, d.message)
+                demote(tok, d.kind, d.message)
             else:
                 flush()
                 segments.append(seg)
@@ -310,41 +295,37 @@ def parse(
         pos = tok.end
         i += 1
     flush()
+    if strict:
+        for w in warnings:
+            if w.kind is not None:
+                raise ParseError(w.kind, w.offset, w.tag, w.message)
     return ParseResult(TaggedDocument(tuple(segments), form), tuple(warnings))
 
 
-def _parse_statement(text, toks, i, strict, known):
-    opener = toks[i]
-    inner_warnings = []
-    j = i + 1
+def _scan_to_closer(toks, j, opener, known, warnings):
+    """Index of the first closer of `opener` at or after token `j`, or None.
+
+    Every token on the way stays literal text, with a warning."""
     while j < len(toks):
         t = toks[j]
         if t.closing and t.name == opener.name:
-            content = text[opener.end:t.start]
-            kind = _statement_kind(opener.name)
-            return Statement(kind, content), j + 1, t.end, inner_warnings
-        if strict:
-            if t.name in known:
-                raise ParseError(
-                    ParseErrorKind.ILLEGAL_NESTING,
-                    t.start,
-                    t.raw,
-                    f"tag inside <{opener.name}>",
-                )
-            raise ParseError(
-                ParseErrorKind.UNKNOWN_TAG, t.start, t.raw, "not a grammar tag"
-            )
-        inner_warnings.append(
-            ParseWarning(
-                f"{t.raw} inside <{opener.name}> kept as literal text", t.start, t.raw
-            )
+            return j
+        kind = ParseErrorKind.ILLEGAL_NESTING if t.name in known else ParseErrorKind.UNKNOWN_TAG
+        warnings.append(
+            ParseWarning(f"{t.raw} inside <{opener.name}> kept as literal text", t.start, t.raw, kind)
         )
         j += 1
-    if strict:
-        raise ParseError(
-            ParseErrorKind.UNCLOSED_TAG, opener.start, opener.raw, "no matching closer"
-        )
-    raise _Demote(f"unclosed {opener.raw} kept as text")
+    return None
+
+
+def _parse_statement(text, toks, i, known):
+    opener = toks[i]
+    inner_warnings = []
+    j = _scan_to_closer(toks, i + 1, opener, known, inner_warnings)
+    if j is None:
+        raise _Demote(ParseErrorKind.UNCLOSED_TAG, f"unclosed {opener.raw} kept as text")
+    content = text[opener.end:toks[j].start]
+    return Statement(_statement_kind(opener.name), content), j + 1, toks[j].end, inner_warnings
 
 
 def _statement_kind(name: str):
@@ -354,9 +335,8 @@ def _statement_kind(name: str):
         return name  # compatibility label (e.g. FAVA's invented/subjective)
 
 
-def _parse_edit(text, toks, i, form, strict, known):
+def _parse_edit(text, toks, i, form, known):
     opener = toks[i]
-    kind = ErrorType(opener.name)
     inner_warnings = []
     children: dict[str, str] = {}
     order: list[str] = []
@@ -364,32 +344,18 @@ def _parse_edit(text, toks, i, form, strict, known):
     pos = opener.end
     while True:
         if j >= len(toks):
-            if strict:
-                raise ParseError(
-                    ParseErrorKind.UNCLOSED_TAG, opener.start, opener.raw, "no matching closer"
-                )
-            raise _Demote(f"unclosed {opener.raw} kept as text")
+            raise _Demote(ParseErrorKind.UNCLOSED_TAG, f"unclosed {opener.raw} kept as text")
         t = toks[j]
-        gap = text[pos:t.start]
-        if gap.strip():
-            if strict:
-                raise ParseError(
-                    ParseErrorKind.STRAY_CHILD,
-                    pos,
-                    opener.raw,
-                    f"text inside <{opener.name}> outside delete/mark",
-                )
-            raise _Demote(f"text inside {opener.raw} outside its children")
+        if text[pos:t.start].strip():
+            raise _Demote(
+                ParseErrorKind.STRAY_CHILD, f"text inside {opener.raw} outside its children"
+            )
         if t.closing and t.name == opener.name:
             if set(children) != set(_CHILD_NAMES):
-                if strict:
-                    raise ParseError(
-                        ParseErrorKind.MISSING_DELETE_MARK_PAIR,
-                        opener.start,
-                        opener.raw,
-                        f"found {order or 'no children'}, need one delete and one mark",
-                    )
-                raise _Demote(f"{opener.raw} lacks a delete/mark pair")
+                raise _Demote(
+                    ParseErrorKind.MISSING_DELETE_MARK_PAIR,
+                    f"{opener.raw} lacks a delete/mark pair",
+                )
             if form is Form.TAGGED_PASSAGE:
                 original, error = children["delete"], children["mark"]
                 canonical_first = "delete"
@@ -403,70 +369,30 @@ def _parse_edit(text, toks, i, form, strict, known):
                         f"canonical for this form is {canonical_first}-first",
                         opener.start,
                         opener.raw,
-                        category="order",
+                        kind=None,
                     )
                 )
-            return Edit(kind, original, error), j + 1, t.end, inner_warnings
-        if not t.closing and t.name in _CHILD_NAMES:
-            if t.name in children:
-                if strict:
-                    raise ParseError(
-                        ParseErrorKind.MISSING_DELETE_MARK_PAIR,
-                        t.start,
-                        t.raw,
-                        f"duplicate <{t.name}> child",
-                    )
-                raise _Demote(f"duplicate <{t.name}> inside {opener.raw}")
-            k = j + 1
-            while k < len(toks) and not (toks[k].closing and toks[k].name == t.name):
-                inner = toks[k]
-                if strict:
-                    if inner.name in known:
-                        raise ParseError(
-                            ParseErrorKind.ILLEGAL_NESTING,
-                            inner.start,
-                            inner.raw,
-                            f"tag inside <{t.name}>",
-                        )
-                    raise ParseError(
-                        ParseErrorKind.UNKNOWN_TAG, inner.start, inner.raw, "not a grammar tag"
-                    )
-                inner_warnings.append(
-                    ParseWarning(
-                        f"{inner.raw} inside <{t.name}> kept as literal text",
-                        inner.start,
-                        inner.raw,
-                    )
-                )
-                k += 1
-            if k >= len(toks):
-                if strict:
-                    raise ParseError(
-                        ParseErrorKind.UNCLOSED_TAG, t.start, t.raw, "no matching closer"
-                    )
-                raise _Demote(f"unclosed {t.raw} inside {opener.raw}")
-            children[t.name] = text[t.end:toks[k].start]
-            order.append(t.name)
-            pos = toks[k].end
-            j = k + 1
-            continue
-        # Some other token directly inside the wrapper.
-        if strict:
-            if t.name in known and not t.closing:
-                raise ParseError(
-                    ParseErrorKind.ILLEGAL_NESTING,
-                    t.start,
-                    t.raw,
-                    f"tag inside <{opener.name}>",
-                )
-            if t.name in known:
-                raise ParseError(
-                    ParseErrorKind.STRAY_CHILD, t.start, t.raw, "mismatched closer"
-                )
-            raise ParseError(
-                ParseErrorKind.UNKNOWN_TAG, t.start, t.raw, "not a grammar tag"
+            return Edit(ErrorType(opener.name), original, error), j + 1, t.end, inner_warnings
+        if t.closing or t.name not in _CHILD_NAMES:
+            if t.name not in known:
+                kind = ParseErrorKind.UNKNOWN_TAG
+            elif t.closing:
+                kind = ParseErrorKind.STRAY_CHILD  # a mismatched closer
+            else:
+                kind = ParseErrorKind.ILLEGAL_NESTING
+            raise _Demote(kind, f"unexpected {t.raw} inside {opener.raw}")
+        if t.name in children:
+            raise _Demote(
+                ParseErrorKind.MISSING_DELETE_MARK_PAIR,
+                f"duplicate <{t.name}> inside {opener.raw}",
             )
-        raise _Demote(f"unexpected {t.raw} inside {opener.raw}")
+        k = _scan_to_closer(toks, j + 1, t, known, inner_warnings)
+        if k is None:
+            raise _Demote(ParseErrorKind.UNCLOSED_TAG, f"unclosed {t.raw} inside {opener.raw}")
+        children[t.name] = text[t.end:toks[k].start]
+        order.append(t.name)
+        pos = toks[k].end
+        j = k + 1
 
 
 def serialize(doc: TaggedDocument) -> str:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import WORKED_TARGET, oracle_counts, random_spans
 from fintag.detect_eval import (
@@ -20,7 +22,7 @@ from fintag.detect_eval import (
     score,
     strip_reply_envelope,
 )
-from fintag.markup import ErrorType, Form, TagSpan, parse
+from fintag.markup import FAVA_EXTRA_STATEMENT_TAGS, ErrorType, Form, TagSpan, parse
 
 
 class TestParsePrediction:
@@ -64,6 +66,19 @@ class TestParsePrediction:
 
 def _span(kind, start, end):
     return TagSpan(kind, start, end, "x" * (end - start), None)
+
+
+def _span_lists(labels):
+    """Span lists over `labels` on a short line, so spans often overlap and
+    sometimes coincide (the only candidates in exact mode)."""
+    kinds = [label if label in FAVA_EXTRA_STATEMENT_TAGS else ErrorType(label) for label in labels]
+    span = st.builds(
+        lambda kind, start, size: _span(kind, start, start + size),
+        st.sampled_from(kinds),
+        st.integers(0, 20),
+        st.integers(1, 6),
+    )
+    return st.lists(span, max_size=6)
 
 
 class TestAlign:
@@ -157,25 +172,28 @@ class TestScore:
             assert report.overall.fp == sum(c.fp for c in report.per_kind.values())
             assert report.overall.fn == sum(c.fn for c in report.per_kind.values())
 
-    def test_symmetry_swapping_gold_and_pred_swaps_p_and_r(self):
-        rng = random.Random(17)
-        labels = list(ErrorType)
-        doc, _ = parse("x")
+    @settings(max_examples=400, deadline=None)
+    @given(
+        labels=st.sampled_from([DEFAULT_LABELS, FAVA_LABELS]),
+        mode=st.sampled_from(["overlap", "exact"]),
+        data=st.data(),
+    )
+    def test_symmetry_swapping_gold_and_pred_swaps_p_and_r(self, labels, mode, data):
         from fintag.detect_eval import MatchSet
 
-        for _ in range(500):
-            gold = random_spans(rng, labels)
-            pred = random_spans(rng, labels)
-            fwd = score(MatchSet(*align_spans(gold, pred)), doc, doc)
-            rev = score(MatchSet(*align_spans(pred, gold)), doc, doc)
-            for label in fwd.per_kind:
-                assert fwd.per_kind[label].precision == pytest.approx(
-                    rev.per_kind[label].recall
-                )
-                assert fwd.per_kind[label].recall == pytest.approx(
-                    rev.per_kind[label].precision
-                )
-            assert fwd.overall.precision == pytest.approx(rev.overall.recall)
+        spans = _span_lists(labels)
+        gold, pred = data.draw(spans), data.draw(spans)
+        doc, _ = parse("x")
+        fwd = score(MatchSet(*align_spans(gold, pred, mode)), doc, doc, labels)
+        rev = score(MatchSet(*align_spans(pred, gold, mode)), doc, doc, labels)
+        # Swapping the sides keeps every true positive and exchanges the
+        # false positives with the false negatives, so P and R swap exactly.
+        assert {label: (c.tp, c.fp, c.fn) for label, c in fwd.per_kind.items()} == {
+            label: (c.tp, c.fn, c.fp) for label, c in rev.per_kind.items()
+        }
+        assert (fwd.overall.tp, fwd.overall.fp, fwd.overall.fn) == (
+            rev.overall.tp, rev.overall.fn, rev.overall.fp
+        )
 
     def test_adding_exact_correct_prediction_never_hurts(self):
         rng = random.Random(29)

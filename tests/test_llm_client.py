@@ -3,12 +3,14 @@ in-flight limiter."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
 
 import pytest
 
+from fintag import llm_client
 from fintag.llm_client import (
     ClientError,
     ClientErrorKind,
@@ -147,6 +149,34 @@ class TestCache:
         client = LlmClient(_profile(cache_path=str(path)), transport, sleeper=lambda s: None)
         assert client.cached_complete(_request()).text == "fresh"
         assert transport.calls == 1
+
+    def test_cache_bytes_do_not_depend_on_timing(self, tmp_path, monkeypatch):
+        caches = []
+        for step in (0.25, 7.5):
+            clock = itertools.count(0.0, step)
+            monkeypatch.setattr(llm_client.time, "monotonic", lambda clock=clock: next(clock))
+            path = tmp_path / f"cache-{step}.jsonl"
+            transport = SequenceTransport([(200, _reply_body("a")), (200, _reply_body("b"))])
+            client = LlmClient(_profile(cache_path=str(path)), transport, sleeper=lambda s: None)
+            live = [client.cached_complete(_request(seed_tag=tag)) for tag in ("a", "b")]
+            assert [reply.latency for reply in live] == [step, step]
+            assert client.cached_complete(_request(seed_tag="a")).latency == 0.0
+            assert transport.calls == 2
+            caches.append(path.read_bytes())
+        assert caches[0] == caches[1]
+
+    def test_a_cache_row_with_latency_still_replays(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        transport = SequenceTransport([(500, "")])
+        client = LlmClient(_profile(cache_path=str(path)), transport, sleeper=lambda s: None)
+        row = {
+            "key": client._cache_key(_request()),
+            "reply": {"text": "replayed", "model": "unit-model", "latency": 0.42},
+        }
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        reply = client.cached_complete(_request())
+        assert (reply.text, reply.model, reply.latency) == ("replayed", "unit-model", 0.0)
+        assert transport.calls == 0
 
     def test_cached_complete_requires_cache_path(self):
         client = LlmClient(_profile(), SequenceTransport([(200, _reply_body("x"))]))

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 import string
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,10 @@ from conftest import (
     make_context,
     make_passage,
 )
+from fintag import markup
 from fintag.markup import (
     EDITABLE_TYPES,
+    FAVA_EXTRA_STATEMENT_TAGS,
     STATEMENT_TYPES,
     Edit,
     ErrorType,
@@ -146,6 +150,52 @@ class TestStrictErrors:
             parse("ab <bogus>", strict=True)
         assert err.value.offset == 3
         assert err.value.tag == "<bogus>"
+
+
+@pytest.mark.parametrize(
+    "text, kind, offset, tag",
+    [
+        ("a <bogus> b", ParseErrorKind.UNKNOWN_TAG, 2, "<bogus>"),
+        ("a </temporal> b", ParseErrorKind.STRAY_CHILD, 2, "</temporal>"),
+        ("a <mark>x</mark>", ParseErrorKind.STRAY_CHILD, 2, "<mark>"),
+        ("<entity>x<delete>a</delete><mark>b</mark></entity>", ParseErrorKind.STRAY_CHILD, 0, "<entity>"),
+        ("<entity><delete>a</delete></temporal>", ParseErrorKind.STRAY_CHILD, 0, "<entity>"),
+        ("<unverifiable>a </mark>b</unverifiable>", ParseErrorKind.ILLEGAL_NESTING, 16, "</mark>"),
+        ("<entity><delete>a<x></delete><mark>b</mark></entity>", ParseErrorKind.UNKNOWN_TAG, 17, "<x>"),
+        ("<entity><temporal>", ParseErrorKind.ILLEGAL_NESTING, 0, "<entity>"),
+        ("<numerical><bogus>", ParseErrorKind.UNKNOWN_TAG, 0, "<numerical>"),
+        ("a <unverifiable>b", ParseErrorKind.UNCLOSED_TAG, 2, "<unverifiable>"),
+        ("<entity><delete>a</entity>", ParseErrorKind.UNCLOSED_TAG, 0, "<entity>"),
+        ("<entity><mark>b</mark></entity>", ParseErrorKind.MISSING_DELETE_MARK_PAIR, 0, "<entity>"),
+        ("<entity><mark>b</mark><mark>c</mark></entity>", ParseErrorKind.MISSING_DELETE_MARK_PAIR, 0, "<entity>"),
+    ],
+)
+def test_each_demotion_names_its_kind_and_strict_raises_the_first(text, kind, offset, tag):
+    _, warnings = parse(text)
+    first = next(w for w in warnings if w.category == "demoted")
+    assert (first.kind, first.offset, first.tag) == (kind, offset, tag)
+    with pytest.raises(ParseError) as err:
+        parse(text, strict=True)
+    assert (err.value.kind, err.value.offset, err.value.tag) == (kind, offset, tag)
+
+
+def test_strict_mode_is_one_check_on_the_lenient_walk():
+    # Strict parsing checks the lenient result; a second raise site, or a
+    # helper that takes `strict`, is a second walk through the grammar.
+    tree = ast.parse(Path(markup.__file__).read_text(encoding="utf-8"))
+    raises = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ParseError"
+    ]
+    takes_strict = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(a.arg == "strict" for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs)
+    }
+    assert len(raises) == 1
+    assert takes_strict == {"parse"}
 
 
 class TestLenientRecovery:
@@ -321,3 +371,27 @@ def test_parse_inverts_serialize(doc):
     back, warnings = parse(serialize(doc), doc.form, strict=True)
     assert warnings == ()
     assert back == doc
+
+
+_FAVA_TAGS = [f"<{c}{n}>" for n in FAVA_EXTRA_STATEMENT_TAGS for c in ("", "/")]
+_SOUP = st.lists(_MARKUP | st.sampled_from(_FAVA_TAGS), max_size=6).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=_SOUP,
+    form=st.sampled_from(list(Form)),
+    extra=st.sampled_from([(), FAVA_EXTRA_STATEMENT_TAGS]),
+)
+def test_strict_raises_exactly_from_the_first_lenient_demotion(text, form, extra):
+    lenient = parse(text, form, extra_statement_tags=extra)
+    demoted = [w for w in lenient.warnings if w.category == "demoted"]
+    assert all(isinstance(w.kind, ParseErrorKind) for w in demoted)
+    try:
+        strict = parse(text, form, strict=True, extra_statement_tags=extra)
+    except ParseError as err:
+        assert demoted
+        assert (err.kind, err.offset, err.tag) == (demoted[0].kind, demoted[0].offset, demoted[0].tag)
+    else:
+        assert not demoted
+        assert strict == lenient
