@@ -133,60 +133,61 @@ def _load_ini(path: str | None):
     return cp
 
 
-def _inserter_config(cp):
+def _section_kwargs(path: str, section, cls, derived: str, extra: dict | None = None) -> dict:
+    """`cls`'s keyword arguments from one INI section. A key names a field of
+    `cls` other than `derived`, coerced by its default's type (text when the
+    default is not a number), or a key of `extra`, which maps it to a type."""
+    from dataclasses import fields
+
+    types = {
+        f.name: type(f.default) if isinstance(f.default, (int, float)) else str
+        for f in fields(cls) if f.name != derived
+    } | (extra or {})
+    kwargs = {}
+    for key, value in section.items():
+        if key not in types:
+            raise ValueError(f"{path}: [{section.name}] unknown key {key!r}")
+        try:
+            kwargs[key] = types[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section.name}] {key}: {exc}") from None
+    return kwargs
+
+
+def _inserter_config(cp, path: str | None):
     from .insertion import InserterConfig
     from .markup import ErrorType
 
     if not cp.has_section("inserter"):
         return InserterConfig()
-    section = cp["inserter"]
-    weights = dict()
-    for kind in ErrorType:
-        key = f"weight.{kind.value}"
-        if key in section:
-            weights[kind] = section.getfloat(key)
-    kwargs = {}
-    if "clean_probability" in section:
-        kwargs["clean_probability"] = section.getfloat("clean_probability")
-    if "tokens_per_error" in section:
-        kwargs["tokens_per_error"] = section.getint("tokens_per_error")
-    if "max_errors" in section:
-        kwargs["max_errors"] = section.getint("max_errors")
+    weight_keys = {f"weight.{kind.value}": kind for kind in ErrorType}
+    kwargs = _section_kwargs(
+        path, cp["inserter"], InserterConfig, "type_weights", dict.fromkeys(weight_keys, float)
+    )
+    weights = {kind: kwargs.pop(key) for key, kind in weight_keys.items() if key in kwargs}
     if weights:
         kwargs["type_weights"] = weights
     return InserterConfig(**kwargs)
 
 
-def _client_profiles(cp) -> list:
+def _client_profiles(cp, path: str | None) -> list:
     from .llm_client import ClientProfile
 
-    profiles = []
-    for section_name in cp.sections():
-        if not section_name.startswith("client:"):
-            continue
-        section = cp[section_name]
-        profiles.append(
-            ClientProfile(
-                name=section_name.split(":", 1)[1],
-                endpoint=section.get("endpoint", ""),
-                model=section.get("model", ""),
-                temperature=section.getfloat("temperature", 0.0),
-                timeout=section.getfloat("timeout", 30.0),
-                max_in_flight=section.getint("max_in_flight", 4),
-                cache_path=section.get("cache_path", fallback=None),
-                api_key_env=section.get("api_key_env", "FRED_API_KEY"),
-            )
+    unset = {"endpoint": "", "model": ""}  # fields with no default
+    return [
+        ClientProfile(
+            name=section.split(":", 1)[1],
+            **unset | _section_kwargs(path, cp[section], ClientProfile, "name"),
         )
-    return profiles
+        for section in cp.sections()
+        if section.startswith("client:")
+    ]
 
 
 def _config_echo(config) -> dict:
-    return {
-        "clean_probability": config.clean_probability,
-        "type_weights": {k.value: w for k, w in config.type_weights.items()},
-        "tokens_per_error": config.tokens_per_error,
-        "max_errors": config.max_errors,
-    }
+    from dataclasses import asdict
+
+    return asdict(config) | {"type_weights": {k.value: w for k, w in config.type_weights.items()}}
 
 
 def _meta(command: str, **extra) -> dict:
@@ -220,7 +221,7 @@ def _cmd_insert(args) -> int:
     from .quality import write_records
 
     cp = _load_ini(args.config)
-    config = _inserter_config(cp)
+    config = _inserter_config(cp, args.config)
     stats = IngestStats()
     qa_records = [
         qa
@@ -241,7 +242,7 @@ def _cmd_insert(args) -> int:
             skips += len(result.skipped)
             records.append(result.record)
     else:
-        profiles = _client_profiles(cp)
+        profiles = _client_profiles(cp, args.config)
         if not profiles:
             raise ValueError("llm mode needs at least one [client:...] config section")
         from concurrent.futures import ThreadPoolExecutor
@@ -424,7 +425,12 @@ def _cmd_report(args) -> int:
     records = [record for record, _ in read_records(args.input)]
     source_of = None
     if args.sources:
-        source_of = json.loads(Path(args.sources).read_text(encoding="utf-8"))
+        try:
+            source_of = json.loads(Path(args.sources).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.sources}: bad JSON ({exc.msg})") from None
+        if not isinstance(source_of, dict) or not all(isinstance(v, str) for v in source_of.values()):
+            raise ValueError(f"{args.sources}: expected a JSON object of record id to source label")
     report = distribution_report(records, source_of)
     if args.format == "json":
         _write_json(args.output, {"meta": _meta("report"), **report.to_json()})
@@ -486,7 +492,7 @@ def _cmd_eval_edit(args) -> int:
         judge = containment_judge
     else:
         cp = _load_ini(args.config)
-        profiles = {p.name: p for p in _client_profiles(cp)}
+        profiles = {p.name: p for p in _client_profiles(cp, args.config)}
         if args.profile not in profiles:
             raise ValueError(f"unknown client profile {args.profile!r}")
         from .llm_client import LlmClient

@@ -62,7 +62,7 @@ class IngestStats:
             self.reasons.append(f"line {line_no}: {reason}")
 
 
-_REQUIRED_FIELDS = ("id", "documents", "question", "response")
+_QA_FIELDS = {"id": (str, int), "documents": (str, list), "question": object, "response": str}
 
 
 def ingest(
@@ -73,47 +73,24 @@ def ingest(
 ) -> Iterator[QARecord]:
     """Yield validated QA records from a JSONL file.
 
-    Malformed lines (bad JSON, not an object, missing fields, empty
-    response, no documents) are skipped with a counted warning in `stats`.
-    `field_map` renames source keys onto the expected schema, e.g.
-    {"documents": "context"} for corpora laid out differently.
+    Malformed lines (bad JSON, not an object, a missing or wrong-typed
+    field, empty response, no documents) are skipped with a counted
+    warning in `stats`. `field_map` renames source keys onto the expected
+    schema, e.g. {"documents": "context"} for corpora laid out differently.
     """
     stats = stats if stats is not None else IngestStats()
-    mapping = dict(zip(_REQUIRED_FIELDS, _REQUIRED_FIELDS)) | (field_map or {})
-    for line_no, obj, _ in read_jsonl(path, skip=stats.skip):
-        try:
-            record = _validate(obj, mapping, source_label)
-        except ValueError as exc:
-            stats.skip(line_no, str(exc))
-            continue
-        stats.kept += 1
-        yield record
-
-
-def _validate(obj: dict, mapping: dict, source_label: str) -> QARecord:
-    values = {}
-    for name in _REQUIRED_FIELDS:
-        key = mapping[name]
-        if key not in obj:
-            raise ValueError(f"missing field {key!r}")
-        values[name] = obj[key]
-    documents = values["documents"]
-    if isinstance(documents, str):
-        documents = [documents]
-    if not isinstance(documents, list) or not documents:
-        raise ValueError("documents must be a nonempty list")
-    if not all(isinstance(d, str) for d in documents):
-        raise ValueError("documents must be strings")
-    response = values["response"]
-    if not isinstance(response, str) or not response.strip():
-        raise ValueError("response must be a nonempty string")
-    return QARecord(
-        id=str(values["id"]),
-        documents=tuple(documents),
-        question=str(values["question"]),
-        response=response,
-        source=source_label,
-    )
+    keys = {name: (field_map or {}).get(name, name) for name in _QA_FIELDS}
+    fields = {keys[name]: types for name, types in _QA_FIELDS.items()}
+    for line_no, obj, _ in read_jsonl(path, skip=stats.skip, fields=fields):
+        rid, documents, question, response = (obj[key] for key in keys.values())
+        documents = [documents] if isinstance(documents, str) else documents
+        if not documents or not all(isinstance(d, str) for d in documents):
+            stats.skip(line_no, "documents must be a nonempty list of strings")
+        elif not response.strip():
+            stats.skip(line_no, "response must be a nonempty string")
+        else:
+            stats.kept += 1
+            yield QARecord(str(rid), tuple(documents), str(question), response, source_label)
 
 
 def write_qa_records(path: str | Path, records: Iterable[QARecord]) -> int:
@@ -205,9 +182,10 @@ def write_pairs(path: str | Path, pairs: Iterable[TrainingPair], meta: dict | No
 
 
 def read_pairs(path: str | Path) -> list[TrainingPair]:
+    fields = {"id": (str, int), "prompt": str, "target": str, "meta": (dict, type(None))}
     return [
         TrainingPair(str(obj["id"]), obj["prompt"], obj["target"], obj.get("meta", {}))
-        for _, obj, _ in read_jsonl(path)
+        for _, obj, _ in read_jsonl(path, fields=fields)
     ]
 
 

@@ -320,10 +320,11 @@ def read_gold_documents(path: str | Path, labels: tuple = DEFAULT_LABELS) -> dic
     extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
     return {
         str(obj["id"]): parse(obj["target"], Form.TARGET_OUTPUT, extra_statement_tags=extra).document
-        for _, obj, _ in read_jsonl(path)
+        for _, obj, _ in read_jsonl(path, fields={"id": (str, int), "target": str})
     }
 
 
 def read_predictions(path: str | Path) -> dict:
     """Load raw predictions from JSONL of {"id", "raw"}."""
-    return {str(obj["id"]): obj["raw"] for _, obj, _ in read_jsonl(path)}
+    rows = read_jsonl(path, fields={"id": (str, int), "raw": str})
+    return {str(obj["id"]): obj["raw"] for _, obj, _ in rows}

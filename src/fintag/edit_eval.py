@@ -237,4 +237,5 @@ def summarize_scores(scored: Iterable[tuple[str, FactScore]]) -> tuple[list[dict
 
 
 def read_editing_rows(path: str | Path) -> list[dict]:
-    return [obj for _, obj, _ in read_jsonl(path)]
+    fields = {"id": (str, int), "edited": str, "reference": str}
+    return [obj for _, obj, _ in read_jsonl(path, fields=fields)]

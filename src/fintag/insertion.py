@@ -589,10 +589,12 @@ DEFAULT_EXEMPLARS = (
 
 def load_exemplars(path: str | Path) -> tuple:
     """Read an exemplar pool from JSONL of {"kind", "passage", "tagged"}."""
-    return tuple(
-        Exemplar(ErrorType(obj["kind"]), obj["passage"], obj["tagged"])
-        for _, obj, _ in read_jsonl(path)
-    )
+    pool = []
+    for line_no, obj, _ in read_jsonl(path, fields={"kind": str, "passage": str, "tagged": str}):
+        if obj["kind"] not in {kind.value for kind in ErrorType}:
+            raise ValueError(f"{path}:{line_no}: unknown kind {obj['kind']!r}")
+        pool.append(Exemplar(ErrorType(obj["kind"]), obj["passage"], obj["tagged"]))
+    return tuple(pool)
 
 
 def build_insertion_prompt(

@@ -15,7 +15,7 @@ _META = "_meta"
 
 
 def read_jsonl(
-    path: str | Path, skip: Callable[[int, str], None] | None = None
+    path: str | Path, skip: Callable[[int, str], None] | None = None, fields: dict | None = None
 ) -> Iterator[tuple[int, dict, str]]:
     """Yield `(line_no, obj, text)` for each data line of a JSONL file.
 
@@ -26,7 +26,10 @@ def read_jsonl(
     such as "\\ud800") raises `ValueError("<path>:<line_no>: <reason>")`,
     or, when `skip` is given, is passed to `skip(line_no, reason)` and
     reading goes on. A string no writer can encode is thus rejected where
-    it is read, not halfway through writing an output.
+    it is read, not halfway through writing an output. So is a row that
+    breaks `fields`, its record type's field table, which maps each field
+    name to a type or tuple of types (`object` takes any value; a field
+    that takes `NoneType` may be absent).
     """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -42,13 +45,26 @@ def read_jsonl(
                     reason = "not a JSON object"
                 elif "\\u" in stripped and not _encodes_as_utf8(obj):
                     reason = "lone surrogate in a string (UTF-8 cannot encode it)"
-                else:
-                    if _META not in obj:
-                        yield line_no, obj, line.rstrip("\n")
+                elif _META in obj:
+                    continue
+                elif not fields or (reason := _field_error(obj, fields)) is None:
+                    yield line_no, obj, line.rstrip("\n")
                     continue
             if skip is None:
                 raise ValueError(f"{path}:{line_no}: {reason}")
             skip(line_no, reason)
+
+
+def _field_error(obj: dict, fields: dict) -> str | None:
+    for name, types in fields.items():
+        types = types if isinstance(types, tuple) else (types,)
+        if name not in obj:
+            if type(None) not in types:
+                return f"missing field {name!r}"
+        elif not isinstance(obj[name], types):
+            expected = " or ".join(t.__name__ for t in types)
+            return f"field {name!r} is {type(obj[name]).__name__}, expected {expected}"
+    return None
 
 
 def _encodes_as_utf8(obj: dict) -> bool:

@@ -19,6 +19,7 @@ from enum import Enum
 from pathlib import Path
 
 from . import FintagError
+from .jsonl import read_jsonl
 
 MAX_ATTEMPTS = 5
 BACKOFF_BASE = 1.0
@@ -211,22 +212,14 @@ class LlmClient:
     def _load_cache(self) -> dict:
         if self._cache is None:
             self._cache = {}
-            path = Path(self.profile.cache_path)
-            if path.exists():
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            entry = json.loads(line)
-                            reply = entry["reply"]
-                            self._cache[entry["key"]] = CompletionReply(
-                                reply["text"], reply["model"], 0.0
-                            )
-                        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                            # Corrupt cache lines degrade to misses.
-                            continue
+            path = self.profile.cache_path
+            if Path(path).exists():
+                # Corrupt or wrong-shaped cache lines degrade to misses.
+                rows = read_jsonl(path, skip=lambda *_: None, fields={"key": str, "reply": dict})
+                for _, entry, _ in rows:
+                    text, model = entry["reply"].get("text"), entry["reply"].get("model")
+                    if isinstance(text, str) and isinstance(model, str):
+                        self._cache[entry["key"]] = CompletionReply(text, model, 0.0)
         return self._cache
 
 

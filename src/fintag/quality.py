@@ -303,7 +303,9 @@ def read_records(path: str | Path) -> Iterator[tuple[TaggedRecord, tuple]]:
     The tagged text is re-parsed leniently so downstream checks see format
     defects.
     """
-    for _, obj, _ in read_jsonl(path):
+    fields = {"id": (str, int), "original": str, "tagged": str,
+              "provenance": (str, type(None)), "seed": (int, type(None))}
+    for _, obj, _ in read_jsonl(path, fields=fields):
         doc, warnings = parse(obj["tagged"], Form.TAGGED_PASSAGE)
         yield (
             TaggedRecord(

@@ -134,6 +134,79 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_RECORD = {"id": "a", "original": "x", "tagged": "x", "provenance": "p"}
+_QA = {"id": "q0", "documents": ["Sales were $5."], "question": "q", "response": "Sales were $5."}
+_GOLD = {"id": "g0", "target": WORKED_TARGET}
+_PRED = {"id": "g0", "raw": WORKED_TARGET}
+_FIX = ["fix", "--input", "records.jsonl", "--output", "out"]
+_DETECT = ["eval-detect", "--gold", "gold.jsonl", "--pred", "pred.jsonl", "--output", "out"]
+_EDIT = ["eval-edit", "--input", "rows.jsonl", "--output", "out"]
+_INSERT = ["insert", "--input", "qa.jsonl", "--output", "out"]
+_REPORT = ["report", "--input", "records.jsonl", "--sources", "sources.json", "--output", "out"]
+_INI = _INSERT + ["--config", "fintag.ini"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, where, reason",
+    [
+        pytest.param(_FIX, {"records.jsonl": [_RECORD, {"id": "b", "original": "y", "tagged": 5}]},
+                     "records.jsonl:2", "field 'tagged' is int, expected str", id="fix-tagged-int"),
+        pytest.param(_FIX, {"records.jsonl": [{"id": "a", "original": 7, "tagged": "x"}]},
+                     "records.jsonl:1", "field 'original' is int, expected str",
+                     id="fix-original-int"),
+        pytest.param(_FIX, {"records.jsonl": [_RECORD, _RECORD | {"provenance": 5}]},
+                     "records.jsonl:2", "field 'provenance' is int, expected str or NoneType",
+                     id="fix-provenance-int"),
+        pytest.param(_FIX, {"records.jsonl": [{"id": "a", "original": "x"}]},
+                     "records.jsonl:1", "missing field 'tagged'", id="fix-no-tagged"),
+        pytest.param(_DETECT, {"gold.jsonl": [{"id": "g0", "target": 3}], "pred.jsonl": [_PRED]},
+                     "gold.jsonl:1", "field 'target' is int, expected str", id="detect-target-int"),
+        pytest.param(_DETECT, {"gold.jsonl": [{"id": "g0", "prompt": "p"}], "pred.jsonl": [_PRED]},
+                     "gold.jsonl:1", "missing field 'target'", id="detect-no-target"),
+        pytest.param(_DETECT, {"gold.jsonl": [_GOLD], "pred.jsonl": [{"id": "g0", "raw": 5}]},
+                     "pred.jsonl:1", "field 'raw' is int, expected str", id="detect-raw-int"),
+        pytest.param(_EDIT, {"rows.jsonl": [{"id": "e", "edited": 5, "reference": "x"}]},
+                     "rows.jsonl:1", "field 'edited' is int, expected str", id="edit-edited-int"),
+        pytest.param(_EDIT, {"rows.jsonl": [{"id": "e", "edited": "x"}]},
+                     "rows.jsonl:1", "missing field 'reference'", id="edit-no-reference"),
+        pytest.param(_INSERT + ["--exemplars", "ex.jsonl"],
+                     {"qa.jsonl": [_QA], "ex.jsonl": [{"kind": "numerica", "passage": "p", "tagged": "t"}]},
+                     "ex.jsonl:1", "unknown kind 'numerica'", id="exemplar-unknown-kind"),
+        pytest.param(_INSERT + ["--exemplars", "ex.jsonl"],
+                     {"qa.jsonl": [_QA], "ex.jsonl": [{"kind": "numerical", "passage": "p"}]},
+                     "ex.jsonl:1", "missing field 'tagged'", id="exemplar-no-tagged"),
+        pytest.param(_REPORT, {"records.jsonl": [_RECORD], "sources.json": '["a"]'}, "sources.json",
+                     "expected a JSON object of record id to source label", id="sources-list"),
+        pytest.param(_REPORT, {"records.jsonl": [_RECORD], "sources.json": '{"a": 1}'}, "sources.json",
+                     "expected a JSON object of record id to source label", id="sources-int-label"),
+        pytest.param(_REPORT, {"records.jsonl": [_RECORD], "sources.json": '{"a": '}, "sources.json",
+                     "bad JSON (Expecting value)", id="sources-bad-json"),
+        pytest.param(_INI, {"qa.jsonl": [_QA], "fintag.ini": "[inserter]\nmax_error = 3\n"},
+                     "fintag.ini", "[inserter] unknown key 'max_error'", id="ini-max-error"),
+        pytest.param(_INI, {"qa.jsonl": [_QA], "fintag.ini": "[inserter]\nweight.numerica = 2\n"},
+                     "fintag.ini", "[inserter] unknown key 'weight.numerica'", id="ini-weight-kind"),
+        pytest.param(_INI, {"qa.jsonl": [_QA], "fintag.ini": "[inserter]\nclean_probabilty = 1\n"},
+                     "fintag.ini", "[inserter] unknown key 'clean_probabilty'", id="ini-clean"),
+        pytest.param(_INI, {"qa.jsonl": [_QA], "fintag.ini": "[inserter]\nmax_errors = six\n"},
+                     "fintag.ini", "[inserter] max_errors: invalid literal for int() with base 10: 'six'",
+                     id="ini-bad-value"),
+        pytest.param(_INI + ["--mode", "llm"],
+                     {"qa.jsonl": [_QA], "fintag.ini": "[client:a]\nendpoint = x\nmodle = m\n"},
+                     "fintag.ini", "[client:a] unknown key 'modle'", id="ini-client-key"),
+    ],
+)
+def test_bad_input_exits_1_naming_where(tmp_path, capsys, argv, files, where, reason):
+    for name, content in files.items():
+        text = content if isinstance(content, str) else "".join(json.dumps(r) + "\n" for r in content)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in files or arg == "out" else arg for arg in argv]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"fintag: error: {tmp_path / where}: {reason}\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_derive_raw_golden_forms(tmp_path, capsys):
     src = tmp_path / "tagged.txt"
     src.write_text(WORKED_TAGGED + "\n", encoding="utf-8")

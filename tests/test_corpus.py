@@ -102,6 +102,25 @@ class TestIngest:
         assert (stats.read, stats.kept, stats.skipped) == (2, 1, 1)
         assert stats.reasons == ["line 1: lone surrogate in a string (UTF-8 cannot encode it)"]
 
+    def test_wrong_typed_field_is_skipped_with_its_reason(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        rows = [
+            {"id": "ok", "context": ["d"], "question": "q", "response": "a"},
+            {"id": "r", "context": ["d"], "question": "q", "response": 5},
+            {"id": "d", "context": 7, "question": "q", "response": "a"},
+            {"id": 1.5, "context": ["d"], "question": "q", "response": "a"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        stats = IngestStats()
+        records = list(ingest(path, field_map={"documents": "context"}, stats=stats))
+        assert [r.id for r in records] == ["ok"]
+        assert (stats.read, stats.kept, stats.skipped) == (4, 1, 3)
+        assert stats.reasons == [
+            "line 2: field 'response' is int, expected str",
+            "line 3: field 'context' is int, expected str or list",
+            "line 4: field 'id' is float, expected str or int",
+        ]
+
     def test_field_map(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         path.write_text(

@@ -103,3 +103,110 @@ def test_skip_callback_gets_line_numbers_and_reading_goes_on(tmp_path):
 def test_write_to_stdout_when_path_is_none(capsys):
     assert write_jsonl(None, [{"id": 1}], meta={"command": "derive"}) == 1
     assert capsys.readouterr().out == '{"_meta": {"command": "derive"}}\n{"id": 1}\n'
+
+
+_TABLE = {"id": (str, int), "text": str, "note": (str, type(None)), "any": object}
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ({"text": "t", "any": 0}, "missing field 'id'"),
+        ({"id": 1, "any": 0}, "missing field 'text'"),
+        ({"id": 1, "text": "t"}, "missing field 'any'"),
+        ({"id": 1.5, "text": "t", "any": 0}, "field 'id' is float, expected str or int"),
+        ({"id": 1, "text": None, "any": 0}, "field 'text' is NoneType, expected str"),
+        ({"id": 1, "text": "t", "note": 5, "any": 0}, "field 'note' is int, expected str or NoneType"),
+    ],
+)
+def test_a_row_that_breaks_the_field_table_names_path_and_line(tmp_path, row, reason):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({"id": "a", "text": "t", "any": []}) + "\n" + json.dumps(row) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        list(read_jsonl(path, fields=_TABLE))
+    assert str(info.value) == f"{path}:2: {reason}"
+    skipped = []
+    rows = [obj for _, obj, _ in read_jsonl(path, skip=lambda *args: skipped.append(args), fields=_TABLE)]
+    assert rows == [{"id": "a", "text": "t", "any": []}]
+    assert skipped == [(2, reason)]
+
+
+def test_optional_fields_may_be_absent_or_null(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    rows = [{"id": "a", "text": "t", "any": None}, {"id": 2, "text": "", "note": None, "any": {}}]
+    write_jsonl(path, rows, meta={"command": "x"})
+    assert [obj for _, obj, _ in read_jsonl(path, fields=_TABLE)] == rows
+
+
+# One entry per typed reader: its field names, and a call that reads `path`
+# whole (editing rows also go to the scorer, as `eval-edit` sends them).
+# `ingest` and the replay cache skip a bad row instead of raising.
+def _read_cache(path):
+    from fintag.llm_client import ClientProfile, LlmClient
+
+    cache = LlmClient(ClientProfile("p", "", "", cache_path=str(path)))._load_cache()
+    assert all(isinstance(r.text, str) and isinstance(r.model, str) for r in cache.values())
+
+
+def _readers():
+    from fintag.corpus import ingest, read_pairs
+    from fintag.detect_eval import FAVA_LABELS, read_gold_documents, read_predictions
+    from fintag.edit_eval import containment_judge, read_editing_rows, score_editing
+    from fintag.insertion import load_exemplars
+    from fintag.quality import read_records
+
+    def score_rows(path):
+        return [score_editing(r["edited"], r["reference"], containment_judge)
+                for r in read_editing_rows(path)]
+
+    return {
+        "records": (("id", "original", "tagged", "provenance", "seed"), lambda p: list(read_records(p))),
+        "qa": (("id", "documents", "question", "response"), lambda p: list(ingest(p))),
+        "pairs": (("id", "prompt", "target", "meta"), read_pairs),
+        "gold": (("id", "target"), lambda p: read_gold_documents(p, FAVA_LABELS)),
+        "predictions": (("id", "raw"), read_predictions),
+        "editing": (("id", "edited", "reference"), score_rows),
+        "exemplars": (("kind", "passage", "tagged"), load_exemplars),
+        "cache": (("key", "reply"), _read_cache),
+    }
+
+
+_MARKUP = _TEXT | st.sampled_from(
+    ["a <numerical><delete>1</delete><mark>2</mark></numerical>", "<unverifiable>b", "<bogus>c</x>"]
+)
+# A value of the field's own type (text unless named here) for about half
+# the draws, so that a fair share of rows read through.
+_RIGHT = {
+    "seed": st.integers() | st.none(),
+    "provenance": _TEXT | st.none(),
+    "meta": st.none() | _objects(st.sampled_from(["kinds", "source"]), _VALUES, 2),
+    "documents": _TEXT | st.lists(_TEXT, max_size=2),
+    "kind": st.sampled_from(["numerical", "unverifiable", "numerica"]),
+    "reply": _objects(st.sampled_from(["text", "model"]), _TEXT | _VALUES, 2),
+    "tagged": _MARKUP,
+    "target": _MARKUP,
+    "raw": _MARKUP,
+}
+
+
+def _rows(fields):
+    """Objects that hold some of `fields` and maybe other keys."""
+    return st.tuples(
+        st.fixed_dictionaries({name: _RIGHT.get(name, _TEXT) | _VALUES for name in fields}),
+        st.sets(st.sampled_from(fields)),
+        _objects(_TEXT.filter(lambda k: k != "_meta"), _VALUES, 2),
+    ).map(lambda t: t[2] | {k: v for k, v in t[0].items() if k not in t[1]})
+
+
+@pytest.mark.parametrize("reader", sorted(_readers()))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_reader_reads_a_row_or_names_its_line(tmp_path_factory, reader, data):
+    fields, read = _readers()[reader]
+    path = tmp_path_factory.getbasetemp() / f"{reader}.jsonl"
+    write_jsonl(path, [data.draw(_rows(fields))])
+    try:
+        read(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:1: ")

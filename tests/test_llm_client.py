@@ -143,12 +143,21 @@ class TestCache:
         assert reply.text == text
 
     def test_corrupt_cache_line_degrades_to_miss(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        path.write_text("{broken json\n", encoding="utf-8")
-        transport = SequenceTransport([(200, _reply_body("fresh"))])
-        client = LlmClient(_profile(cache_path=str(path)), transport, sleeper=lambda s: None)
-        assert client.cached_complete(_request()).text == "fresh"
-        assert transport.calls == 1
+        # KEY stands for the request's own key, so a row read as a hit
+        # would replay "stale".
+        rows = [
+            "{broken json",
+            '{"key": ["KEY"], "reply": {"text": "stale", "model": "unit-model"}}',
+            '{"key": "KEY", "reply": ["stale", "unit-model"]}',
+            '{"key": "KEY", "reply": {"text": 5, "model": "unit-model"}}',
+        ]
+        for i, row in enumerate(rows):
+            path = tmp_path / f"cache-{i}.jsonl"
+            transport = SequenceTransport([(200, _reply_body("fresh"))])
+            client = LlmClient(_profile(cache_path=str(path)), transport, sleeper=lambda s: None)
+            path.write_text(row.replace("KEY", client._cache_key(_request())) + "\n", encoding="utf-8")
+            assert client.cached_complete(_request()).text == "fresh", row
+            assert transport.calls == 1
 
     def test_cache_bytes_do_not_depend_on_timing(self, tmp_path, monkeypatch):
         caches = []

@@ -60,3 +60,19 @@ def test_only_the_jsonl_module_spells_the_meta_key():
                 if node.value == "_meta" or '"_meta"' in node.value:
                     spelled.add(path.name)
     assert spelled == {"jsonl.py"}
+
+
+def test_every_jsonl_read_declares_its_fields():
+    # A reader that passes no field table hands unchecked rows on; only
+    # `split`, which copies lines verbatim, reads rows it does not use.
+    package = Path(fintag.__file__).parent
+    unchecked = set()
+    for path in package.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "read_jsonl"
+                        and not any(kw.arg == "fields" for kw in node.keywords)):
+                    unchecked.add(f"{path.stem}.{func.name}")
+    assert unchecked == {"cli._cmd_split"}
