@@ -38,8 +38,9 @@ _EXPORTS = {
     ),
     "corpus": (
         "DistributionReport", "QARecord", "TrainingPair", "distribution_report",
-        "emit_training_pair", "filter_grounded", "ingest", "split",
+        "emit_training_pair", "filter_grounded", "ingest",
     ),
+    "partition": ("split",),
     "detect_eval": (
         "DetectionReport", "MatchSet", "align", "evaluate_corpus", "f1_from_pr",
         "parse_prediction", "score",

@@ -384,8 +384,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    from .corpus import split as split_records
     from .jsonl import read_jsonl, write_jsonl
+    from .partition import split as split_records
 
     # Kept lines are copied verbatim, not re-encoded.
     lines = [text for _, _, text in read_jsonl(args.input)]
@@ -398,17 +398,17 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    from .corpus import emit_training_pair, ingest, write_pairs
+    from .corpus import emit_training_pair, qa_by_id, write_pairs
     from .quality import check, read_records
 
-    qa_by_id = {qa.id: qa for qa in ingest(args.qa, args.source)}
+    qa_of = qa_by_id(args.qa, args.source)
     pairs = []
     for record, warnings in read_records(args.records):
         issues = check(record, warnings)
         if issues:
             print(f"pairs: skipping {record.id}: fails quality gate", file=sys.stderr)
             continue
-        qa = qa_by_id.get(record.id)
+        qa = qa_of.get(record.id)
         if qa is None:
             print(f"pairs: skipping {record.id}: no QA source", file=sys.stderr)
             continue
@@ -498,7 +498,7 @@ def _cmd_eval_edit(args) -> int:
         from .llm_client import LlmClient
 
         judge = llm_judge(LlmClient(profiles[args.profile]))
-    scored = [(row["id"], score_editing(row["edited"], row["reference"], judge)) for row in rows]
+    scored = [(str(row["id"]), score_editing(row["edited"], row["reference"], judge)) for row in rows]
     units = sum(fs.total for _, fs in scored)
     failed = sum(fs.failed for _, fs in scored)
     if failed and failed == units:

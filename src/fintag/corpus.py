@@ -6,14 +6,13 @@ and report error-type distributions.
 from __future__ import annotations
 
 import logging
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import index_by_id, read_jsonl, write_jsonl
 from .markup import derive_erroneous, label_of, serialize, to_target_output
+from .partition import split  # noqa: F401  (corpus.split stays importable)
 from .patterns import extract_numbers
 from .prompts import build_detection_prompt, passage_of_prompt
 from .quality import TaggedRecord
@@ -22,7 +21,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "QARecord", "IngestStats", "TrainingPair", "DistributionReport",
-    "SourceDistribution", "ingest", "write_qa_records", "filter_grounded",
+    "SourceDistribution", "ingest", "qa_by_id", "write_qa_records", "filter_grounded",
     "split", "emit_training_pair", "distribution_report", "write_pairs",
     "read_pairs", "passage_of_prompt",
 ]
@@ -50,6 +49,7 @@ class IngestStats:
     skipped: int = 0
     hook_failures: int = 0
     reasons: list = field(default_factory=list)
+    line_no: int = 0  # the line of the row read last
 
     @property
     def read(self) -> int:
@@ -82,6 +82,7 @@ def ingest(
     keys = {name: (field_map or {}).get(name, name) for name in _QA_FIELDS}
     fields = {keys[name]: types for name, types in _QA_FIELDS.items()}
     for line_no, obj, _ in read_jsonl(path, skip=stats.skip, fields=fields):
+        stats.line_no = line_no
         rid, documents, question, response = (obj[key] for key in keys.values())
         documents = [documents] if isinstance(documents, str) else documents
         if not documents or not all(isinstance(d, str) for d in documents):
@@ -91,6 +92,14 @@ def ingest(
         else:
             stats.kept += 1
             yield QARecord(str(rid), tuple(documents), str(question), response, source_label)
+
+
+def qa_by_id(path: str | Path, source_label: str = "") -> dict[str, QARecord]:
+    """The valid QA records of `path` by id, for a join. A repeated id
+    raises `ValueError` naming both lines."""
+    stats = IngestStats()
+    records = ingest(path, source_label, stats=stats)
+    return index_by_id(path, ((stats.line_no, qa.id, qa) for qa in records))
 
 
 def write_qa_records(path: str | Path, records: Iterable[QARecord]) -> int:
@@ -127,24 +136,6 @@ def filter_grounded(
     if not response_numbers:
         return True
     return response_numbers <= extract_numbers(record.reference)
-
-
-def split(records: Iterable, ratio: float = 0.95, seed: int = 0) -> tuple[list, list]:
-    """Deterministic shuffled split into (train, validation).
-
-    The validation size is floor(n * (1 - ratio)), so the partition differs
-    from the exact ratio by less than one record; disjoint and exhaustive.
-    """
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must be strictly between 0 and 1")
-    items = list(records)
-    rng = random.Random(f"split:{seed}")
-    order = list(range(len(items)))
-    rng.shuffle(order)
-    n_val = int(Fraction(len(items)) * (1 - Fraction(str(ratio))))
-    shuffled = [items[i] for i in order]
-    cut = len(items) - n_val
-    return shuffled[:cut], shuffled[cut:]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .jsonl import read_jsonl
+from .jsonl import index_by_id, read_jsonl
 from .markup import (
     FAVA_EXTRA_STATEMENT_TAGS,
     Form,
@@ -318,13 +318,14 @@ def read_gold_documents(path: str | Path, labels: tuple = DEFAULT_LABELS) -> dic
     """Load gold documents from a training-pair JSONL (parses each target
     in target-output form)."""
     extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
-    return {
-        str(obj["id"]): parse(obj["target"], Form.TARGET_OUTPUT, extra_statement_tags=extra).document
-        for _, obj, _ in read_jsonl(path, fields={"id": (str, int), "target": str})
-    }
+    rows = read_jsonl(path, fields={"id": (str, int), "target": str})
+    return index_by_id(path, (
+        (line_no, obj["id"], parse(obj["target"], Form.TARGET_OUTPUT, extra_statement_tags=extra).document)
+        for line_no, obj, _ in rows
+    ))
 
 
 def read_predictions(path: str | Path) -> dict:
     """Load raw predictions from JSONL of {"id", "raw"}."""
     rows = read_jsonl(path, fields={"id": (str, int), "raw": str})
-    return {str(obj["id"]): obj["raw"] for _, obj, _ in rows}
+    return index_by_id(path, ((line_no, obj["id"], obj["raw"]) for line_no, obj, _ in rows))

@@ -216,7 +216,7 @@ def score_corpus(rows: Iterable[dict], judge: Judge) -> tuple[list[dict], float]
     """Score {"id", "edited", "reference"} rows; returns per-record results
     and the corpus mean score."""
     return summarize_scores(
-        [(row["id"], score_editing(row["edited"], row["reference"], judge)) for row in rows]
+        [(str(row["id"]), score_editing(row["edited"], row["reference"], judge)) for row in rows]
     )
 
 

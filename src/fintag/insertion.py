@@ -142,7 +142,9 @@ def plan_errors(passage: str, config: InserterConfig | None = None, seed: int = 
 
 _MONTH_TITLES = tuple(m.title() for m in MONTH_NAMES)
 
-_CAP_SPAN_RE = re.compile(r"\b[A-Z][A-Za-z&'-]*(?:\s+[A-Z][A-Za-z&'-]*)+\b")
+# A run of capitalized words. The word boundary is checked behind the first
+# capital, not before it, so the engine can skip ahead to each capital.
+_CAP_SPAN_RE = re.compile(r"[A-Z](?<!\w.)[A-Za-z&'-]*(?:\s+[A-Z][A-Za-z&'-]*)+\b")
 
 _LEADING_STOPWORDS = {
     "The", "A", "An", "In", "On", "At", "As", "By", "For", "To", "Of",

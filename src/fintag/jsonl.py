@@ -55,6 +55,28 @@ def read_jsonl(
             skip(line_no, reason)
 
 
+def index_by_id(path: str | Path, rows: Iterable[tuple[int, object, object]]) -> dict:
+    """Map `str(id)` to `value` for the `(line_no, id, value)` rows read
+    from `path`, for a join on id. An id that repeats, also as another JSON
+    type (5 and "5"), raises `ValueError("<path>:<line_no>: duplicate id
+    '5' (first at line 1)")` rather than replacing the earlier row.
+    """
+    index: dict = {}
+    # The line of each id, in the order of `index`, packed eight bytes a
+    # line: only an error reads it, and a dict of ints would cost about 80
+    # bytes a row, enough to raise a stage's peak RSS.
+    lines = bytearray()
+    for line_no, rid, value in rows:
+        key = str(rid)
+        if key in index:
+            at = 8 * list(index).index(key)
+            first = int.from_bytes(lines[at:at + 8], "little")
+            raise ValueError(f"{path}:{line_no}: duplicate id {key!r} (first at line {first})")
+        index[key] = value
+        lines += line_no.to_bytes(8, "little")
+    return index
+
+
 def _field_error(obj: dict, fields: dict) -> str | None:
     for name, types in fields.items():
         types = types if isinstance(types, tuple) else (types,)

@@ -67,6 +67,10 @@ FAVA_EXTRA_STATEMENT_TAGS = ("invented", "subjective")
 
 _CHILD_NAMES = ("delete", "mark")
 
+# Tag names of the grammar, and those that open an editable tag; built once.
+_GRAMMAR_NAMES = frozenset([t.value for t in ErrorType] + list(_CHILD_NAMES))
+_EDITABLE_NAMES = frozenset(t.value for t in EDITABLE_TYPES)
+
 
 class Form(Enum):
     TAGGED_PASSAGE = "tagged_passage"
@@ -226,9 +230,7 @@ def contains_tag_token(text: str, extra_statement_tags: tuple = ()) -> bool:
 
 
 def _known_names(extra_statement_tags: tuple) -> frozenset:
-    return frozenset(
-        [t.value for t in ErrorType] + list(_CHILD_NAMES) + list(extra_statement_tags)
-    )
+    return _GRAMMAR_NAMES.union(extra_statement_tags) if extra_statement_tags else _GRAMMAR_NAMES
 
 
 def parse(
@@ -245,7 +247,6 @@ def parse(
     every input byte. Strict mode runs the same parse and raises ParseError
     from the first demotion.
     """
-    editable_names = {t.value for t in EDITABLE_TYPES}
     known = _known_names(extra_statement_tags)
 
     toks = [
@@ -281,7 +282,7 @@ def parse(
             demote(tok, ParseErrorKind.STRAY_CHILD, f"orphan {tok.raw} kept as text")
         else:
             try:
-                if tok.name in editable_names:
+                if tok.name in _EDITABLE_NAMES:
                     seg, i, pos, extra = _parse_edit(text, toks, i, form, known)
                 else:
                     seg, i, pos, extra = _parse_statement(text, toks, i, known)

@@ -13,6 +13,7 @@ stay deterministic and offline.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 MONTH_NAMES = (
     "january", "february", "march", "april", "may", "june",
@@ -20,18 +21,38 @@ MONTH_NAMES = (
 )
 QUARTER_ORDINALS = ("first", "second", "third", "fourth")
 
+# The first two digits a year may have; a year is one of them and two more.
+_CENTURIES = ("18", "19", "20")
+_FISCAL, _FY = "fiscal", "fy"
+_QUARTER_PREFIX = "q"
+
 _MONTH_ALT = "|".join(MONTH_NAMES)
-_YEAR = r"(?:1[89]\d\d|20\d\d)"
+_YEAR = rf"(?:{'|'.join(_CENTURIES)})\d\d"
 _DAY = r"\d{1,2}"
 _ORDINAL_QUARTER = rf"(?:{'|'.join(QUARTER_ORDINALS)})"
-_QUARTER_NUM = r"q[1-4]"
+_QUARTER_NUM = rf"{_QUARTER_PREFIX}[1-4]"
+
+
+def _word_scanner(alternation: str, leads: Iterable[str], flags: int = re.IGNORECASE) -> re.Pattern:
+    r"""Compile the prose scanner `\b(?:alternation)\b` so that it turns a
+    position away before it tries any alternative.
+
+    `leads` are the words the alternatives begin with. Each starts with a
+    word character, so `(?<!\w)` says what the leading `\b` said, and a
+    lookahead on the leads' first characters rejects every other word at
+    once. The matches are those of the `\b`-led pattern, which Python's
+    engine must try alternative by alternative at every word start.
+    """
+    first = "".join(sorted({re.escape(lead[0]) for lead in leads}))
+    return re.compile(rf"(?<!\w)(?=[{first}])(?:{alternation})\b", flags)
+
 
 YEAR_RE = re.compile(_YEAR)
-MONTH_RE = re.compile(rf"\b(?:{_MONTH_ALT})\b", re.IGNORECASE)
-ORDINAL_QUARTER_RE = re.compile(rf"\b{_ORDINAL_QUARTER}\b", re.IGNORECASE)
-QUARTER_NUM_RE = re.compile(rf"\b{_QUARTER_NUM}\b", re.IGNORECASE)
+MONTH_RE = _word_scanner(_MONTH_ALT, MONTH_NAMES)
+ORDINAL_QUARTER_RE = _word_scanner(_ORDINAL_QUARTER, QUARTER_ORDINALS)
+QUARTER_NUM_RE = _word_scanner(_QUARTER_NUM, (_QUARTER_PREFIX,))
 # Group 1 is the day of a month-name date ("March 28, 2019").
-DAY_OF_MONTH_RE = re.compile(rf"\b(?:{_MONTH_ALT})\s+({_DAY})\b", re.IGNORECASE)
+DAY_OF_MONTH_RE = _word_scanner(rf"(?:{_MONTH_ALT})\s+({_DAY})", MONTH_NAMES)
 
 # Span shapes used to decide what an edited span "looks like". These are
 # fullmatch patterns over a trimmed span, not prose scanners.
@@ -39,7 +60,7 @@ TEMPORAL_SPAN_RE = re.compile(
     rf"""(?:
         (?:{_MONTH_ALT})(?:\s+{_DAY}\s*,?)?(?:\s+{_YEAR})?
         | {_YEAR}(?:\s*[-–]\s*{_YEAR})?
-        | (?:fiscal(?:\s+year)?|fy)\s*{_YEAR}
+        | (?:{_FISCAL}(?:\s+year)?|{_FY})\s*{_YEAR}
         | {_QUARTER_NUM}(?:\s+(?:of\s+)?{_YEAR})?
         | {_ORDINAL_QUARTER}\s+quarter(?:\s+of\s+{_YEAR})?
     )""",
@@ -48,16 +69,17 @@ TEMPORAL_SPAN_RE = re.compile(
 
 # Prose scanner for the date sites the rule-based inserter perturbs; a
 # narrower, word-bounded cousin of TEMPORAL_SPAN_RE.
-TEMPORAL_SITE_RE = re.compile(
-    rf"""\b(?:
+TEMPORAL_SITE_RE = _word_scanner(
+    rf"""
         (?:{_MONTH_ALT})\s+{_DAY},?\s+{_YEAR}
         | (?:{_MONTH_ALT})\s+{_YEAR}
-        | fiscal(?:\s+year)?\s+{_YEAR}
-        | fy\s?{_YEAR}
+        | {_FISCAL}(?:\s+year)?\s+{_YEAR}
+        | {_FY}\s?{_YEAR}
         | {_QUARTER_NUM}\s+{_YEAR}
         | {_ORDINAL_QUARTER}\s+quarter(?:\s+of\s+{_YEAR})?
         | {_YEAR}
-    )\b""",
+    """,
+    (*MONTH_NAMES, _FISCAL, _FY, _QUARTER_PREFIX, *QUARTER_ORDINALS, *_CENTURIES),
     re.IGNORECASE | re.VERBOSE,
 )
 
@@ -160,9 +182,8 @@ for _a, _b in ANTONYM_PAIRS:
     ANTONYMS.setdefault(_a, _b)
     ANTONYMS.setdefault(_b, _a)
 
-RELATION_WORD_RE = re.compile(
-    r"\b(?:" + "|".join(sorted((re.escape(w) for w in ANTONYMS), key=len, reverse=True)) + r")\b",
-    re.IGNORECASE,
+RELATION_WORD_RE = _word_scanner(
+    "|".join(sorted((re.escape(w) for w in ANTONYMS), key=len, reverse=True)), ANTONYMS
 )
 
 

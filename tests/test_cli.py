@@ -91,6 +91,9 @@ def _stage_argv(tmp_path, stage):
     if stage == "fix":
         assert dispatch(["insert", "--input", str(qa), "--output", str(records)]) == 0
         return ["fix", "--input", str(records), "--output", str(tmp_path / "fixed.jsonl")]
+    if stage == "split":
+        return ["split", "--input", str(qa), "--train-out", str(tmp_path / "train.jsonl"),
+                "--val-out", str(tmp_path / "val.jsonl")]
     if stage == "eval-edit":
         rows = _edit_rows(tmp_path / "rows.jsonl")
         return ["eval-edit", "--input", str(rows), "--judge", "containment",
@@ -111,6 +114,7 @@ def _stage_argv(tmp_path, stage):
         ("eval-edit", "edit_eval", ("insertion", "quality", "corpus", "detect_eval", "llm_client")),
         ("fix", "quality", ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client")),
         ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client")),
+        ("split", "partition", ("corpus", "quality", "markup", "patterns", "prompts")),
     ],
 )
 def test_stage_loads_only_the_layers_it_runs(tmp_path, capsys, stage, runs, unloaded):
@@ -451,6 +455,62 @@ def test_eval_edit_fails_when_the_judge_fails_every_unit(tmp_path, capsys, monke
                      "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert "fintag: error: the containment judge failed on all 3 units" in err
+    assert not out.exists()
+
+
+def test_eval_edit_writes_each_id_as_a_string(tmp_path, capsys):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(
+        "".join(json.dumps({"id": rid, "edited": WORKED_ORIGINAL, "reference": WORKED_ORIGINAL}) + "\n"
+                for rid in (5, "e2")),
+        encoding="utf-8",
+    )
+    out = tmp_path / "edit.json"
+    assert dispatch(["eval-edit", "--input", str(rows), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert [r["id"] for r in json.loads(out.read_text(encoding="utf-8"))["records"]] == ["5", "e2"]
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("first_id, repeat_id", [("g0", "g0"), (5, "5")])
+@pytest.mark.parametrize("repeated", ["gold", "pred"])
+def test_eval_detect_rejects_a_repeated_id(tmp_path, capsys, repeated, first_id, repeat_id):
+    plain = "Revenue was flat."
+    rows = {"gold": [{"id": "g1", "target": plain}], "pred": [{"id": "g1", "raw": plain}]}
+    field = "target" if repeated == "gold" else "raw"
+    rows[repeated] = [
+        {"id": first_id, field: plain}, *rows[repeated], {"id": repeat_id, field: WORKED_TARGET}
+    ]
+    gold = _write_rows(tmp_path / "gold.jsonl", rows["gold"])
+    pred = _write_rows(tmp_path / "pred.jsonl", rows["pred"])
+    out = tmp_path / "detect.json"
+    assert dispatch(["eval-detect", "--gold", gold, "--pred", pred, "--output", str(out)]) == 1
+    path = gold if repeated == "gold" else pred
+    assert capsys.readouterr().err == (
+        f"fintag: error: {path}:3: duplicate id {str(first_id)!r} (first at line 1)\n"
+    )
+    assert not out.exists()
+
+
+def test_pairs_rejects_a_repeated_qa_id(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=3)
+    # A blank line and a skipped row still count in line numbers.
+    qa.write_text(
+        qa.read_text(encoding="utf-8") + "\n" + '{"id": "qa9"}\n'
+        + json.dumps({"id": "qa1", "documents": ["d"], "question": "q", "response": "r"}) + "\n",
+        encoding="utf-8",
+    )
+    inserted = tmp_path / "records.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(inserted)]) == 0
+    out = tmp_path / "pairs.jsonl"
+    capsys.readouterr()
+    assert dispatch(["pairs", "--records", str(inserted), "--qa", str(qa), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"fintag: error: {qa}:6: duplicate id 'qa1' (first at line 2)\n"
     assert not out.exists()
 
 

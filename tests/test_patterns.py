@@ -4,6 +4,8 @@ and the rule that `patterns` is their only home."""
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -12,9 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fintag
+from fintag import insertion, patterns
 from fintag.patterns import (
+    _DAY,
+    _MONTH_ALT,
     _NUM_CORE,
+    ANTONYMS,
+    MONTH_NAMES,
     NUMBER_TOKEN_RE,
+    QUARTER_ORDINALS,
     extract_numbers,
     is_numeric_span,
     normalize_number,
@@ -162,3 +170,89 @@ def test_only_the_patterns_module_spells_a_digit_class():
     }
     assert found == {}
 
+
+# Oracles: each prose scanner in its plain form, a leading `\b` and then the
+# alternation, with no first-character guard. A guarded scanner must find
+# exactly what its oracle finds.
+_ORACLE_YEAR = r"(?:1[89]\d\d|20\d\d)"
+_ORACLE_ORDINAL = rf"(?:{'|'.join(QUARTER_ORDINALS)})"
+_ORACLES = {
+    "RELATION_WORD_RE": re.compile(
+        r"\b(?:" + "|".join(sorted((re.escape(w) for w in ANTONYMS), key=len, reverse=True)) + r")\b",
+        re.IGNORECASE,
+    ),
+    "TEMPORAL_SITE_RE": re.compile(
+        rf"""\b(?:
+            (?:{_MONTH_ALT})\s+{_DAY},?\s+{_ORACLE_YEAR}
+            | (?:{_MONTH_ALT})\s+{_ORACLE_YEAR}
+            | fiscal(?:\s+year)?\s+{_ORACLE_YEAR}
+            | fy\s?{_ORACLE_YEAR}
+            | q[1-4]\s+{_ORACLE_YEAR}
+            | {_ORACLE_ORDINAL}\s+quarter(?:\s+of\s+{_ORACLE_YEAR})?
+            | {_ORACLE_YEAR}
+        )\b""",
+        re.IGNORECASE | re.VERBOSE,
+    ),
+    "DAY_OF_MONTH_RE": re.compile(rf"\b(?:{_MONTH_ALT})\s+({_DAY})\b", re.IGNORECASE),
+    "MONTH_RE": re.compile(rf"\b(?:{_MONTH_ALT})\b", re.IGNORECASE),
+    "ORDINAL_QUARTER_RE": re.compile(rf"\b{_ORACLE_ORDINAL}\b", re.IGNORECASE),
+    "QUARTER_NUM_RE": re.compile(r"\bq[1-4]\b", re.IGNORECASE),
+    "YEAR_RE": re.compile(_ORACLE_YEAR),
+    "_CAP_SPAN_RE": re.compile(r"\b[A-Z][A-Za-z&'-]*(?:\s+[A-Z][A-Za-z&'-]*)+\b"),
+}
+
+_SCANNER_WORDS = sorted({
+    *ANTONYMS, *MONTH_NAMES, *QUARTER_ORDINALS, "quarter", "of", "year", "fiscal", "fy",
+    "q", "q1", "q4", "q5", "1799", "1899", "1999", "2024", "2105", "28", "7", "holdings", "the",
+})
+# Characters that case-fold onto ASCII letters the scanners spell (long s,
+# Kelvin sign, dotted capital I), a dotless i, other letters and digits to
+# glue onto words, and prose punctuation.
+_ODD = ["ſ", "\u212a", "İ", "ı", "é", "x", "Z", "_", "0", "9", "&", "'", "-", "$", "%"]
+_SEPARATORS = ["", "", " ", "  ", ", ", ". ", "\n", "\t", "-", "/"]
+
+
+@st.composite
+def _scanner_word(draw):
+    word = draw(st.sampled_from(_SCANNER_WORDS))
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    word = "".join(c.upper() if up else c for c, up in zip(word, upper))
+    for ascii_letter, lookalike in (("s", "ſ"), ("k", "\u212a"), ("i", "İ"), ("I", "İ")):
+        if draw(st.booleans()) and draw(st.booleans()):
+            word = word.replace(ascii_letter, lookalike)
+    return word
+
+
+_SCANNER_TEXT = st.lists(
+    st.tuples(_scanner_word() | st.sampled_from(_ODD), st.sampled_from(_SEPARATORS)), max_size=14
+).map(lambda parts: "".join(token + sep for token, sep in parts))
+
+
+def _scanner(name):
+    return getattr(insertion if name == "_CAP_SPAN_RE" else patterns, name)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLES))
+@settings(max_examples=200, deadline=None)
+@given(text=_SCANNER_TEXT)
+def test_guarded_scanner_finds_what_the_word_bounded_oracle_finds(name, text):
+    def found(pattern):
+        return [(m.span(), m.groups()) for m in pattern.finditer(text)]
+
+    assert found(_scanner(name)) == found(_ORACLES[name])
+
+
+def test_no_word_list_scanner_bypasses_the_guard():
+    # A case-blind `\b(?:a|b|...)` scanner tries every alternative at every
+    # word start; each one is built by `patterns._word_scanner` instead.
+    package = Path(fintag.__file__).parent
+    unguarded = [
+        f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "__init__"
+        for name, value in vars(importlib.import_module(f"fintag.{path.stem}")).items()
+        if isinstance(value, re.Pattern)
+        and value.flags & re.IGNORECASE
+        and value.pattern.lstrip().startswith(r"\b(?:")
+    ]
+    assert unguarded == []
