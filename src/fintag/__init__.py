@@ -22,8 +22,9 @@ class FintagError(Exception):
 
 # Home submodule -> the public names it exports through the package.
 _EXPORTS = {
+    "taxonomy": ("ErrorType",),
     "markup": (
-        "Edit", "ErrorType", "Form", "ParseError", "ParseResult", "ParseWarning",
+        "Edit", "Form", "ParseError", "ParseResult", "ParseWarning",
         "Segment", "Statement", "TaggedDocument", "TagSpan", "Text",
         "derive_erroneous", "derive_original", "parse", "serialize", "to_target_output",
     ),

@@ -156,11 +156,11 @@ def _section_kwargs(path: str, section, cls, derived: str, extra: dict | None = 
 
 def _inserter_config(cp, path: str | None):
     from .insertion import InserterConfig
-    from .markup import ErrorType
+    from .taxonomy import KINDS
 
     if not cp.has_section("inserter"):
         return InserterConfig()
-    weight_keys = {f"weight.{kind.value}": kind for kind in ErrorType}
+    weight_keys = {f"weight.{row.kind.value}": row.kind for row in KINDS}
     kwargs = _section_kwargs(
         path, cp["inserter"], InserterConfig, "type_weights", dict.fromkeys(weight_keys, float)
     )
@@ -210,7 +210,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _cmd_insert(args) -> int:
-    from .corpus import IngestStats, filter_grounded, ingest
+    from .corpus import IngestStats, filter_grounded, qa_by_id
     from .insertion import (
         InsertionFailure,
         insert_llm,
@@ -225,7 +225,7 @@ def _cmd_insert(args) -> int:
     stats = IngestStats()
     qa_records = [
         qa
-        for qa in ingest(args.input, args.source, stats=stats)
+        for qa in qa_by_id(args.input, args.source, stats).values()
         if args.no_ground_filter or filter_grounded(qa, stats=stats)
     ]
     exemplars = load_exemplars(args.exemplars) if args.exemplars else None
@@ -440,13 +440,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_eval_detect(args) -> int:
-    from .detect_eval import (
-        DEFAULT_LABELS,
-        FAVA_LABELS,
-        evaluate_corpus,
-        read_gold_documents,
-        read_predictions,
-    )
+    from .detect_eval import evaluate_corpus, read_gold_documents, read_predictions
+    from .taxonomy import DEFAULT_LABELS, FAVA_LABELS
 
     labels = FAVA_LABELS if args.label_set == "fava" else DEFAULT_LABELS
     gold = read_gold_documents(args.gold, labels)

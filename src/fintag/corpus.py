@@ -16,6 +16,7 @@ from .partition import split  # noqa: F401  (corpus.split stays importable)
 from .patterns import extract_numbers
 from .prompts import build_detection_prompt, passage_of_prompt
 from .quality import TaggedRecord
+from .taxonomy import KINDS
 
 log = logging.getLogger(__name__)
 
@@ -94,10 +95,12 @@ def ingest(
             yield QARecord(str(rid), tuple(documents), str(question), response, source_label)
 
 
-def qa_by_id(path: str | Path, source_label: str = "") -> dict[str, QARecord]:
-    """The valid QA records of `path` by id, for a join. A repeated id
+def qa_by_id(
+    path: str | Path, source_label: str = "", stats: IngestStats | None = None
+) -> dict[str, QARecord]:
+    """The valid QA records of `path` by id, in file order. A repeated id
     raises `ValueError` naming both lines."""
-    stats = IngestStats()
+    stats = stats if stats is not None else IngestStats()
     records = ingest(path, source_label, stats=stats)
     return index_by_id(path, ((stats.line_no, qa.id, qa) for qa in records))
 
@@ -180,16 +183,6 @@ def read_pairs(path: str | Path) -> list[TrainingPair]:
     ]
 
 
-_KIND_ROWS = (
-    ("numerical", "Numerical Errors"),
-    ("temporal", "Temporal Errors"),
-    ("entity", "Entity Errors"),
-    ("relation", "Relation Errors"),
-    ("contradictory", "Contradictory Statements"),
-    ("unverifiable", "Unverifiable Statements"),
-)
-
-
 @dataclass(frozen=True)
 class SourceDistribution:
     passages: int
@@ -231,8 +224,10 @@ class DistributionReport:
 
         emit("Hallucinated", [d.hallucinated_pct for d in dists])
         emit("Non-hallucinated", [d.non_hallucinated_pct for d in dists])
-        for key, name in _KIND_ROWS:
-            emit(name, [d.kind_pct.get(key, 0.0) for d in dists])
+        for row in KINDS:
+            label = row.kind.value
+            title = f"{label.title()} {'Errors' if row.editable else 'Statements'}"
+            emit(title, [d.kind_pct.get(label, 0.0) for d in dists])
         return "\n".join(lines)
 
 

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .jsonl import index_by_id, read_jsonl
 from .markup import (
-    FAVA_EXTRA_STATEMENT_TAGS,
     Form,
     TaggedDocument,
     TagSpan,
@@ -27,19 +26,7 @@ from .markup import (
 )
 from .patterns import squash_ws
 from .prompts import strip_reply_envelope
-
-DEFAULT_LABELS = (
-    "numerical", "temporal", "entity", "relation", "contradictory", "unverifiable",
-)
-FAVA_LABELS = (
-    "entity", "relation", "contradictory", "invented", "subjective", "unverifiable",
-)
-
-_ABBREV = {
-    "numerical": "Num.", "temporal": "Tem.", "entity": "Ent.", "relation": "Rel.",
-    "contradictory": "Con.", "unverifiable": "Unv.", "invented": "Inv.",
-    "subjective": "Sub.",
-}
+from .taxonomy import DEFAULT_LABELS, FAVA_EXTRA_STATEMENT_TAGS
 
 
 def parse_prediction(raw: str, extra_statement_tags: tuple = ()) -> tuple[TaggedDocument, tuple]:
@@ -206,7 +193,7 @@ class DetectionReport:
         return payload
 
     def format_table(self) -> str:
-        columns = [_ABBREV.get(label, label[:3].title() + ".") for label in self.labels]
+        columns = [label[:3].title() + "." for label in self.labels]
         header = "Metric  " + "".join(c.rjust(8) for c in columns + ["Ov.", "Bi."])
         rows = []
         for name in ("precision", "recall", "f1"):

@@ -17,20 +17,13 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import FintagError
 from .jsonl import read_jsonl
-from .markup import (
-    Edit,
-    ErrorType,
-    Form,
-    Statement,
-    TaggedDocument,
-    Text,
-    parse,
-)
+from .markup import Edit, Form, Statement, TaggedDocument, Text, parse
 from .patterns import (
     DAY_OF_MONTH_RE,
     MONTH_NAMES,
@@ -45,32 +38,20 @@ from .patterns import (
     flip_relation_word,
     sentence_spans,
 )
-from .prompts import (
-    INSERTION_PROMPT_TEMPLATE,
-    INSERTION_SYSTEM_PROMPT,
-    TAG_DEFINITIONS,
-    strip_reply_envelope,
-)
+from .prompts import INSERTION_PROMPT_TEMPLATE, INSERTION_SYSTEM_PROMPT, strip_reply_envelope
 from .quality import TaggedRecord, fix
+from .taxonomy import KINDS, ErrorType
 
-# Kind weights proportional to the target corpus-wide error-type shares
-# (percent); the clean share is the target fraction of untouched passages.
-DEFAULT_TYPE_WEIGHTS: dict[ErrorType, float] = {
-    ErrorType.NUMERICAL: 20.0,
-    ErrorType.TEMPORAL: 30.8,
-    ErrorType.ENTITY: 13.6,
-    ErrorType.RELATION: 7.7,
-    ErrorType.CONTRADICTORY: 18.6,
-    ErrorType.UNVERIFIABLE: 9.2,
-}
-
+# The target fraction of untouched passages.
 DEFAULT_CLEAN_PROBABILITY = 0.325
 
 
 @dataclass(frozen=True)
 class InserterConfig:
     clean_probability: float = DEFAULT_CLEAN_PROBABILITY
-    type_weights: dict = field(default_factory=lambda: dict(DEFAULT_TYPE_WEIGHTS))
+    type_weights: dict = field(
+        default_factory=lambda: {row.kind: row.default_weight for row in KINDS}
+    )
     tokens_per_error: int = 60
     max_errors: int = 6
 
@@ -337,6 +318,47 @@ def _flip_sentence(sentence: str, rng: random.Random) -> str | None:
     return None
 
 
+class _Sites:
+    """The sites of one passage that the placers read, each scanned on first
+    use, so a record pays only for the scans its plan needs. The scans draw
+    nothing from the rng, so one that is never run changes no output."""
+
+    def __init__(self, passage: str, context: str):
+        self.passage = passage
+        self.context = context
+        self.end_ok = bool(passage) and not passage[-1].isspace()
+
+    @cached_property
+    def temporal(self) -> list:
+        return _temporal_sites(self.passage)
+
+    @cached_property
+    def numeric(self) -> list:
+        return _numeric_sites(self.passage, self.temporal)
+
+    @cached_property
+    def entity(self) -> list:
+        return _entity_sites(self.passage)
+
+    @cached_property
+    def context_entities(self) -> list:
+        return [cand for _, _, cand in _entity_sites(self.context)]
+
+    @cached_property
+    def relation(self) -> list:
+        return _relation_sites(self.passage)
+
+    @cached_property
+    def sentences(self) -> list:
+        return sentence_spans(self.passage)
+
+    @cached_property
+    def mid_points(self) -> list:
+        """Sentence starts that follow a single space."""
+        sents, passage = self.sentences, self.passage
+        return [s2 for (s, e), (s2, e2) in zip(sents, sents[1:]) if passage[e:s2] == " "]
+
+
 def insert_rule_based(
     passage: str,
     context: str,
@@ -363,31 +385,10 @@ def insert_rule_based(
     applied: list = []
     skipped: list = []
 
-    # Each scanner runs only when a planned kind reads its sites. The
-    # scanners draw nothing from `rng`, so skipping one changes no output.
-    kinds = plan.kinds
-    end_ok = bool(passage) and not passage[-1].isspace()
-    temporal_spans = (
-        _temporal_sites(passage)
-        if ErrorType.TEMPORAL in kinds or ErrorType.NUMERICAL in kinds
-        else []
-    )
-    numeric_spans = _numeric_sites(passage, temporal_spans) if ErrorType.NUMERICAL in kinds else []
-    entity_spans = _entity_sites(passage) if ErrorType.ENTITY in kinds else []
-    # Context names are harvested once per record, and only when there is
-    # a passage entity to replace.
-    context_entities = [cand for _, _, cand in _entity_sites(context)] if entity_spans else []
-    relation_spans = _relation_sites(passage) if ErrorType.RELATION in kinds else []
-    needs_sentences = ErrorType.CONTRADICTORY in kinds or (
-        ErrorType.UNVERIFIABLE in kinds and not end_ok
-    )
-    sents = sentence_spans(passage) if needs_sentences else []
-    mid_points = [
-        s2 for (s, e), (s2, e2) in zip(sents, sents[1:]) if passage[e:s2] == " "
-    ]
+    sites = _Sites(passage, context)
 
-    def place_edit(kind: ErrorType, sites: list, perturb) -> str | None:
-        free = [site for site in sites if not _overlaps(site[0], site[1], claimed)]
+    def place_edit(kind: ErrorType, candidates: list, perturb) -> str | None:
+        free = [site for site in candidates if not _overlaps(site[0], site[1], claimed)]
         rng.shuffle(free)
         for start, end, span in free:
             error = perturb(span)
@@ -400,19 +401,17 @@ def insert_rule_based(
     for kind in plan.kinds:
         reason: str | None
         if kind is ErrorType.NUMERICAL:
-            reason = place_edit(kind, numeric_spans, lambda s: _perturb_number_token(s, rng))
+            reason = place_edit(kind, sites.numeric, lambda s: _perturb_number_token(s, rng))
         elif kind is ErrorType.TEMPORAL:
-            reason = place_edit(kind, temporal_spans, lambda s: _perturb_temporal(s, rng))
+            reason = place_edit(kind, sites.temporal, lambda s: _perturb_temporal(s, rng))
         elif kind is ErrorType.ENTITY:
-            reason = _place_entity(entity_spans, context_entities, claimed, edits, rng)
+            reason = _place_entity(sites, claimed, edits, rng)
         elif kind is ErrorType.RELATION:
-            reason = place_edit(kind, relation_spans, flip_relation_word)
+            reason = place_edit(kind, sites.relation, flip_relation_word)
         elif kind is ErrorType.CONTRADICTORY:
-            reason = _place_contradictory(
-                passage, sents, mid_points, end_ok, claimed, statements, rng
-            )
+            reason = _place_contradictory(sites, claimed, statements, rng)
         else:
-            reason = _place_unverifiable(passage, mid_points, end_ok, statements, rng)
+            reason = _place_unverifiable(sites, statements, rng)
         if reason is None:
             applied.append(kind)
         else:
@@ -424,12 +423,12 @@ def insert_rule_based(
     return InsertionResult(record, plan, tuple(applied), tuple(skipped))
 
 
-def _place_entity(entity_spans, context_entities, claimed, edits, rng) -> str | None:
-    free = [site for site in entity_spans if not _overlaps(site[0], site[1], claimed)]
+def _place_entity(sites, claimed, edits, rng) -> str | None:
+    free = [site for site in sites.entity if not _overlaps(site[0], site[1], claimed)]
     if not free:
         return "no capitalized multi-word span"
     start, end, span = rng.choice(free)
-    harvested = [cand for cand in context_entities if cand.lower() != span.lower()]
+    harvested = [cand for cand in sites.context_entities if cand.lower() != span.lower()]
     pool = harvested or [e for e in FALLBACK_ENTITIES if e.lower() != span.lower()]
     replacement = rng.choice(pool)
     claimed.append((start, end))
@@ -437,7 +436,8 @@ def _place_entity(entity_spans, context_entities, claimed, edits, rng) -> str | 
     return None
 
 
-def _place_contradictory(passage, sents, mid_points, end_ok, claimed, statements, rng) -> str | None:
+def _place_contradictory(sites, claimed, statements, rng) -> str | None:
+    passage, sents, mid_points = sites.passage, sites.sentences, sites.mid_points
     candidates = []
     for idx, (s, e) in enumerate(sents):
         if idx + 1 < len(sents):
@@ -446,7 +446,7 @@ def _place_contradictory(passage, sents, mid_points, end_ok, claimed, statements
                 continue
             is_end = False
         else:
-            if not end_ok:
+            if not sites.end_ok:
                 continue
             point, is_end = len(passage), True
         has_edit = _overlaps(s, e, claimed)
@@ -465,16 +465,16 @@ def _place_contradictory(passage, sents, mid_points, end_ok, claimed, statements
     return "no flippable sentence"
 
 
-def _place_unverifiable(passage, mid_points, end_ok, statements, rng) -> str | None:
+def _place_unverifiable(sites, statements, rng) -> str | None:
     content = rng.choice(_SPECULATIVE_SENTENCES)
-    if end_ok:
-        statements.append((len(passage), len(statements), True, ErrorType.UNVERIFIABLE, content))
-        return None
-    if mid_points:
-        point = rng.choice(mid_points)
-        statements.append((point, len(statements), False, ErrorType.UNVERIFIABLE, content))
-        return None
-    return "no insertable boundary"
+    if sites.end_ok:
+        point, is_end = len(sites.passage), True
+    elif sites.mid_points:
+        point, is_end = rng.choice(sites.mid_points), False
+    else:
+        return "no insertable boundary"
+    statements.append((point, len(statements), is_end, ErrorType.UNVERIFIABLE, content))
+    return None
 
 
 def _build_segments(passage: str, edits: list, statements: list) -> list:
@@ -615,6 +615,7 @@ def build_insertion_prompt(
     for ex in exemplar_pool if exemplar_pool is not None else DEFAULT_EXEMPLARS:
         pool.setdefault(ex.kind, []).append(ex)
     rng = random.Random(f"prompt:{seed}")
+    # Enum order, not display order: replay cache keys hash this prompt.
     planned = [t for t in ErrorType if t in set(plan.kinds)]
     blocks = []
     for kind in planned:
@@ -623,7 +624,7 @@ def build_insertion_prompt(
             raise MissingExemplar(f"no exemplar for kind {kind.value!r}")
         ex = rng.choice(candidates)
         blocks.append(f"[{kind.value}]\nPassage: {ex.passage}\nTagged: {ex.tagged}")
-    definitions = "\n".join(f"- {TAG_DEFINITIONS[kind]}" for kind in planned)
+    definitions = "\n".join(f"- {kind.row.definition}" for kind in planned)
     kinds_label = ", ".join(kind.value for kind in plan.kinds)
     return INSERTION_PROMPT_TEMPLATE.format(
         count=plan.count,

@@ -1,13 +1,10 @@
 """Inline error-tag markup: grammar, parser, serializer, and the passage
 renderings derived from a tagged document.
 
-The grammar is deliberately small and flat. Six error tags exist:
-
-    <temporal> <numerical> <entity> <relation>     (editable)
-    <contradictory> <unverifiable>                 (statement-level)
-
-An editable tag wraps exactly one ``<delete>`` and one ``<mark>`` child and
-nothing else; a statement-level tag wraps plain text. No other nesting is
+The grammar is deliberately small and flat. Each kind of `fintag.taxonomy`
+has one error tag, editable or statement-level as its row says. An editable
+tag wraps exactly one ``<delete>`` and one ``<mark>`` child and nothing
+else; a statement-level tag wraps plain text. No other nesting is
 legal, tags carry no attributes, and names are lowercase ASCII.
 
 A document has one of two forms that differ only in which child holds the
@@ -34,42 +31,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-
-class ErrorType(Enum):
-    """The six error kinds of the tag taxonomy."""
-
-    TEMPORAL = "temporal"
-    NUMERICAL = "numerical"
-    ENTITY = "entity"
-    RELATION = "relation"
-    CONTRADICTORY = "contradictory"
-    UNVERIFIABLE = "unverifiable"
-
-    @property
-    def editable(self) -> bool:
-        return self in _EDITABLE_SET
-
-    @property
-    def statement_level(self) -> bool:
-        return self not in _EDITABLE_SET
-
-
-_EDITABLE_SET = frozenset(
-    {ErrorType.TEMPORAL, ErrorType.NUMERICAL, ErrorType.ENTITY, ErrorType.RELATION}
-)
-
-EDITABLE_TYPES = tuple(t for t in ErrorType if t.editable)
-STATEMENT_TYPES = tuple(t for t in ErrorType if t.statement_level)
-
-# Extra statement-level labels accepted only when scoring corpora annotated
-# with the FAVA taxonomy; they never occur in documents this package emits.
-FAVA_EXTRA_STATEMENT_TAGS = ("invented", "subjective")
+from .taxonomy import KINDS, ErrorType
 
 _CHILD_NAMES = ("delete", "mark")
 
 # Tag names of the grammar, and those that open an editable tag; built once.
 _GRAMMAR_NAMES = frozenset([t.value for t in ErrorType] + list(_CHILD_NAMES))
-_EDITABLE_NAMES = frozenset(t.value for t in EDITABLE_TYPES)
+_EDITABLE_NAMES = frozenset(row.kind.value for row in KINDS if row.editable)
 
 
 class Form(Enum):

@@ -13,55 +13,9 @@ import json
 import re
 from typing import Sequence
 
-from .markup import ErrorType
+from .taxonomy import KINDS
 
-TAG_DEFINITIONS: dict[ErrorType, str] = {
-    ErrorType.NUMERICAL: (
-        "numerical errors (<numerical>): a wrong quantity, percentage, ratio, "
-        "total or other numerical value, e.g. from a miscalculation, misread "
-        "figure, bad rounding, or mixed-up units."
-    ),
-    ErrorType.TEMPORAL: (
-        "temporal errors (<temporal>): a wrong date, year, quarter, fiscal "
-        "period or event ordering, typically figures quoted from the wrong "
-        "time period."
-    ),
-    ErrorType.ENTITY: (
-        "entity errors (<entity>): a company, organization, location, product "
-        "or financial instrument referenced incorrectly; usually a short noun "
-        "phrase of 1-3 words."
-    ),
-    ErrorType.RELATION: (
-        "relational errors (<relation>): a misstated relationship between "
-        "entities or financial concepts (ownership, causality, comparison, "
-        "direction of change); often a verb flipped to its opposite."
-    ),
-    ErrorType.CONTRADICTORY: (
-        "contradictory sentence errors (<contradictory>): an entire sentence "
-        "that conflicts with the given reference or with another part of the "
-        "response and can be proven false from it."
-    ),
-    ErrorType.UNVERIFIABLE: (
-        "unverifiable sentences (<unverifiable>): a sentence that cannot be "
-        "confirmed or denied from the reference or any authoritative source; "
-        "speculative, vague or invented content."
-    ),
-}
-
-_DEFINITION_BLOCK = "\n".join(
-    f"{i}. {TAG_DEFINITIONS[kind]}"
-    for i, kind in enumerate(
-        (
-            ErrorType.NUMERICAL,
-            ErrorType.TEMPORAL,
-            ErrorType.ENTITY,
-            ErrorType.RELATION,
-            ErrorType.CONTRADICTORY,
-            ErrorType.UNVERIFIABLE,
-        ),
-        start=1,
-    )
-)
+_DEFINITION_BLOCK = "\n".join(f"{i}. {row.definition}" for i, row in enumerate(KINDS, start=1))
 
 _WORKED_EXAMPLE = """\
 Passage: Halcyon Systems' revenue reached $1.7 billion in Q3 2024, a 14% \

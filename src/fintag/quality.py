@@ -24,7 +24,6 @@ from typing import Iterable, Iterator
 from .jsonl import read_jsonl, write_jsonl
 from .markup import (
     Edit,
-    ErrorType,
     Form,
     ParseWarning,
     Statement,
@@ -36,6 +35,7 @@ from .markup import (
     serialize,
 )
 from .patterns import ANTONYMS, is_numeric_span, is_temporal_span, squash_ws
+from .taxonomy import ErrorType
 
 # An IncorrectType finding is acted on only at or above this confidence;
 # the rule cascade returns 0.95 for shape matches, 0.5 for the fallback.

@@ -43,7 +43,6 @@ from fintag.detect_eval import (
 )
 from fintag.edit_eval import containment_judge, score_editing
 from fintag.insertion import (
-    DEFAULT_TYPE_WEIGHTS,
     InsertionPlan,
     insert_llm,
     insert_rule_based,
@@ -51,7 +50,6 @@ from fintag.insertion import (
 )
 from fintag.llm_client import ClientProfile, LlmClient
 from fintag.markup import (
-    ErrorType,
     Form,
     TagSpan,
     Text,
@@ -62,6 +60,7 @@ from fintag.markup import (
     to_target_output,
 )
 from fintag.quality import IssueKind, TaggedRecord, check, fix, write_records
+from fintag.taxonomy import KINDS, ErrorType
 
 
 @contextmanager
@@ -216,8 +215,9 @@ def test_criterion_6_distribution_reproduction():
         assert total.hallucinated_pct + total.non_hallucinated_pct == 100.0
         assert abs(sum(total.kind_pct.values()) - 100.0) <= 0.5
 
-        weight_sum = sum(DEFAULT_TYPE_WEIGHTS.values())
-        for kind, weight in DEFAULT_TYPE_WEIGHTS.items():
+        weights = {row.kind: row.default_weight for row in KINDS}
+        weight_sum = sum(weights.values())
+        for kind, weight in weights.items():
             target = 100.0 * weight / weight_sum
             got = total.kind_pct.get(kind.value, 0.0)
             assert abs(got - target) <= 2.0, (kind.value, got, target)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import threading
+from pathlib import Path
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -114,7 +115,7 @@ def _stage_argv(tmp_path, stage):
         ("eval-edit", "edit_eval", ("insertion", "quality", "corpus", "detect_eval", "llm_client")),
         ("fix", "quality", ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client")),
         ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client")),
-        ("split", "partition", ("corpus", "quality", "markup", "patterns", "prompts")),
+        ("split", "partition", ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy")),
     ],
 )
 def test_stage_loads_only_the_layers_it_runs(tmp_path, capsys, stage, runs, unloaded):
@@ -185,6 +186,8 @@ _INI = _INSERT + ["--config", "fintag.ini"]
                      "expected a JSON object of record id to source label", id="sources-int-label"),
         pytest.param(_REPORT, {"records.jsonl": [_RECORD], "sources.json": '{"a": '}, "sources.json",
                      "bad JSON (Expecting value)", id="sources-bad-json"),
+        pytest.param(_INSERT, {"qa.jsonl": [_QA | {"id": "a"}, _QA | {"id": "a"}]},
+                     "qa.jsonl:2", "duplicate id 'a' (first at line 1)", id="insert-duplicate-id"),
         pytest.param(_INI, {"qa.jsonl": [_QA], "fintag.ini": "[inserter]\nmax_error = 3\n"},
                      "fintag.ini", "[inserter] unknown key 'max_error'", id="ini-max-error"),
         pytest.param(_INI, {"qa.jsonl": [_QA], "fintag.ini": "[inserter]\nweight.numerica = 2\n"},
@@ -499,14 +502,15 @@ def test_eval_detect_rejects_a_repeated_id(tmp_path, capsys, repeated, first_id,
 def test_pairs_rejects_a_repeated_qa_id(tmp_path, capsys):
     qa = tmp_path / "qa.jsonl"
     _qa_file(qa, n=3)
-    # A blank line and a skipped row still count in line numbers.
+    inserted = tmp_path / "records.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(inserted)]) == 0
+    # `insert` rejects the repeat too, so it is added after the records are
+    # written. A blank line and a skipped row still count in line numbers.
     qa.write_text(
         qa.read_text(encoding="utf-8") + "\n" + '{"id": "qa9"}\n'
         + json.dumps({"id": "qa1", "documents": ["d"], "question": "q", "response": "r"}) + "\n",
         encoding="utf-8",
     )
-    inserted = tmp_path / "records.jsonl"
-    assert dispatch(["insert", "--input", str(qa), "--output", str(inserted)]) == 0
     out = tmp_path / "pairs.jsonl"
     capsys.readouterr()
     assert dispatch(["pairs", "--records", str(inserted), "--qa", str(qa), "--output", str(out)]) == 1
@@ -566,7 +570,8 @@ class _StubEndpoint(BaseHTTPRequestHandler):
 
     def do_POST(self):
         from fintag.insertion import InsertionPlan, insert_rule_based
-        from fintag.markup import ErrorType, serialize
+        from fintag.markup import serialize
+        from fintag.taxonomy import ErrorType
 
         type(self).calls += 1
         length = int(self.headers["Content-Length"])
@@ -629,6 +634,46 @@ def test_insert_llm_mode_round_robin_and_cache(tmp_path, capsys, stub_endpoint):
         if "_meta" in r:
             continue
         assert "<numerical>" in r["tagged"]
+
+
+def _readme_ini() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_writes_the_no_config_records(tmp_path, capsys):
+    # README's [inserter] block spells out every default, weights included,
+    # so it must plan and echo exactly what no config does.
+    assert "weight.numerical = 20.0" in _readme_ini()
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=40, seed=3)
+    config = tmp_path / "fintag.ini"
+    config.write_text(_readme_ini(), encoding="utf-8")
+    outputs = []
+    for extra in ([], ["--config", str(config)]):
+        records = tmp_path / f"records-{len(extra)}.jsonl"
+        assert dispatch(["insert", "--input", str(qa), "--output", str(records), "--seed", "3",
+                         *extra]) == 0
+        outputs.append(records.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+def test_a_weight_left_out_of_the_config_excludes_its_kind(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=30, seed=6)
+    config = tmp_path / "fintag.ini"
+    config.write_text("[inserter]\nweight.temporal = 30.8\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(records),
+                     "--config", str(config)]) == 0
+    capsys.readouterr()
+    meta = json.loads(records.read_text(encoding="utf-8").splitlines()[0])["_meta"]
+    assert meta["config"]["type_weights"] == {"temporal": 30.8}
+    assert dispatch(["report", "--input", str(records)]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert [row.split()[-1] for row in rows] == ["0.0%", "100.0%", "0.0%", "0.0%", "0.0%", "0.0%"]
+    assert rows[1].startswith("Temporal Errors ")
 
 
 def test_rule_insert_bytes_do_not_depend_on_the_hash_seed(tmp_path):

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import WORKED_TARGET, oracle_counts, random_spans
 from fintag.detect_eval import (
-    DEFAULT_LABELS,
-    FAVA_LABELS,
     align,
     align_spans,
     combine_reports,
@@ -22,7 +20,8 @@ from fintag.detect_eval import (
     score,
     strip_reply_envelope,
 )
-from fintag.markup import FAVA_EXTRA_STATEMENT_TAGS, ErrorType, Form, TagSpan, parse
+from fintag.markup import Form, TagSpan, parse
+from fintag.taxonomy import DEFAULT_LABELS, FAVA_EXTRA_STATEMENT_TAGS, FAVA_LABELS, ErrorType
 
 
 class TestParsePrediction:

@@ -28,8 +28,9 @@ from fintag.edit_eval import (
 )
 from fintag.insertion import InsertionPlan, insert_rule_based
 from fintag.llm_client import ClientProfile, CompletionReply, LlmClient
-from fintag.markup import ErrorType, derive_erroneous, serialize, to_target_output
+from fintag.markup import derive_erroneous, serialize, to_target_output
 from fintag.patterns import ANTONYMS, RELATION_WORD_RE, extract_numbers
+from fintag.taxonomy import ErrorType
 
 
 class TestSplitFacts:

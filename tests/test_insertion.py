@@ -20,7 +20,6 @@ from conftest import (
 )
 from fintag import insertion
 from fintag.insertion import (
-    DEFAULT_TYPE_WEIGHTS,
     InserterConfig,
     InsertionFailure,
     InsertionPlan,
@@ -33,7 +32,6 @@ from fintag.insertion import (
 from fintag.llm_client import CompletionReply
 from fintag.markup import (
     Edit,
-    ErrorType,
     Statement,
     derive_erroneous,
     derive_original,
@@ -41,6 +39,7 @@ from fintag.markup import (
 )
 from fintag.patterns import NUMBER_TOKEN_RE, YEAR_RE
 from fintag.quality import check
+from fintag.taxonomy import KINDS, ErrorType
 
 
 def _plan(*kinds, seed=0):
@@ -109,8 +108,9 @@ class TestPlanErrors:
         clean_pct = 100.0 * clean / n
         assert abs(clean_pct - 32.5) <= 2.0
         total = sum(kinds.values())
-        weight_sum = sum(DEFAULT_TYPE_WEIGHTS.values())
-        for kind, weight in DEFAULT_TYPE_WEIGHTS.items():
+        weights = {row.kind: row.default_weight for row in KINDS}
+        weight_sum = sum(weights.values())
+        for kind, weight in weights.items():
             share = 100.0 * kinds[kind] / total
             target = 100.0 * weight / weight_sum
             assert abs(share - target) <= 2.0, (kind, share, target)

@@ -151,10 +151,11 @@ def _read_cache(path):
 
 def _readers():
     from fintag.corpus import ingest, read_pairs
-    from fintag.detect_eval import FAVA_LABELS, read_gold_documents, read_predictions
+    from fintag.detect_eval import read_gold_documents, read_predictions
     from fintag.edit_eval import containment_judge, read_editing_rows, score_editing
     from fintag.insertion import load_exemplars
     from fintag.quality import read_records
+    from fintag.taxonomy import FAVA_LABELS
 
     def score_rows(path):
         return [score_editing(r["edited"], r["reference"], containment_judge)

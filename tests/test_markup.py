@@ -24,11 +24,7 @@ from conftest import (
 )
 from fintag import markup
 from fintag.markup import (
-    EDITABLE_TYPES,
-    FAVA_EXTRA_STATEMENT_TAGS,
-    STATEMENT_TYPES,
     Edit,
-    ErrorType,
     Form,
     ParseError,
     ParseErrorKind,
@@ -42,15 +38,18 @@ from fintag.markup import (
     serialize,
     to_target_output,
 )
+from fintag.taxonomy import FAVA_EXTRA_STATEMENT_TAGS, ErrorType
+
+_EDITABLE_TYPES = [t for t in ErrorType if t.row.editable]
+_STATEMENT_TYPES = [t for t in ErrorType if not t.row.editable]
 
 
 def test_error_type_has_exactly_six_members():
     assert len(ErrorType) == 6
-    editable = {t for t in ErrorType if t.editable}
-    assert editable == {
+    assert set(_EDITABLE_TYPES) == {
         ErrorType.TEMPORAL, ErrorType.NUMERICAL, ErrorType.ENTITY, ErrorType.RELATION
     }
-    assert all(t.statement_level for t in ErrorType if t not in editable)
+    assert set(_STATEMENT_TYPES) == {ErrorType.CONTRADICTORY, ErrorType.UNVERIFIABLE}
 
 
 class TestWorkedExample:
@@ -327,7 +326,7 @@ _EDIT_MARKUP = st.builds(
         f"<{kind.value}>{gaps[0]}" + gaps[1].join(children[::-1] if swap else children)
         + f"{gaps[2]}</{kind.value}>"
     ),
-    st.sampled_from(EDITABLE_TYPES),
+    st.sampled_from(_EDITABLE_TYPES),
     st.tuples(_GAP, _GAP, _GAP),
     st.tuples(_PIECE.map("<delete>{}</delete>".format), _PIECE.map("<mark>{}</mark>".format)),
     st.booleans(),
@@ -352,8 +351,8 @@ _TAG_SHAPE_RE = re.compile(r"<(/?)([A-Za-z]+)>")
 _CONTENT = st.text(st.sampled_from("ab <>/\n\u2003é2,.$%"), max_size=8)
 _SEGMENT = st.one_of(
     st.builds(Text, _CONTENT),
-    st.builds(Edit, st.sampled_from(EDITABLE_TYPES), _CONTENT, _CONTENT),
-    st.builds(Statement, st.sampled_from(STATEMENT_TYPES), _CONTENT),
+    st.builds(Edit, st.sampled_from(_EDITABLE_TYPES), _CONTENT, _CONTENT),
+    st.builds(Statement, st.sampled_from(_STATEMENT_TYPES), _CONTENT),
 )
 _DOCUMENTS = st.builds(
     TaggedDocument, st.lists(_SEGMENT, max_size=8).map(tuple), st.sampled_from(list(Form))

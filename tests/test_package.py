@@ -62,6 +62,22 @@ def test_only_the_jsonl_module_spells_the_meta_key():
     assert spelled == {"jsonl.py"}
 
 
+def test_only_the_taxonomy_module_spells_a_kind_name():
+    # Every other spelling of a kind or a FAVA label (tag names, row titles,
+    # column labels, config keys) is derived from the taxonomy's rows; a
+    # module that spells one keeps a second copy of the taxonomy.
+    from fintag.taxonomy import FAVA_LABELS, ErrorType
+
+    names = {kind.value for kind in ErrorType} | set(FAVA_LABELS)
+    package = Path(fintag.__file__).parent
+    spelled = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names:
+                spelled.add(path.name)
+    assert spelled == {"taxonomy.py"}
+
+
 def test_every_jsonl_read_declares_its_fields():
     # A reader that passes no field table hands unchecked rows on; only
     # `split`, which copies lines verbatim, reads rows it does not use.

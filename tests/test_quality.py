@@ -19,7 +19,7 @@ from conftest import (
     make_context,
     make_passage,
 )
-from fintag.markup import ErrorType, Text, derive_erroneous, derive_original, parse, serialize
+from fintag.markup import Text, derive_erroneous, derive_original, parse, serialize
 from fintag.quality import (
     IssueKind,
     QualityTally,
@@ -30,6 +30,7 @@ from fintag.quality import (
     read_records,
     write_records,
 )
+from fintag.taxonomy import ErrorType
 
 
 def _record(tagged: str, original: str, rid: str = "r1", provenance: str = "test"):
