@@ -197,7 +197,10 @@ def _meta(command: str, **extra) -> dict:
 def _write_text(path: str | None, text: str) -> None:
     """Write `text` and a newline to `path`, or print it to stdout."""
     if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        from .jsonl import open_output
+
+        with open_output(path) as fh:
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -210,7 +213,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _cmd_insert(args) -> int:
-    from .corpus import IngestStats, filter_grounded, qa_by_id
+    from .corpus import IngestStats, filter_grounded, unique_qa
     from .insertion import (
         InsertionFailure,
         insert_llm,
@@ -222,59 +225,70 @@ def _cmd_insert(args) -> int:
 
     cp = _load_ini(args.config)
     config = _inserter_config(cp, args.config)
-    stats = IngestStats()
-    qa_records = [
-        qa
-        for qa in qa_by_id(args.input, args.source, stats).values()
-        if args.no_ground_filter or filter_grounded(qa, stats=stats)
-    ]
     exemplars = load_exemplars(args.exemplars) if args.exemplars else None
+    if args.mode == "llm":
+        profiles = _client_profiles(cp, args.config)
+        if not profiles:
+            raise ValueError("llm mode needs at least one [client:...] config section")
+        from .llm_client import LlmClient
 
-    records = []
-    failures = 0
-    skips = 0
-    if args.mode == "rule":
-        for i, qa in enumerate(qa_records):
+        clients = [LlmClient(profile) for profile in profiles]
+    stats = IngestStats()
+    kept = skips = failures = 0
+    ids = []
+
+    def grounded():
+        """(index, QA record) for each record that passes the filter."""
+        nonlocal kept
+        for qa in unique_qa(args.input, args.source, stats):
+            if args.no_ground_filter or filter_grounded(qa, stats=stats):
+                kept += 1
+                yield kept - 1, qa
+
+    def rule_records():
+        nonlocal skips
+        for i, qa in grounded():
             plan = plan_errors(qa.response, config, seed=args.seed + i)
             result = insert_rule_based(
                 qa.response, qa.reference, plan, seed=args.seed + i, record_id=qa.id
             )
             skips += len(result.skipped)
-            records.append(result.record)
-    else:
-        profiles = _client_profiles(cp, args.config)
-        if not profiles:
-            raise ValueError("llm mode needs at least one [client:...] config section")
+            yield result.record
+
+    def run(item):
+        i, qa = item
+        plan = plan_errors(qa.response, config, seed=args.seed + i)
+        client = clients[i % len(clients)]
+        try:
+            return insert_llm(
+                qa.response,
+                qa.reference,
+                plan,
+                client,
+                max_retries=args.max_retries,
+                exemplar_pool=exemplars,
+                record_id=qa.id,
+            )
+        except InsertionFailure:
+            return None
+
+    def llm_records():
+        nonlocal failures
         from concurrent.futures import ThreadPoolExecutor
 
-        from .llm_client import LlmClient
-
-        clients = [LlmClient(profile) for profile in profiles]
-
-        def run(item):
-            i, qa = item
-            plan = plan_errors(qa.response, config, seed=args.seed + i)
-            client = clients[i % len(clients)]
-            try:
-                return insert_llm(
-                    qa.response,
-                    qa.reference,
-                    plan,
-                    client,
-                    max_retries=args.max_retries,
-                    exemplar_pool=exemplars,
-                    record_id=qa.id,
-                )
-            except InsertionFailure:
-                return None
-
         with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            for record in pool.map(run, enumerate(qa_records)):  # input order kept
+            for record in _in_order(pool, run, grounded()):
                 if record is None:
                     failures += 1
                 else:
-                    records.append(record)
+                    yield record
 
+    def tracked(records):
+        for record in records:
+            ids.append(record.id)
+            yield record
+
+    records = rule_records() if args.mode == "rule" else llm_records()
     meta = _meta(
         "insert",
         seed=args.seed,
@@ -282,15 +296,31 @@ def _cmd_insert(args) -> int:
         source=args.source,
         config=_config_echo(config),
     )
-    write_records(args.output, records, meta=meta)
+    written = write_records(args.output, tracked(records) if args.sources_out else records, meta=meta)
     if args.sources_out:
-        _write_json(args.sources_out, {r.id: args.source for r in records})
+        _write_json(args.sources_out, dict.fromkeys(ids, args.source))
     print(
-        f"insert: read={stats.read} kept={len(qa_records)} skipped_lines={stats.skipped} "
-        f"records={len(records)} site_skips={skips} failures={failures}",
+        f"insert: read={stats.read} kept={kept} skipped_lines={stats.skipped} "
+        f"records={written} site_skips={skips} failures={failures}",
         file=sys.stderr,
     )
     return 0
+
+
+def _in_order(pool, fn, items, burst: int = 128):
+    """`fn(item)` for each item, run in `pool` and yielded in input order.
+    Items are submitted a burst at a time, the next burst while the last
+    one's results are read, so at most two bursts are held. A window of
+    four items in flight, refilled one item per result read, cost a warm
+    `insert --mode llm` replay about 25% more CPU."""
+    from itertools import islice
+
+    items = iter(items)
+    ahead = [pool.submit(fn, item) for item in islice(items, burst)]
+    while ahead:
+        current, ahead = ahead, [pool.submit(fn, item) for item in islice(items, burst)]
+        for future in current:
+            yield future.result()
 
 
 def _cmd_validate(args) -> int:
@@ -327,25 +357,27 @@ def _cmd_fix(args) -> int:
     from .quality import QualityTally, fix, read_records, write_records
 
     tally = QualityTally()
-    fixed_records = []
     discarded = []
-    for record, warnings in read_records(args.input):
-        outcome = fix(record, warnings)
-        tally.add(record.provenance or "unknown", outcome.issues, discarded=not outcome.fixed)
-        if outcome.fixed:
-            fixed_records.append(outcome.record)
-        else:
-            discarded.append(
-                {"id": record.id, "reasons": [i.kind.value for i in outcome.reasons]}
-            )
+
+    def fixed():
+        for record, warnings in read_records(args.input):
+            outcome = fix(record, warnings)
+            tally.add(record.provenance or "unknown", outcome.issues, discarded=not outcome.fixed)
+            if outcome.fixed:
+                yield outcome.record
+            else:
+                discarded.append(
+                    {"id": record.id, "reasons": [i.kind.value for i in outcome.reasons]}
+                )
+
     meta = _meta("fix", seed=args.seed)
-    write_records(args.output, fixed_records, meta=meta)
+    kept = write_records(args.output, fixed(), meta=meta)
     if args.discarded:
         write_jsonl(args.discarded, discarded, meta=meta)
     if args.tally:
         _write_json(args.tally, {"meta": _meta("fix"), "tally": tally.to_json()})
     print(
-        f"fix: kept={len(fixed_records)} discarded={len(discarded)}\n{tally.format_table()}",
+        f"fix: kept={kept} discarded={len(discarded)}\n{tally.format_table()}",
         file=sys.stderr,
     )
     return 0
@@ -375,46 +407,49 @@ def _cmd_derive(args) -> int:
             print(f"warning: {w.message}", file=sys.stderr)
         _write_text(args.output, _derive_text(doc, args.form))
         return 0
-    rows = [
+    rows = (
         {"id": record.id, "text": _derive_text(record.doc, args.form)}
         for record, _ in read_records(args.input)
-    ]
+    )
     write_jsonl(args.output, rows, meta=_meta("derive", form=args.form))
     return 0
 
 
 def _cmd_split(args) -> int:
-    from .jsonl import read_jsonl, write_jsonl
+    from .jsonl import line_at, read_jsonl, write_jsonl
     from .partition import split as split_records
 
-    # Kept lines are copied verbatim, not re-encoded.
-    lines = [text for _, _, text in read_jsonl(args.input)]
-    train, val = split_records(lines, ratio=args.ratio, seed=args.seed)
+    # Only each line's byte span is kept; kept lines are copied verbatim.
+    spans = [span for _, _, span in read_jsonl(args.input, spans=True)]
+    train, val = split_records(spans, ratio=args.ratio, seed=args.seed)
     meta = _meta("split", seed=args.seed, ratio=args.ratio)
-    write_jsonl(args.train_out, train, meta)
-    write_jsonl(args.val_out, val, meta)
+    with open(args.input, "rb") as fh:
+        write_jsonl(args.train_out, (line_at(fh, span) for span in train), meta)
+        write_jsonl(args.val_out, (line_at(fh, span) for span in val), meta)
     print(f"split: train={len(train)} val={len(val)}", file=sys.stderr)
     return 0
 
 
 def _cmd_pairs(args) -> int:
-    from .corpus import emit_training_pair, qa_by_id, write_pairs
+    from .corpus import emit_training_pair, join_qa, write_pairs
     from .quality import check, read_records
 
-    qa_of = qa_by_id(args.qa, args.source)
-    pairs = []
-    for record, warnings in read_records(args.records):
-        issues = check(record, warnings)
-        if issues:
-            print(f"pairs: skipping {record.id}: fails quality gate", file=sys.stderr)
-            continue
-        qa = qa_of.get(record.id)
-        if qa is None:
-            print(f"pairs: skipping {record.id}: no QA source", file=sys.stderr)
-            continue
-        pairs.append(emit_training_pair(record, qa))
-    write_pairs(args.output, pairs, meta=_meta("pairs", source=args.source))
-    print(f"pairs: wrote {len(pairs)}", file=sys.stderr)
+    def gated():
+        for record, warnings in read_records(args.records):
+            if check(record, warnings):
+                print(f"pairs: skipping {record.id}: fails quality gate", file=sys.stderr)
+            else:
+                yield record.id, record
+
+    def pairs():
+        for record, qa in join_qa(args.qa, gated(), args.source):
+            if qa is None:
+                print(f"pairs: skipping {record.id}: no QA source", file=sys.stderr)
+            else:
+                yield emit_training_pair(record, qa)
+
+    count = write_pairs(args.output, pairs(), meta=_meta("pairs", source=args.source))
+    print(f"pairs: wrote {count}", file=sys.stderr)
     return 0
 
 
@@ -422,7 +457,6 @@ def _cmd_report(args) -> int:
     from .corpus import distribution_report
     from .quality import read_records
 
-    records = [record for record, _ in read_records(args.input)]
     source_of = None
     if args.sources:
         try:
@@ -431,7 +465,7 @@ def _cmd_report(args) -> int:
             raise ValueError(f"{args.sources}: bad JSON ({exc.msg})") from None
         if not isinstance(source_of, dict) or not all(isinstance(v, str) for v in source_of.values()):
             raise ValueError(f"{args.sources}: expected a JSON object of record id to source label")
-    report = distribution_report(records, source_of)
+    report = distribution_report((record for record, _ in read_records(args.input)), source_of)
     if args.format == "json":
         _write_json(args.output, {"meta": _meta("report"), **report.to_json()})
     else:

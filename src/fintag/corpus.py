@@ -5,24 +5,22 @@ and report error-type distributions.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .jsonl import index_by_id, read_jsonl, write_jsonl
+from .jsonl import read_jsonl, row_at, unique_ids, write_jsonl
 from .markup import derive_erroneous, label_of, serialize, to_target_output
 from .partition import split  # noqa: F401  (corpus.split stays importable)
-from .patterns import extract_numbers
+from .patterns import numbers_within
 from .prompts import build_detection_prompt, passage_of_prompt
 from .quality import TaggedRecord
 from .taxonomy import KINDS
 
-log = logging.getLogger(__name__)
-
 __all__ = [
     "QARecord", "IngestStats", "TrainingPair", "DistributionReport",
-    "SourceDistribution", "ingest", "qa_by_id", "write_qa_records", "filter_grounded",
+    "SourceDistribution", "ingest", "unique_qa", "join_qa", "qa_at", "write_qa_records",
+    "filter_grounded",
     "split", "emit_training_pair", "distribution_report", "write_pairs",
     "read_pairs", "passage_of_prompt",
 ]
@@ -50,7 +48,8 @@ class IngestStats:
     skipped: int = 0
     hook_failures: int = 0
     reasons: list = field(default_factory=list)
-    line_no: int = 0  # the line of the row read last
+    line_no: int = 0  # the line of the record yielded last
+    span: tuple = (0, 0)  # and its (offset, length) in bytes
 
     @property
     def read(self) -> int:
@@ -64,6 +63,13 @@ class IngestStats:
 
 
 _QA_FIELDS = {"id": (str, int), "documents": (str, list), "question": object, "response": str}
+_QA_KEYS = tuple(_QA_FIELDS)
+
+
+def _qa_record(obj: dict, keys, source_label: str) -> QARecord:
+    rid, documents, question, response = (obj[key] for key in keys)
+    documents = (documents,) if isinstance(documents, str) else tuple(documents)
+    return QARecord(str(rid), documents, str(question), response, source_label)
 
 
 def ingest(
@@ -74,35 +80,73 @@ def ingest(
 ) -> Iterator[QARecord]:
     """Yield validated QA records from a JSONL file.
 
-    Malformed lines (bad JSON, not an object, a missing or wrong-typed
-    field, empty response, no documents) are skipped with a counted
-    warning in `stats`. `field_map` renames source keys onto the expected
+    Malformed lines (not UTF-8, bad JSON, not an object, a missing or
+    wrong-typed field, empty response, no documents) are skipped with a
+    counted warning in `stats`, which also holds the line and byte span of
+    the row yielded last. `field_map` renames source keys onto the expected
     schema, e.g. {"documents": "context"} for corpora laid out differently.
     """
     stats = stats if stats is not None else IngestStats()
-    keys = {name: (field_map or {}).get(name, name) for name in _QA_FIELDS}
-    fields = {keys[name]: types for name, types in _QA_FIELDS.items()}
-    for line_no, obj, _ in read_jsonl(path, skip=stats.skip, fields=fields):
-        stats.line_no = line_no
-        rid, documents, question, response = (obj[key] for key in keys.values())
-        documents = [documents] if isinstance(documents, str) else documents
-        if not documents or not all(isinstance(d, str) for d in documents):
+    keys = tuple((field_map or {}).get(name, name) for name in _QA_KEYS)
+    fields = dict(zip(keys, _QA_FIELDS.values()))
+    for line_no, obj, span in read_jsonl(path, skip=stats.skip, fields=fields, spans=True):
+        qa = _qa_record(obj, keys, source_label)
+        if not qa.documents or not all(isinstance(d, str) for d in qa.documents):
             stats.skip(line_no, "documents must be a nonempty list of strings")
-        elif not response.strip():
+        elif not qa.response.strip():
             stats.skip(line_no, "response must be a nonempty string")
         else:
             stats.kept += 1
-            yield QARecord(str(rid), tuple(documents), str(question), response, source_label)
+            stats.line_no, stats.span = line_no, span
+            yield qa
 
 
-def qa_by_id(
+def unique_qa(
     path: str | Path, source_label: str = "", stats: IngestStats | None = None
-) -> dict[str, QARecord]:
-    """The valid QA records of `path` by id, in file order. A repeated id
-    raises `ValueError` naming both lines."""
+) -> Iterator[QARecord]:
+    """The valid QA records of `path` in file order, as `ingest` yields
+    them, keeping only their ids. A repeated id raises `ValueError` naming
+    both lines."""
     stats = stats if stats is not None else IngestStats()
-    records = ingest(path, source_label, stats=stats)
-    return index_by_id(path, ((stats.line_no, qa.id, qa) for qa in records))
+    rows = ((stats.line_no, qa.id, qa) for qa in ingest(path, source_label, stats=stats))
+    for _, _, qa in unique_ids(path, rows):
+        yield qa
+
+
+def join_qa(
+    path: str | Path, keyed: Iterable[tuple[str, object]], source_label: str = ""
+) -> Iterator[tuple[object, QARecord | None]]:
+    """Yield `(item, qa)` for each `(id, item)` of `keyed`, where `qa` is
+    the valid QA record of `path` with that id, or None. `path` is read
+    once, in file order and only as far as the ids ask, keeping the byte
+    span of each record read; a record asked for after it was read is read
+    again at its span (`qa_at`). Ids in file order thus decode each QA row
+    once. A repeated QA id raises `ValueError` naming both lines, also
+    when it comes after the last id asked for."""
+    stats = IngestStats()
+    spans: dict = {}
+    qa = None
+
+    def rows():
+        nonlocal qa
+        for qa in ingest(path, source_label, stats=stats):
+            yield stats.line_no, qa.id, stats.span
+
+    ahead = unique_ids(path, rows(), spans)
+    with open(path, "rb") as fh:
+        for key, item in keyed:
+            if key in spans:
+                yield item, qa_at(fh, spans[key], source_label)
+            else:
+                yield item, qa if any(rid == key for _, rid, _ in ahead) else None
+        for _ in ahead:  # the duplicate check covers the whole file
+            pass
+
+
+def qa_at(fh, span: tuple[int, int], source_label: str = "") -> QARecord:
+    """The QA record `ingest` read at `span` (`IngestStats.span`) of the QA
+    file open in binary mode as `fh`."""
+    return _qa_record(row_at(fh, span), _QA_KEYS, source_label)
 
 
 def write_qa_records(path: str | Path, records: Iterable[QARecord]) -> int:
@@ -131,14 +175,13 @@ def filter_grounded(
         try:
             return bool(hook(record))
         except Exception as exc:
-            log.warning("grounding hook failed for %s: %s", record.id, exc)
+            import logging
+
+            logging.getLogger(__name__).warning("grounding hook failed for %s: %s", record.id, exc)
             if stats is not None:
                 stats.hook_failures += 1
             return True
-    response_numbers = extract_numbers(record.response)
-    if not response_numbers:
-        return True
-    return response_numbers <= extract_numbers(record.reference)
+    return numbers_within(record.response, record.reference)
 
 
 @dataclass(frozen=True)
@@ -231,14 +274,7 @@ class DistributionReport:
         return "\n".join(lines)
 
 
-def _distribution(records: list) -> SourceDistribution:
-    passages = len(records)
-    tagged = sum(1 for r in records if r.doc.has_tags)
-    kind_counts: dict[str, int] = {}
-    for r in records:
-        for kind in r.doc.kinds():
-            label = label_of(kind)
-            kind_counts[label] = kind_counts.get(label, 0) + 1
+def _distribution(passages: int, tagged: int, kind_counts: dict) -> SourceDistribution:
     tags = sum(kind_counts.values())
     return SourceDistribution(
         passages=passages,
@@ -253,13 +289,22 @@ def distribution_report(
     records: Iterable[TaggedRecord], source_of: dict | None = None
 ) -> DistributionReport:
     """Passage-level hallucinated share and tag-level kind shares, per
-    source and in total."""
-    records = list(records)
+    source and in total, counted in one pass over `records`."""
     source_of = source_of or {}
-    by_source: dict[str, list] = {}
+    # Per source, then in total: [passages, tagged passages, tags per kind].
+    counts: dict[str, list] = {}
+    total = [0, 0, {}]
     for r in records:
-        by_source.setdefault(source_of.get(r.id, "all"), []).append(r)
+        label = source_of.get(r.id, "all")
+        row = counts.get(label) or counts.setdefault(label, [0, 0, {}])
+        tagged = r.doc.has_tags
+        kinds = [label_of(kind) for kind in r.doc.kinds()]
+        for tally in (row, total):
+            tally[0] += 1
+            tally[1] += tagged
+            for kind in kinds:
+                tally[2][kind] = tally[2].get(kind, 0) + 1
     return DistributionReport(
-        sources={label: _distribution(rs) for label, rs in by_source.items()},
-        total=_distribution(records),
+        sources={label: _distribution(*row) for label, row in counts.items()},
+        total=_distribution(*total),
     )

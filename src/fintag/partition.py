@@ -1,11 +1,11 @@
-"""The deterministic train/validation split. It imports only `random` and
-`fractions`, so the `split` stage loads nothing else of the package but
-the JSONL envelope."""
+"""The deterministic train/validation split. It imports only `random`
+(and `fractions` when it splits), so the `split` stage loads nothing else
+of the package but the JSONL envelope, and a stage that imports `corpus`,
+which re-exports `split`, does not load `fractions`."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Iterable
 
 
@@ -15,6 +15,8 @@ def split(records: Iterable, ratio: float = 0.95, seed: int = 0) -> tuple[list, 
     The validation size is floor(n * (1 - ratio)), so the partition differs
     from the exact ratio by less than one record; disjoint and exhaustive.
     """
+    from fractions import Fraction
+
     if not 0 < ratio < 1:
         raise ValueError("ratio must be strictly between 0 and 1")
     items = list(records)

@@ -147,6 +147,22 @@ def extract_numbers(text: str) -> set[str]:
     return {_canonical_number(core) for core in set(_NUMBER_CORE_RE.findall(text))}
 
 
+def numbers_within(text: str, reference: str) -> bool:
+    """`extract_numbers(text) <= extract_numbers(reference)`, the grounding
+    test. A number core spelled the same in both has the same value, so
+    only when some core of `text` is missing from `reference` as spelled
+    ("1000" against "1,000") are the cores normalized."""
+    cores = set(_NUMBER_CORE_RE.findall(text))
+    if not cores:
+        return True
+    reference_cores = set(_NUMBER_CORE_RE.findall(reference))
+    missing = cores - reference_cores
+    if not missing:
+        return True
+    values = {_canonical_number(core) for core in reference_cores}
+    return all(_canonical_number(core) in values for core in missing)
+
+
 # Relation words whose flip inverts the claim. Kept symmetric: the mapping
 # contains both directions of every pair.
 ANTONYM_PAIRS = (

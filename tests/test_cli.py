@@ -60,17 +60,23 @@ def test_cli_import_leaves_http_stack_unloaded():
     assert _run_probe(probe).strip() == "False"
 
 
+# Standard modules that no build stage but `insert --mode llm` and `split`
+# needs: each costs a stage process several milliseconds to import.
+_STDLIB_WATCHED = ("logging", "fractions")
+
 _LOADED_PROBE = (
     "import json, sys\n"
     "from fintag.cli import main\n"
     "rc = main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'fintag')))\n"
+    f"watched = ('fintag',) + {_STDLIB_WATCHED!r}\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in watched)))\n"
     "sys.exit(rc)\n"
 )
 
 
 def _stage_modules(tmp_path, *argv):
-    """The fintag modules a CLI stage process has loaded when it ends."""
+    """The fintag modules, and the watched standard ones, a CLI stage
+    process has loaded when it ends."""
     return set(json.loads(_run_probe(_LOADED_PROBE, *argv, cwd=tmp_path).splitlines()[-1]))
 
 
@@ -89,9 +95,15 @@ def _stage_argv(tmp_path, stage):
     records = tmp_path / "records.jsonl"
     if stage == "insert":
         return ["insert", "--input", str(qa), "--output", str(records)]
-    if stage == "fix":
+    if stage in ("fix", "pairs", "report"):
         assert dispatch(["insert", "--input", str(qa), "--output", str(records)]) == 0
+    if stage == "fix":
         return ["fix", "--input", str(records), "--output", str(tmp_path / "fixed.jsonl")]
+    if stage == "pairs":
+        return ["pairs", "--records", str(records), "--qa", str(qa),
+                "--output", str(tmp_path / "pairs.jsonl")]
+    if stage == "report":
+        return ["report", "--input", str(records), "--output", str(tmp_path / "report.txt")]
     if stage == "split":
         return ["split", "--input", str(qa), "--train-out", str(tmp_path / "train.jsonl"),
                 "--val-out", str(tmp_path / "val.jsonl")]
@@ -114,15 +126,18 @@ def _stage_argv(tmp_path, stage):
         ("eval-detect", "detect_eval", ("insertion", "quality", "corpus", "edit_eval", "llm_client")),
         ("eval-edit", "edit_eval", ("insertion", "quality", "corpus", "detect_eval", "llm_client")),
         ("fix", "quality", ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client")),
-        ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client")),
-        ("split", "partition", ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy")),
+        ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
+        ("split", "partition",
+         ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy", "logging")),
+        ("pairs", "corpus", ("insertion", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
+        ("report", "corpus", ("insertion", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
     ],
 )
 def test_stage_loads_only_the_layers_it_runs(tmp_path, capsys, stage, runs, unloaded):
     loaded = _stage_modules(tmp_path, *_stage_argv(tmp_path, stage))
     capsys.readouterr()
     assert f"fintag.{runs}" in loaded
-    assert not loaded & {f"fintag.{name}" for name in unloaded}
+    assert not loaded & {name if name in _STDLIB_WATCHED else f"fintag.{name}" for name in unloaded}
 
 
 def test_usage_error_exits_2(capsys):
@@ -188,6 +203,8 @@ _INI = _INSERT + ["--config", "fintag.ini"]
                      "bad JSON (Expecting value)", id="sources-bad-json"),
         pytest.param(_INSERT, {"qa.jsonl": [_QA | {"id": "a"}, _QA | {"id": "a"}]},
                      "qa.jsonl:2", "duplicate id 'a' (first at line 1)", id="insert-duplicate-id"),
+        pytest.param(_FIX, {"records.jsonl": json.dumps(_RECORD).encode() + b'\n{"id": "\xff"}\n'},
+                     "records.jsonl:2", "not UTF-8", id="fix-not-utf8"),
         pytest.param(_INI, {"qa.jsonl": [_QA], "fintag.ini": "[inserter]\nmax_error = 3\n"},
                      "fintag.ini", "[inserter] unknown key 'max_error'", id="ini-max-error"),
         pytest.param(_INI, {"qa.jsonl": [_QA], "fintag.ini": "[inserter]\nweight.numerica = 2\n"},
@@ -204,8 +221,11 @@ _INI = _INSERT + ["--config", "fintag.ini"]
 )
 def test_bad_input_exits_1_naming_where(tmp_path, capsys, argv, files, where, reason):
     for name, content in files.items():
-        text = content if isinstance(content, str) else "".join(json.dumps(r) + "\n" for r in content)
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        if isinstance(content, list):
+            content = "".join(json.dumps(r) + "\n" for r in content)
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        (tmp_path / name).write_bytes(content)
     argv = [str(tmp_path / arg) if arg in files or arg == "out" else arg for arg in argv]
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
@@ -355,6 +375,16 @@ def test_insert_counts_a_non_object_line_as_skipped(tmp_path, capsys):
     _qa_file(qa, n=3)
     with open(qa, "a", encoding="utf-8") as fh:
         fh.write("5\n")
+    out = tmp_path / "records.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out)]) == 0
+    assert "read=4 kept=3 skipped_lines=1 records=3" in capsys.readouterr().err
+
+
+def test_insert_counts_a_line_that_is_not_utf8_as_skipped(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=3)
+    with open(qa, "ab") as fh:
+        fh.write(b'{"id": "q\xff", "documents": ["d"], "question": "q", "response": "r"}\n')
     out = tmp_path / "records.jsonl"
     assert dispatch(["insert", "--input", str(qa), "--output", str(out)]) == 0
     assert "read=4 kept=3 skipped_lines=1 records=3" in capsys.readouterr().err
@@ -601,6 +631,7 @@ def stub_endpoint():
     _StubEndpoint.calls = 0
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     server.shutdown()
+    server.server_close()
 
 
 def test_insert_llm_mode_round_robin_and_cache(tmp_path, capsys, stub_endpoint):
@@ -634,6 +665,24 @@ def test_insert_llm_mode_round_robin_and_cache(tmp_path, capsys, stub_endpoint):
         if "_meta" in r:
             continue
         assert "<numerical>" in r["tagged"]
+
+
+def test_pool_results_come_in_input_order_two_bursts_at_most():
+    from concurrent.futures import ThreadPoolExecutor
+
+    from fintag.cli import _in_order
+
+    drawn = []
+
+    def items():
+        for i in range(10):
+            drawn.append(i)
+            yield i
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        results = _in_order(pool, lambda i: i * i, items(), burst=3)
+        assert next(results) == 0 and len(drawn) == 6
+        assert list(results) == [i * i for i in range(1, 10)]
 
 
 def _readme_ini() -> str:

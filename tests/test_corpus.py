@@ -24,6 +24,7 @@ from fintag.corpus import (
     filter_grounded,
     ingest,
     passage_of_prompt,
+    join_qa,
     read_pairs,
     split,
     write_pairs,
@@ -150,6 +151,29 @@ class TestIngest:
         second = tmp_path / "second.jsonl"
         write_qa_records(second, loaded)
         assert first.read_text(encoding="utf-8") == second.read_text(encoding="utf-8")
+
+
+    @pytest.mark.parametrize("ids", [["1", "b"], ["b", "1"], ["x", "1", "b", "1"], []])
+    def test_join_gives_the_record_ingest_read_in_any_order(self, tmp_path, ids):
+        path = tmp_path / "qa.jsonl"
+        rows = [
+            json.dumps({"id": 1, "documents": "Sales were €5.", "question": 2, "response": "Up €5."}),
+            '{"id": "bad", "documents": []}',
+            "",
+            "\u2028" + json.dumps({"id": "b", "documents": ["d", "e"], "question": "q", "response": "r"}),
+        ]
+        path.write_bytes("\r\n".join(rows).encode("utf-8") + b"\r")
+        by_id = {qa.id: qa for qa in ingest(path, "finqa")}
+        joined = list(join_qa(path, ((rid, n) for n, rid in enumerate(ids)), "finqa"))
+        assert joined == [(n, by_id.get(rid)) for n, rid in enumerate(ids)]
+
+    def test_join_checks_ids_past_the_last_one_asked_for(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        row = {"documents": ["d"], "question": "q", "response": "r"}
+        path.write_text("".join(json.dumps(row | {"id": rid}) + "\n" for rid in ("a", "b", "a")),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"qa.jsonl:3: duplicate id 'a' \(first at line 1\)"):
+            list(join_qa(path, [("a", 0)]))
 
 
 class TestGroundingFilter:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fintag.jsonl import read_jsonl, write_jsonl
+from fintag.jsonl import line_at, read_jsonl, row_at, write_jsonl
 
 # Characters that split a line for some reader or another: file iteration
 # splits on "\n" and "\r", str.splitlines also on "\x85" and "\u2028".
@@ -34,6 +35,24 @@ def test_read_gives_back_what_write_wrote(tmp_path_factory, rows, meta):
     path = tmp_path_factory.getbasetemp() / "round-trip.jsonl"
     assert write_jsonl(path, rows, meta) == len(rows)
     assert [obj for _, obj, _ in read_jsonl(path)] == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(_ROWS, max_size=5), breaks=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=6,
+                                                         max_size=6))
+def test_spans_read_back_each_line_as_text_mode_splits_it(tmp_path_factory, rows, breaks):
+    # Line numbers and texts are those of a file read in text mode, which
+    # breaks lines at "\n", "\r" and "\r\n"; each span reads its line back.
+    path = tmp_path_factory.getbasetemp() / "spans.jsonl"
+    lines = ["", *(json.dumps(row, ensure_ascii=False) for row in rows)]
+    path.write_bytes("".join(line + brk for line, brk in zip(lines, breaks)).encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        expected = [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
+    assert [(no, text) for no, _, text in read_jsonl(path)] == expected
+    with open(path, "rb") as fh:
+        spans = list(read_jsonl(path, spans=True))
+        assert [line_at(fh, span) for _, _, span in spans] == [text for _, text in expected]
+        assert [row_at(fh, span) for _, _, span in spans] == [obj for _, obj, _ in spans] == rows
 
 
 def test_meta_and_blank_lines_are_skipped_anywhere(tmp_path):
@@ -75,11 +94,14 @@ def test_str_rows_are_written_as_given(tmp_path):
         ("[1, 2]", "not a JSON object"),
         ('{"id": "x\\ud800"}', "lone surrogate in a string (UTF-8 cannot encode it)"),
         ('{"\\udfff": 1}', "lone surrogate in a string (UTF-8 cannot encode it)"),
+        (b'{"id": "\xff"}', "not UTF-8"),
+        (b"\xef\xbb", "not UTF-8"),
     ],
 )
 def test_bad_line_raises_with_path_and_line(tmp_path, line, reason):
     path = tmp_path / "rows.jsonl"
-    path.write_text('{"id": 1}\n\n' + line + "\n", encoding="utf-8")
+    line = line if isinstance(line, bytes) else line.encode("utf-8")
+    path.write_bytes(b'{"id": 1}\n\n' + line + b"\n")
     with pytest.raises(ValueError) as info:
         list(read_jsonl(path))
     assert str(info.value) == f"{path}:3: {reason}"
@@ -211,3 +233,18 @@ def test_every_reader_reads_a_row_or_names_its_line(tmp_path_factory, reader, da
         read(path)
     except ValueError as exc:
         assert str(exc).startswith(f"{path}:1: ")
+
+
+@pytest.mark.parametrize("reader", sorted(_readers()))
+@settings(max_examples=60, deadline=None)
+@given(raw=st.binary(max_size=24) | st.sampled_from([b'{"id": "\xff"}', b"\x80", b'{"id": 1}\r\x85']))
+def test_every_reader_reads_raw_bytes_or_names_their_line(tmp_path_factory, reader, raw):
+    # Raw bytes may break into several lines ("\n", "\r") or not be UTF-8.
+    _, read = _readers()[reader]
+    path = tmp_path_factory.getbasetemp() / f"{reader}-raw.jsonl"
+    path.write_bytes(raw + b"\n")
+    try:
+        read(path)
+    except ValueError as exc:
+        where = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+        assert where and 1 <= int(where.group(1)) <= len(raw.splitlines()), str(exc)

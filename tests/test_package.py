@@ -80,15 +80,21 @@ def test_only_the_taxonomy_module_spells_a_kind_name():
 
 def test_every_jsonl_read_declares_its_fields():
     # A reader that passes no field table hands unchecked rows on; only
-    # `split`, which copies lines verbatim, reads rows it does not use.
+    # `split`, which copies lines verbatim, reads rows it does not use. The
+    # offset-reading form (`spans=True`) is held to the same rule: a row
+    # read back by its span (`line_at`, `row_at`) was checked when read.
     package = Path(fintag.__file__).parent
-    unchecked = set()
+    unchecked, by_span = set(), set()
     for path in package.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
-                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "read_jsonl"
-                        and not any(kw.arg == "fields" for kw in node.keywords)):
-                    unchecked.add(f"{path.stem}.{func.name}")
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "read_jsonl":
+                    keywords = {kw.arg for kw in node.keywords}
+                    if "fields" not in keywords:
+                        unchecked.add(f"{path.stem}.{func.name}")
+                    if "spans" in keywords:
+                        by_span.add(f"{path.stem}.{func.name}")
     assert unchecked == {"cli._cmd_split"}
+    assert by_span == {"corpus.ingest", "cli._cmd_split"}

@@ -26,6 +26,7 @@ from fintag.patterns import (
     extract_numbers,
     is_numeric_span,
     normalize_number,
+    numbers_within,
 )
 
 
@@ -119,6 +120,48 @@ def test_values_past_28_significant_digits_stay_exact():
     # Decimal.normalize rounded this to 12345678901234567890123456790.
     assert normalize_number("$12,345,678,901,234,567,890,123,456,789") == "12345678901234567890123456789"
     assert extract_numbers("0.12345678901234567890123456789") == {"0.12345678901234567890123456789"}
+
+
+# Spellings of one value: as drawn, ungrouped, zero-led, zero-trailed and
+# in Arabic-Indic digits.
+_RESPELL = (
+    lambda c: c,
+    lambda c: c.replace(",", ""),
+    lambda c: "0" + c,
+    lambda c: c + ("0" if "." in c else ".0"),
+    lambda c: c.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       cores=st.lists(_NUMBERS | st.from_regex(_NUM_CORE, fullmatch=True), min_size=1, max_size=5))
+def test_grounding_check_is_the_value_set_inclusion(data, cores):
+    def prose(max_size):
+        picked = data.draw(st.lists(st.tuples(st.sampled_from(cores), st.sampled_from(_RESPELL)),
+                                    max_size=max_size))
+        return "Sales were " + " and ".join(spell(core) for core, spell in picked) + "."
+
+    response, reference = prose(3), prose(6)
+    assert numbers_within(response, reference) == (extract_numbers(response) <= extract_numbers(reference))
+
+
+@pytest.mark.parametrize(
+    "response, reference, grounded",
+    [
+        ("It was 1,000.", "It was 1000.", True),
+        ("It was 1000.", "It was 1,000.", True),
+        ("In 012 units", "12 units", True),
+        ("$19.50", "19.5 million", True),
+        ("٣٠.٥٠%", "up 30.5%", True),
+        ("Flat.", "no figures", True),
+        ("It was 1,001.", "It was 1,000 and 1.", False),
+        ("19.05", "19.5", False),
+    ],
+)
+def test_grounding_check_reads_values_not_spellings(response, reference, grounded):
+    assert numbers_within(response, reference) is grounded
+    assert (extract_numbers(response) <= extract_numbers(reference)) is grounded
 
 
 @pytest.mark.parametrize("token", ["", "$", "abc", "1e5", "-3", "1,2,3"])
