@@ -28,9 +28,12 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    from .jsonl import outputs_together
+
     # FintagError covers ClientError and InsertionFailure.
     try:
-        return args.handler(args)
+        with outputs_together():  # a stage writes all its outputs or none
+            return args.handler(args)
     except (OSError, ValueError, KeyError, FintagError) as exc:
         print(f"fintag: error: {exc}", file=sys.stderr)
         return 1
@@ -233,6 +236,9 @@ def _cmd_insert(args) -> int:
         from .llm_client import LlmClient
 
         clients = [LlmClient(profile) for profile in profiles]
+        # Every id is checked before the first model call is paid for.
+        for _ in unique_qa(args.input, args.source):
+            pass
     stats = IngestStats()
     kept = skips = failures = 0
     ids = []
@@ -416,16 +422,24 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    import os
+    import stat
+    from contextlib import nullcontext
+    from functools import partial
+
     from .jsonl import line_at, read_jsonl, write_jsonl
     from .partition import split as split_records
 
-    # Only each line's byte span is kept; kept lines are copied verbatim.
-    spans = [span for _, _, span in read_jsonl(args.input, spans=True)]
-    train, val = split_records(spans, ratio=args.ratio, seed=args.seed)
+    # Only each line's byte span is kept, and kept lines are read back
+    # verbatim; a pipe cannot be read twice, so its lines are kept instead.
+    regular = stat.S_ISREG(os.stat(args.input).st_mode)
+    rows = [row for _, _, row in read_jsonl(args.input, spans=regular)]
+    train, val = split_records(rows, ratio=args.ratio, seed=args.seed)
     meta = _meta("split", seed=args.seed, ratio=args.ratio)
-    with open(args.input, "rb") as fh:
-        write_jsonl(args.train_out, (line_at(fh, span) for span in train), meta)
-        write_jsonl(args.val_out, (line_at(fh, span) for span in val), meta)
+    with open(args.input, "rb") if regular else nullcontext() as fh:
+        line = partial(line_at, fh) if regular else str
+        write_jsonl(args.train_out, map(line, train), meta)
+        write_jsonl(args.val_out, map(line, val), meta)
     print(f"split: train={len(train)} val={len(val)}", file=sys.stderr)
     return 0
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .jsonl import read_jsonl, row_at, unique_ids, write_jsonl
+from .jsonl import index_by_id, read_jsonl, row_at, unique_ids, write_jsonl
 from .markup import derive_erroneous, label_of, serialize, to_target_output
 from .partition import split  # noqa: F401  (corpus.split stays importable)
 from .patterns import numbers_within
@@ -48,8 +48,6 @@ class IngestStats:
     skipped: int = 0
     hook_failures: int = 0
     reasons: list = field(default_factory=list)
-    line_no: int = 0  # the line of the record yielded last
-    span: tuple = (0, 0)  # and its (offset, length) in bytes
 
     @property
     def read(self) -> int:
@@ -77,14 +75,17 @@ def ingest(
     source_label: str = "",
     field_map: dict | None = None,
     stats: IngestStats | None = None,
+    spans: bool = False,
 ) -> Iterator[QARecord]:
     """Yield validated QA records from a JSONL file.
 
     Malformed lines (not UTF-8, bad JSON, not an object, a missing or
     wrong-typed field, empty response, no documents) are skipped with a
-    counted warning in `stats`, which also holds the line and byte span of
-    the row yielded last. `field_map` renames source keys onto the expected
-    schema, e.g. {"documents": "context"} for corpora laid out differently.
+    counted warning in `stats`. `field_map` renames source keys onto the
+    expected schema, e.g. {"documents": "context"} for corpora laid out
+    differently. With `spans=True`, each record comes as `(line_no, span,
+    qa)`: its line and its `(offset, length)` in bytes, which `qa_at`
+    reads back.
     """
     stats = stats if stats is not None else IngestStats()
     keys = tuple((field_map or {}).get(name, name) for name in _QA_KEYS)
@@ -97,8 +98,7 @@ def ingest(
             stats.skip(line_no, "response must be a nonempty string")
         else:
             stats.kept += 1
-            stats.line_no, stats.span = line_no, span
-            yield qa
+            yield (line_no, span, qa) if spans else qa
 
 
 def unique_qa(
@@ -107,9 +107,8 @@ def unique_qa(
     """The valid QA records of `path` in file order, as `ingest` yields
     them, keeping only their ids. A repeated id raises `ValueError` naming
     both lines."""
-    stats = stats if stats is not None else IngestStats()
-    rows = ((stats.line_no, qa.id, qa) for qa in ingest(path, source_label, stats=stats))
-    for _, _, qa in unique_ids(path, rows):
+    rows = ingest(path, source_label, stats=stats, spans=True)
+    for _, _, qa in unique_ids(path, ((line_no, qa.id, qa) for line_no, _, qa in rows)):
         yield qa
 
 
@@ -118,34 +117,20 @@ def join_qa(
 ) -> Iterator[tuple[object, QARecord | None]]:
     """Yield `(item, qa)` for each `(id, item)` of `keyed`, where `qa` is
     the valid QA record of `path` with that id, or None. `path` is read
-    once, in file order and only as far as the ids ask, keeping the byte
-    span of each record read; a record asked for after it was read is read
-    again at its span (`qa_at`). Ids in file order thus decode each QA row
-    once. A repeated QA id raises `ValueError` naming both lines, also
-    when it comes after the last id asked for."""
-    stats = IngestStats()
-    spans: dict = {}
-    qa = None
-
-    def rows():
-        nonlocal qa
-        for qa in ingest(path, source_label, stats=stats):
-            yield stats.line_no, qa.id, stats.span
-
-    ahead = unique_ids(path, rows(), spans)
+    once up front for the byte span of each valid record, so a repeated
+    QA id raises `ValueError` naming both lines before any item is joined;
+    each record joined is then read again at its span (`qa_at`)."""
+    rows = ingest(path, source_label, spans=True)
+    spans = index_by_id(path, ((line_no, qa.id, span) for line_no, span, qa in rows))
     with open(path, "rb") as fh:
         for key, item in keyed:
-            if key in spans:
-                yield item, qa_at(fh, spans[key], source_label)
-            else:
-                yield item, qa if any(rid == key for _, rid, _ in ahead) else None
-        for _ in ahead:  # the duplicate check covers the whole file
-            pass
+            span = spans.get(key)
+            yield item, None if span is None else qa_at(fh, span, source_label)
 
 
 def qa_at(fh, span: tuple[int, int], source_label: str = "") -> QARecord:
-    """The QA record `ingest` read at `span` (`IngestStats.span`) of the QA
-    file open in binary mode as `fh`."""
+    """The QA record `ingest(..., spans=True)` gave `span` for, read from
+    the QA file open in binary mode as `fh`."""
     return _qa_record(row_at(fh, span), _QA_KEYS, source_label)
 
 

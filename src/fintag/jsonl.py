@@ -10,12 +10,12 @@ that replaces the output only once every row is written.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -161,14 +161,39 @@ def _encodes_as_utf8(obj: dict) -> bool:
     return True
 
 
+_staged = None  # (temp, target) of each file written inside `outputs_together`
+_temps = itertools.count()  # two outputs of one stage may name one path
+
+
+@contextmanager
+def outputs_together():
+    """A block inside which each file `open_output` writes replaces its
+    path only when the whole block ends without raising; when it raises,
+    every one is removed. A stage with several outputs thus writes all of
+    them or none, also when one output is its own input.
+    """
+    global _staged
+    _staged = staged = []
+    try:
+        yield
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        _staged = None
+        for temp, _ in staged:  # the block raised, or a rename did
+            os.unlink(temp)
+
+
 @contextmanager
 def open_output(path: str | Path):
     """A text file to write `path` through: a temporary file beside it that
-    replaces `path` when the block ends, and is removed when the block
-    raises. A stage that fails part-way thus leaves no output, an existing
-    output keeps its bytes, and a stage may write the file it reads. A path
-    that names something other than a regular file (a FIFO, /dev/stdout)
-    is written in place.
+    replaces `path` when the block ends, or, inside `outputs_together`,
+    when that block ends; it is removed when either block raises. A stage
+    that fails part-way thus leaves no output, an existing output keeps
+    its bytes, and a stage may write the file it reads. A path that names
+    something other than a regular file (a FIFO, /dev/stdout) is written
+    in place.
     """
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
@@ -180,7 +205,7 @@ def open_output(path: str | Path):
         return
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, tail = os.path.split(target)
-    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.{next(_temps)}.tmp")
     try:
         fh = open(temp, "w", encoding="utf-8")
     except OSError as exc:
@@ -188,10 +213,13 @@ def open_output(path: str | Path):
     try:
         with fh:
             yield fh
-        os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise
+    if _staged is None:
+        os.replace(temp, target)
+    else:
+        _staged.append((temp, target))
 
 
 def write_jsonl(
@@ -215,7 +243,7 @@ def write_jsonl(
         # A stage's work and the encoding each run for a batch at a time:
         # `pairs` took about 10% less CPU than when they took turns every row.
         rows = iter(rows)
-        while batch := list(islice(rows, _BATCH)):
+        while batch := list(itertools.islice(rows, _BATCH)):
             for row in batch:
                 fh.write((row if isinstance(row, str) else _ENCODE(row)) + "\n")
             count += len(batch)

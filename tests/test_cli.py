@@ -667,6 +667,20 @@ def test_insert_llm_mode_round_robin_and_cache(tmp_path, capsys, stub_endpoint):
         assert "<numerical>" in r["tagged"]
 
 
+def test_insert_llm_mode_checks_every_id_before_calling_the_model(tmp_path, capsys, stub_endpoint):
+    qa = tmp_path / "qa.jsonl"
+    records = _qa_file(qa, n=6, seed=6)
+    write_qa_records(qa, records + [records[0]])  # no cache: a late repeat wastes every call
+    config = tmp_path / "fintag.ini"
+    config.write_text(f"[client:alpha]\nendpoint = {stub_endpoint}\nmodel = stub-a\n", encoding="utf-8")
+    out = tmp_path / "llm.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out),
+                     "--mode", "llm", "--config", str(config), "--jobs", "2"]) == 1
+    assert capsys.readouterr().err == f"fintag: error: {qa}:7: duplicate id 'qa0' (first at line 1)\n"
+    assert _StubEndpoint.calls == 0
+    assert not out.exists()
+
+
 def test_pool_results_come_in_input_order_two_bursts_at_most():
     from concurrent.futures import ThreadPoolExecutor
 

@@ -116,6 +116,63 @@ def test_split_in_place_keeps_every_line(tmp_path, capsys):
     assert len(after) == 40 and set(after) == before
 
 
+@pytest.mark.parametrize("stage", ["split", "fix", "insert"])
+def test_a_stage_whose_last_output_fails_writes_none(tmp_path, capsys, stage):
+    # The first output is the stage's input, so renaming it early would
+    # lose rows; the second cannot be opened.
+    missing = str(tmp_path / "missing-dir" / "out")
+    data = tmp_path / "data.jsonl"
+    if stage == "insert":
+        _qa_file(data, 5)
+        argv = ["insert", "--input", str(data), "--output", str(data), "--sources-out", missing]
+    else:
+        _records(data, _GOOD)
+        argv = (["split", "--input", str(data), "--train-out", str(data), "--val-out", missing]
+                if stage == "split" else
+                ["fix", "--input", str(data), "--output", str(data), "--discarded", missing])
+    before = data.read_bytes()
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.endswith(f"No such file or directory: {missing!r}\n")
+    assert data.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+
+def test_two_outputs_may_name_one_file(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    _records(data, [{"id": i} for i in range(20)])
+    out = tmp_path / "out.jsonl"
+    assert dispatch(["split", "--input", str(data), "--train-out", str(out), "--val-out", str(out),
+                     "--ratio", "0.5"]) == 0
+    capsys.readouterr()
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 11  # the val subset, written last
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "out.jsonl"]
+
+
+def test_split_reads_an_input_that_is_not_a_regular_file(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    _records(data, [{"id": i, "text": "é" * i} for i in range(40)])
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(data.read_bytes()), daemon=True)
+    writer.start()
+    # A split that opened the FIFO again would wait for a writer for good.
+    unblock = threading.Timer(10, lambda: fifo.write_bytes(b""))
+    unblock.daemon = True
+    unblock.start()
+    outs = {name: tmp_path / f"{name}.jsonl" for name in ("fifo-train", "fifo-val", "train", "val")}
+    try:
+        assert dispatch(["split", "--input", str(fifo), "--train-out", str(outs["fifo-train"]),
+                         "--val-out", str(outs["fifo-val"])]) == 0
+    finally:
+        unblock.cancel()
+        writer.join(timeout=10)
+    assert dispatch(["split", "--input", str(data), "--train-out", str(outs["train"]),
+                     "--val-out", str(outs["val"])]) == 0
+    capsys.readouterr()
+    assert outs["fifo-train"].read_bytes() == outs["train"].read_bytes()
+    assert outs["fifo-val"].read_bytes() == outs["val"].read_bytes()
+
+
 def test_output_through_a_symlink_replaces_its_target(tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     _records(records, _GOOD)
