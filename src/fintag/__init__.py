@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 
 class FintagError(Exception):
     """Base of the package's own operational errors (`ClientError`,
-    `InsertionFailure`), which a CLI stage reports with exit code 1."""
+    `InsertionFailure`, `MissingExemplar`), which a CLI stage reports with
+    exit code 1."""
 
 
 # Home submodule -> the public names it exports through the package.
@@ -28,8 +29,9 @@ _EXPORTS = {
         "Segment", "Statement", "TaggedDocument", "TagSpan", "Text",
         "derive_erroneous", "derive_original", "parse", "serialize", "to_target_output",
     ),
+    "records": ("TaggedRecord",),
     "quality": (
-        "FixOutcome", "IssueKind", "QualityIssue", "QualityTally", "TaggedRecord",
+        "FixOutcome", "IssueKind", "QualityIssue", "QualityTally",
         "check", "classify_span_type", "fix",
     ),
     "insertion": (

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 # Each command imports the layers it runs inside its handler, so a stage
@@ -30,7 +31,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     from .jsonl import outputs_together
 
-    # FintagError covers ClientError and InsertionFailure.
+    # FintagError covers ClientError, InsertionFailure and MissingExemplar.
     try:
         with outputs_together():  # a stage writes all its outputs or none
             return args.handler(args)
@@ -224,12 +225,14 @@ def _cmd_insert(args) -> int:
         load_exemplars,
         plan_errors,
     )
-    from .quality import write_records
+    from .records import write_records
 
     cp = _load_ini(args.config)
     config = _inserter_config(cp, args.config)
-    exemplars = load_exemplars(args.exemplars) if args.exemplars else None
-    if args.mode == "llm":
+    llm = args.mode == "llm"
+    needed = config.type_weights if llm else ()  # a pool lacking a weighted kind fails here
+    exemplars = load_exemplars(args.exemplars, needed) if args.exemplars else None
+    if llm:
         profiles = _client_profiles(cp, args.config)
         if not profiles:
             raise ValueError("llm mode needs at least one [client:...] config section")
@@ -251,58 +254,47 @@ def _cmd_insert(args) -> int:
                 kept += 1
                 yield kept - 1, qa
 
-    def rule_records():
-        nonlocal skips
-        for i, qa in grounded():
-            plan = plan_errors(qa.response, config, seed=args.seed + i)
+    def insert_one(item):
+        """(record, site skips) for one grounded QA record; the record is
+        None when the model's replies never pass the gate."""
+        i, qa = item
+        plan = plan_errors(qa.response, config, seed=args.seed + i)
+        if not llm:
             result = insert_rule_based(
                 qa.response, qa.reference, plan, seed=args.seed + i, record_id=qa.id
             )
-            skips += len(result.skipped)
-            yield result.record
-
-    def run(item):
-        i, qa = item
-        plan = plan_errors(qa.response, config, seed=args.seed + i)
-        client = clients[i % len(clients)]
+            return result.record, len(result.skipped)
         try:
-            return insert_llm(
-                qa.response,
-                qa.reference,
-                plan,
-                client,
-                max_retries=args.max_retries,
-                exemplar_pool=exemplars,
-                record_id=qa.id,
-            )
+            record = insert_llm(qa.response, qa.reference, plan, clients[i % len(clients)],
+                                max_retries=args.max_retries, exemplar_pool=exemplars,
+                                record_id=qa.id)
         except InsertionFailure:
-            return None
+            record = None
+        return record, 0
 
-    def llm_records():
-        nonlocal failures
-        from concurrent.futures import ThreadPoolExecutor
+    def inserted():
+        """The records in input order, counted in this thread."""
+        nonlocal skips, failures
+        if llm:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            for record in _in_order(pool, run, grounded()):
+            pool = ThreadPoolExecutor(max_workers=max(1, args.jobs))
+            results = _in_order(pool, insert_one, grounded())
+        else:
+            pool, results = nullcontext(), map(insert_one, grounded())
+        with pool:
+            for record, skipped in results:
+                skips += skipped
                 if record is None:
                     failures += 1
-                else:
-                    yield record
+                    continue
+                if args.sources_out:
+                    ids.append(record.id)
+                yield record
 
-    def tracked(records):
-        for record in records:
-            ids.append(record.id)
-            yield record
-
-    records = rule_records() if args.mode == "rule" else llm_records()
-    meta = _meta(
-        "insert",
-        seed=args.seed,
-        mode=args.mode,
-        source=args.source,
-        config=_config_echo(config),
-    )
-    written = write_records(args.output, tracked(records) if args.sources_out else records, meta=meta)
+    meta = _meta("insert", seed=args.seed, mode=args.mode, source=args.source,
+                 config=_config_echo(config))
+    written = write_records(args.output, inserted(), meta=meta)
     if args.sources_out:
         _write_json(args.sources_out, dict.fromkeys(ids, args.source))
     print(
@@ -330,7 +322,8 @@ def _in_order(pool, fn, items, burst: int = 128):
 
 
 def _cmd_validate(args) -> int:
-    from .quality import check, read_records
+    from .quality import check
+    from .records import read_records
 
     rows = []
     clean = 0
@@ -360,7 +353,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_fix(args) -> int:
     from .jsonl import write_jsonl
-    from .quality import QualityTally, fix, read_records, write_records
+    from .quality import QualityTally, fix
+    from .records import read_records, write_records
 
     tally = QualityTally()
     discarded = []
@@ -402,7 +396,7 @@ def _derive_text(doc, form: str) -> str:
 def _cmd_derive(args) -> int:
     from .jsonl import write_jsonl
     from .markup import Form, parse
-    from .quality import read_records
+    from .records import read_records
 
     if args.raw:
         text = Path(args.input).read_text(encoding="utf-8")
@@ -424,7 +418,6 @@ def _cmd_derive(args) -> int:
 def _cmd_split(args) -> int:
     import os
     import stat
-    from contextlib import nullcontext
     from functools import partial
 
     from .jsonl import line_at, read_jsonl, write_jsonl
@@ -446,7 +439,8 @@ def _cmd_split(args) -> int:
 
 def _cmd_pairs(args) -> int:
     from .corpus import emit_training_pair, join_qa, write_pairs
-    from .quality import check, read_records
+    from .quality import check
+    from .records import read_records
 
     def gated():
         for record, warnings in read_records(args.records):
@@ -469,7 +463,7 @@ def _cmd_pairs(args) -> int:
 
 def _cmd_report(args) -> int:
     from .corpus import distribution_report
-    from .quality import read_records
+    from .records import read_records
 
     source_of = None
     if args.sources:
@@ -522,13 +516,7 @@ def _ids_with_examples(ids: list[str], what: str, limit: int = 5) -> str:
 
 
 def _cmd_eval_edit(args) -> int:
-    from .edit_eval import (
-        containment_judge,
-        llm_judge,
-        read_editing_rows,
-        score_editing,
-        summarize_scores,
-    )
+    from .edit_eval import containment_judge, llm_judge, read_editing_rows, score_corpus
 
     rows = read_editing_rows(args.input)
     if args.judge == "containment":
@@ -541,12 +529,10 @@ def _cmd_eval_edit(args) -> int:
         from .llm_client import LlmClient
 
         judge = llm_judge(LlmClient(profiles[args.profile]))
-    scored = [(str(row["id"]), score_editing(row["edited"], row["reference"], judge)) for row in rows]
-    units = sum(fs.total for _, fs in scored)
-    failed = sum(fs.failed for _, fs in scored)
+    results, mean, failed = score_corpus(rows, judge)
+    units = sum(r["total"] for r in results)
     if failed and failed == units:
         raise ValueError(f"the {args.judge} judge failed on all {units} units")
-    results, mean = summarize_scores(scored)
     payload = {
         "meta": _meta("eval-edit", judge=args.judge),
         "records": results,

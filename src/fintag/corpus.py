@@ -14,7 +14,7 @@ from .markup import derive_erroneous, label_of, serialize, to_target_output
 from .partition import split  # noqa: F401  (corpus.split stays importable)
 from .patterns import numbers_within
 from .prompts import build_detection_prompt, passage_of_prompt
-from .quality import TaggedRecord
+from .records import TaggedRecord
 from .taxonomy import KINDS
 
 __all__ = [

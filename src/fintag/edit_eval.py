@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import fsum
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -190,16 +191,15 @@ Unsupported."""
 def llm_judge(client) -> Judge:
     """Wrap a chat-completion client as a judge callable; with a cached
     profile its calls replay from the cache."""
-    from .llm_client import CompletionRequest, call_client
+    from .llm_client import CompletionRequest
 
     def judge(fact: str, reference: str) -> JudgeVerdict:
-        reply = call_client(
-            client,
+        reply = client.call(
             CompletionRequest(
                 system=JUDGE_SYSTEM_PROMPT,
                 user=JUDGE_PROMPT_TEMPLATE.format(reference=reference, fact=fact),
                 seed_tag="judge",
-            ),
+            )
         )
         text = reply.text.strip().lower()
         if text.startswith("supported") or " supported" in f" {text}":
@@ -212,28 +212,19 @@ def llm_judge(client) -> Judge:
     return judge
 
 
-def score_corpus(rows: Iterable[dict], judge: Judge) -> tuple[list[dict], float]:
-    """Score {"id", "edited", "reference"} rows; returns per-record results
-    and the corpus mean score."""
-    return summarize_scores(
-        [(str(row["id"]), score_editing(row["edited"], row["reference"], judge)) for row in rows]
-    )
-
-
-def summarize_scores(scored: Iterable[tuple[str, FactScore]]) -> tuple[list[dict], float]:
-    """Per-record results and the corpus mean score of (id, FactScore) pairs."""
-    results = [
-        {
-            "id": rid,
-            "supported": fs.supported,
-            "total": fs.total,
-            "abstained": fs.abstained,
-            "score": round(fs.score, 4),
-        }
-        for rid, fs in scored
-    ]
-    mean = sum(r["score"] for r in results) / len(results) if results else 0.0
-    return results, mean
+def score_corpus(rows: Iterable[dict], judge: Judge) -> tuple[list[dict], float, int]:
+    """Score {"id", "edited", "reference"} rows; returns per-record results,
+    the corpus mean score and the number of units the judge failed on."""
+    results = []
+    failed = 0
+    for row in rows:
+        fs = score_editing(row["edited"], row["reference"], judge)
+        failed += fs.failed
+        results.append({"id": str(row["id"]), "supported": fs.supported, "total": fs.total,
+                        "abstained": fs.abstained, "score": round(fs.score, 4)})
+    # fsum: a plain float sum's last bit depends on the row order.
+    mean = fsum(r["score"] for r in results) / len(results) if results else 0.0
+    return results, mean, failed
 
 
 def read_editing_rows(path: str | Path) -> list[dict]:

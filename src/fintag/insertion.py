@@ -39,7 +39,8 @@ from .patterns import (
     sentence_spans,
 )
 from .prompts import INSERTION_PROMPT_TEMPLATE, INSERTION_SYSTEM_PROMPT, strip_reply_envelope
-from .quality import TaggedRecord, fix
+from .quality import fix
+from .records import TaggedRecord
 from .taxonomy import KINDS, ErrorType
 
 # The target fraction of untouched passages.
@@ -521,7 +522,7 @@ class Exemplar:
     tagged: str
 
 
-class MissingExemplar(Exception):
+class MissingExemplar(FintagError):
     """A planned kind has no exemplar in the pool."""
 
 
@@ -589,13 +590,17 @@ DEFAULT_EXEMPLARS = (
 )
 
 
-def load_exemplars(path: str | Path) -> tuple:
-    """Read an exemplar pool from JSONL of {"kind", "passage", "tagged"}."""
+def load_exemplars(path: str | Path, kinds: Iterable[ErrorType] = ()) -> tuple:
+    """Read an exemplar pool from JSONL of {"kind", "passage", "tagged"}.
+    Each of `kinds` must have an exemplar in the pool."""
     pool = []
     for line_no, obj, _ in read_jsonl(path, fields={"kind": str, "passage": str, "tagged": str}):
         if obj["kind"] not in {kind.value for kind in ErrorType}:
             raise ValueError(f"{path}:{line_no}: unknown kind {obj['kind']!r}")
         pool.append(Exemplar(ErrorType(obj["kind"]), obj["passage"], obj["tagged"]))
+    for kind in kinds:
+        if all(ex.kind is not kind for ex in pool):
+            raise ValueError(f"{path}: no exemplar for kind {kind.value!r}")
     return tuple(pool)
 
 
@@ -661,10 +666,10 @@ def insert_llm(
     with a fresh prompt seed. Raises InsertionFailure after `max_retries`
     extra attempts, or ClientError on transport failure.
     """
-    from .llm_client import CompletionRequest, call_client
+    from .llm_client import CompletionRequest
 
     rid = record_id if record_id is not None else f"llm-{plan.seed}"
-    provenance = getattr(client, "name", "") or "llm"
+    provenance = client.name or "llm"
     if plan.clean:
         doc = TaggedDocument((Text(passage),), Form.TAGGED_PASSAGE)
         return TaggedRecord(rid, passage, doc, provenance, plan.seed)
@@ -674,17 +679,16 @@ def insert_llm(
         prompt = build_insertion_prompt(
             passage, context, plan, exemplar_pool, seed=plan.seed + attempt
         )
-        reply = call_client(
-            client,
+        reply = client.call(
             CompletionRequest(
                 system=INSERTION_SYSTEM_PROMPT,
                 user=prompt,
                 seed_tag=f"insert:{plan.seed}:{attempt}",
-            ),
+            )
         )
         payload = strip_reply_envelope(reply.text, keys=("Tagged", "Edited"))
         doc, warnings = parse(payload, Form.TAGGED_PASSAGE)
-        record = TaggedRecord(rid, passage, doc, provenance or reply.model, plan.seed)
+        record = TaggedRecord(rid, passage, doc, provenance, plan.seed)
         outcome = fix(record, warnings)
         if outcome.fixed:
             return outcome.record

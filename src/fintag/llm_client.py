@@ -129,6 +129,14 @@ class LlmClient:
         self._cache: dict[str, CompletionReply] | None = None
         self._cache_lock = threading.Lock()
 
+    def call(self, request: CompletionRequest) -> CompletionReply:
+        """One completion: through the replay cache when the profile sets a
+        `cache_path`, else a plain `complete`. Every LLM call of the
+        pipeline goes through here."""
+        if self.profile.cache_path:
+            return self.cached_complete(request)
+        return self.complete(request)
+
     def complete(self, request: CompletionRequest) -> CompletionReply:
         """One chat completion with retry on transport/429/5xx failures
         (exponential backoff, up to MAX_ATTEMPTS attempts)."""
@@ -222,13 +230,3 @@ class LlmClient:
                         self._cache[entry["key"]] = CompletionReply(text, model, 0.0)
         return self._cache
 
-
-def call_client(client, request: CompletionRequest) -> CompletionReply:
-    """One completion from any chat-completion client: through the replay
-    cache when the client has a profile with a `cache_path`, else a plain
-    `complete`. Every LLM call of the pipeline goes through here."""
-    cached = getattr(client, "cached_complete", None)
-    profile = getattr(client, "profile", None)
-    if cached is not None and profile is not None and getattr(profile, "cache_path", None):
-        return cached(request)
-    return client.complete(request)

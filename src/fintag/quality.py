@@ -18,23 +18,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .jsonl import read_jsonl, write_jsonl
 from .markup import (
     Edit,
-    Form,
     ParseWarning,
     Statement,
     TaggedDocument,
     Text,
     contains_tag_token,
     derive_original,
-    parse,
-    serialize,
 )
 from .patterns import ANTONYMS, is_numeric_span, is_temporal_span, squash_ws
+# The benchmark's tracer wraps `quality.read_records`/`write_records` by
+# name and its checks import them from here.
+from .records import TaggedRecord, read_records, write_records  # noqa: F401
 from .taxonomy import ErrorType
 
 # An IncorrectType finding is acted on only at or above this confidence;
@@ -61,17 +59,6 @@ class QualityIssue:
     @property
     def fixable(self) -> bool:
         return self.kind in _FIXABLE
-
-
-@dataclass(frozen=True)
-class TaggedRecord:
-    """One corrupted passage: the clean source plus its tagged document."""
-
-    id: str
-    original: str
-    doc: TaggedDocument
-    provenance: str = ""
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -277,43 +264,3 @@ class QualityTally:
             cells = [bucket.get(kind, 0) for kind in self._COLUMNS] + [unfixable]
             lines.append(prov.ljust(width) + "  ".join(str(c).rjust(9) for c in cells))
         return "\n".join(lines)
-
-
-def record_to_json(record: TaggedRecord) -> dict:
-    if record.doc.form is not Form.TAGGED_PASSAGE:
-        raise ValueError("records are stored in tagged-passage form")
-    payload = {
-        "id": record.id,
-        "original": record.original,
-        "tagged": serialize(record.doc),
-        "provenance": record.provenance,
-        "seed": record.seed,
-    }
-    return payload
-
-
-def write_records(path: str | Path, records: Iterable[TaggedRecord], meta: dict | None = None) -> int:
-    """Write records as JSONL; returns the number written."""
-    return write_jsonl(path, (record_to_json(r) for r in records), meta)
-
-
-def read_records(path: str | Path) -> Iterator[tuple[TaggedRecord, tuple]]:
-    """Yield (record, parse_warnings) pairs from a records JSONL file.
-
-    The tagged text is re-parsed leniently so downstream checks see format
-    defects.
-    """
-    fields = {"id": (str, int), "original": str, "tagged": str,
-              "provenance": (str, type(None)), "seed": (int, type(None))}
-    for _, obj, _ in read_jsonl(path, fields=fields):
-        doc, warnings = parse(obj["tagged"], Form.TAGGED_PASSAGE)
-        yield (
-            TaggedRecord(
-                id=str(obj["id"]),
-                original=obj["original"],
-                doc=doc,
-                provenance=obj.get("provenance", ""),
-                seed=obj.get("seed"),
-            ),
-            warnings,
-        )

@@ -59,7 +59,8 @@ from fintag.markup import (
     serialize,
     to_target_output,
 )
-from fintag.quality import IssueKind, TaggedRecord, check, fix, write_records
+from fintag.quality import IssueKind, check, fix
+from fintag.records import TaggedRecord, write_records
 from fintag.taxonomy import KINDS, ErrorType
 
 

@@ -95,7 +95,7 @@ def _stage_argv(tmp_path, stage):
     records = tmp_path / "records.jsonl"
     if stage == "insert":
         return ["insert", "--input", str(qa), "--output", str(records)]
-    if stage in ("fix", "pairs", "report"):
+    if stage in ("fix", "pairs", "report", "derive"):
         assert dispatch(["insert", "--input", str(qa), "--output", str(records)]) == 0
     if stage == "fix":
         return ["fix", "--input", str(records), "--output", str(tmp_path / "fixed.jsonl")]
@@ -104,6 +104,9 @@ def _stage_argv(tmp_path, stage):
                 "--output", str(tmp_path / "pairs.jsonl")]
     if stage == "report":
         return ["report", "--input", str(records), "--output", str(tmp_path / "report.txt")]
+    if stage == "derive":
+        return ["derive", "--input", str(records), "--form", "target",
+                "--output", str(tmp_path / "derived.jsonl")]
     if stage == "split":
         return ["split", "--input", str(qa), "--train-out", str(tmp_path / "train.jsonl"),
                 "--val-out", str(tmp_path / "val.jsonl")]
@@ -130,7 +133,9 @@ def _stage_argv(tmp_path, stage):
         ("split", "partition",
          ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy", "logging")),
         ("pairs", "corpus", ("insertion", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
-        ("report", "corpus", ("insertion", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
+        ("report", "corpus",
+         ("insertion", "quality", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
+        ("derive", "records", ("quality", "patterns", "corpus", "insertion")),
     ],
 )
 def test_stage_loads_only_the_layers_it_runs(tmp_path, capsys, stage, runs, unloaded):
@@ -597,6 +602,7 @@ class _StubEndpoint(BaseHTTPRequestHandler):
     deterministically with the rule-based inserter."""
 
     calls = 0
+    fails_gate = False  # reply with a passage that does not reconstruct the prompt's
 
     def do_POST(self):
         from fintag.insertion import InsertionPlan, insert_rule_based
@@ -613,6 +619,8 @@ class _StubEndpoint(BaseHTTPRequestHandler):
         tagged = serialize(
             insert_rule_based(prompt[start:end], "", plan, seed=5).record.doc
         )
+        if self.fails_gate:
+            tagged = "An unrelated passage."
         body = json.dumps({"choices": [{"message": {"content": tagged}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
@@ -629,6 +637,7 @@ def stub_endpoint():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _StubEndpoint.calls = 0
+    _StubEndpoint.fails_gate = False
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     server.shutdown()
     server.server_close()
@@ -679,6 +688,71 @@ def test_insert_llm_mode_checks_every_id_before_calling_the_model(tmp_path, caps
     assert capsys.readouterr().err == f"fintag: error: {qa}:7: duplicate id 'qa0' (first at line 1)\n"
     assert _StubEndpoint.calls == 0
     assert not out.exists()
+
+
+def test_insert_llm_mode_checks_the_exemplar_pool_before_calling_the_model(
+    tmp_path, capsys, stub_endpoint
+):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=4, seed=6)
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text(json.dumps({"kind": "numerical", "passage": "It was $5.",
+                                "tagged": "It was <numerical><delete>$5</delete><mark>$7</mark>"
+                                          "</numerical>."}) + "\n", encoding="utf-8")
+    config = tmp_path / "fintag.ini"
+    config.write_text("[inserter]\nweight.numerical = 1.0\nweight.relation = 1.0\n"
+                      f"[client:alpha]\nendpoint = {stub_endpoint}\nmodel = stub-a\n",
+                      encoding="utf-8")
+    out = tmp_path / "llm.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out), "--mode", "llm",
+                     "--config", str(config), "--exemplars", str(pool)]) == 1
+    assert capsys.readouterr().err == f"fintag: error: {pool}: no exemplar for kind 'relation'\n"
+    assert _StubEndpoint.calls == 0
+    assert not out.exists()
+
+
+def _insert_counts(err: str) -> dict:
+    line = next(line for line in err.splitlines() if line.startswith("insert: "))
+    return {key: int(value) for key, value in (field.split("=") for field in line.split()[1:])}
+
+
+def test_insert_counts_the_planned_kinds_that_found_no_site(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    write_qa_records(qa, [
+        QARecord(f"q{i}", ("Management was confident.",), "How was the outlook?",
+                 f"Management was confident about the outlook of segment {name}.")
+        for i, name in enumerate(("alpha", "beta", "gamma"))
+    ])
+    config = tmp_path / "fintag.ini"
+    config.write_text("[inserter]\nclean_probability = 0.0\nweight.numerical = 1.0\n",
+                      encoding="utf-8")
+    assert dispatch(["insert", "--input", str(qa), "--output", str(tmp_path / "out.jsonl"),
+                     "--config", str(config)]) == 0
+    counts = _insert_counts(capsys.readouterr().err)
+    assert counts["kept"] == 3
+    assert counts["site_skips"] > 0
+    assert counts["records"] + counts["failures"] == counts["kept"]
+
+
+def test_insert_llm_mode_counts_each_record_whose_replies_fail_the_gate(
+    tmp_path, capsys, stub_endpoint
+):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=4, seed=6)
+    config = tmp_path / "fintag.ini"
+    config.write_text("[inserter]\nclean_probability = 0.0\n"
+                      f"[client:alpha]\nendpoint = {stub_endpoint}\nmodel = stub-a\n",
+                      encoding="utf-8")
+    _StubEndpoint.fails_gate = True
+    out = tmp_path / "llm.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out), "--mode", "llm",
+                     "--config", str(config), "--max-retries", "1", "--jobs", "2"]) == 0
+    counts = _insert_counts(capsys.readouterr().err)
+    assert counts["kept"] > 0
+    assert counts["failures"] == counts["kept"]
+    assert counts["records"] == 0
+    assert counts["records"] + counts["failures"] == counts["kept"]
+    assert _StubEndpoint.calls == 2 * counts["kept"]  # first try plus one retry each
 
 
 def test_pool_results_come_in_input_order_two_bursts_at_most():

@@ -32,7 +32,7 @@ from fintag.corpus import (
 )
 from fintag.insertion import InserterConfig, insert_rule_based, plan_errors
 from fintag.markup import Form, label_of, parse
-from fintag.quality import TaggedRecord
+from fintag.records import TaggedRecord
 
 
 def _qa(rid="q1", docs=("evidence",), question="What?", response="Answer."):

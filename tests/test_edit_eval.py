@@ -24,7 +24,6 @@ from fintag.edit_eval import (
     score_corpus,
     score_editing,
     split_facts,
-    summarize_scores,
 )
 from fintag.insertion import InsertionPlan, insert_rule_based
 from fintag.llm_client import ClientProfile, CompletionReply, LlmClient
@@ -336,9 +335,16 @@ class TestScoreEditing:
         assert "Traceback" in caplog.text
 
     def test_summary_leaves_failed_out_of_records(self):
-        results, mean = summarize_scores([("a", FactScore(1, 2, 1, failed=1))])
-        assert results == [{"id": "a", "supported": 1, "total": 2, "abstained": 1, "score": 1.0}]
+        def fails_on_costs(fact, reference):
+            if "Costs" in fact:
+                raise RuntimeError("endpoint unreachable")
+            return JudgeVerdict(VerdictLabel.SUPPORTED)
+
+        rows = [{"id": 7, "edited": "Sales rose. Costs fell.", "reference": "ref"}]
+        results, mean, failed = score_corpus(rows, fails_on_costs)
+        assert results == [{"id": "7", "supported": 1, "total": 2, "abstained": 1, "score": 1.0}]
         assert mean == 1.0
+        assert failed == 1
 
     def test_unit_order_invariance(self):
         a = "Revenue was $5 million. Costs were $9 million."
@@ -409,7 +415,7 @@ def test_llm_judge_parses_verdicts():
         def __init__(self, text):
             self.text = text
 
-        def complete(self, request):
+        def call(self, request):
             return CompletionReply(self.text, "stub", 0.0)
 
     assert llm_judge(StubClient("Supported"))("f", "r").label is VerdictLabel.SUPPORTED
@@ -438,8 +444,40 @@ def test_llm_judge_replays_from_cache(tmp_path):
         raise AssertionError("replay must not reach the transport")
 
     first = score_corpus(rows, llm_judge(LlmClient(profile, recording, sleeper=lambda s: None)))
-    assert calls and first[1] < 1.0
+    assert calls and first[1] < 1.0 and first[2] == 0
     calls.clear()
     second = score_corpus(rows, llm_judge(LlmClient(profile, offline, sleeper=lambda s: None)))
     assert second == first
     assert calls == []
+
+
+@st.composite
+def _editing_rows(draw):
+    """Rows of a corrupted corpus, each edited passage left as it was,
+    corrected with residual tags, or the clean reference itself."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for i in range(draw(st.integers(0, 8))):
+        reference = make_passage(rng)
+        plan = InsertionPlan(False, 2, (ErrorType.NUMERICAL, ErrorType.RELATION), i)
+        doc = insert_rule_based(reference, make_context(rng, reference), plan, seed=i).record.doc
+        forms = (reference, derive_erroneous(doc)[0], serialize(to_target_output(doc)))
+        rows.append({"id": f"e{i}", "edited": draw(st.sampled_from(forms)), "reference": reference})
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_editing_rows(), st.frozensets(st.integers(0, 4)), st.data())
+def test_corpus_score_does_not_depend_on_row_order(rows, failing, data):
+    def flaky(fact, reference):
+        if len(fact) % 5 in failing:
+            raise RuntimeError("endpoint unreachable")
+        return containment_judge(fact, reference)
+
+    results, mean, failed = score_corpus(rows, flaky)
+    assert failed == sum(score_editing(r["edited"], r["reference"], flaky).failed for r in rows)
+    shuffled = data.draw(st.permutations(rows))
+    again, mean_again, failed_again = score_corpus(shuffled, flaky)
+    by_id = lambda result: result["id"]
+    assert sorted(again, key=by_id) == sorted(results, key=by_id)
+    assert (mean_again, failed_again) == (mean, failed)

@@ -474,7 +474,7 @@ class StubClient:
         self.replies = list(replies)
         self.calls = 0
 
-    def complete(self, request):
+    def call(self, request):
         text = self.replies[min(self.calls, len(self.replies) - 1)]
         self.calls += 1
         return CompletionReply(text, "stub-model", 0.0)

@@ -176,7 +176,7 @@ def _readers():
     from fintag.detect_eval import read_gold_documents, read_predictions
     from fintag.edit_eval import containment_judge, read_editing_rows, score_editing
     from fintag.insertion import load_exemplars
-    from fintag.quality import read_records
+    from fintag.records import read_records
     from fintag.taxonomy import FAVA_LABELS
 
     def score_rows(path):

@@ -192,6 +192,16 @@ class TestCache:
         with pytest.raises(ValueError):
             client.cached_complete(_request())
 
+    def test_call_goes_through_the_cache_only_with_a_cache_path(self, tmp_path):
+        transport = SequenceTransport([(200, _reply_body("x"))])
+        cached = LlmClient(_profile(cache_path=str(tmp_path / "cache.jsonl")), transport)
+        assert cached.call(_request()).text == cached.call(_request()).text == "x"
+        assert transport.calls == 1
+        plain = LlmClient(_profile(), transport)
+        plain.call(_request())
+        plain.call(_request())
+        assert transport.calls == 3
+
 
 def test_in_flight_never_exceeds_limit():
     lock = threading.Lock()
