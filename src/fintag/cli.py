@@ -217,7 +217,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _cmd_insert(args) -> int:
-    from .corpus import IngestStats, filter_grounded, unique_qa
+    from .corpus import IngestStats, filter_grounded, ingest
     from .insertion import (
         InsertionFailure,
         insert_llm,
@@ -230,9 +230,9 @@ def _cmd_insert(args) -> int:
     cp = _load_ini(args.config)
     config = _inserter_config(cp, args.config)
     llm = args.mode == "llm"
-    needed = config.type_weights if llm else ()  # a pool lacking a weighted kind fails here
-    exemplars = load_exemplars(args.exemplars, needed) if args.exemplars else None
     if llm:
+        # A pool lacking a weighted kind fails here, before any model call.
+        exemplars = load_exemplars(args.exemplars, config.type_weights) if args.exemplars else None
         profiles = _client_profiles(cp, args.config)
         if not profiles:
             raise ValueError("llm mode needs at least one [client:...] config section")
@@ -240,7 +240,7 @@ def _cmd_insert(args) -> int:
 
         clients = [LlmClient(profile) for profile in profiles]
         # Every id is checked before the first model call is paid for.
-        for _ in unique_qa(args.input, args.source):
+        for _ in ingest(args.input, args.source):
             pass
     stats = IngestStats()
     kept = skips = failures = 0
@@ -249,8 +249,8 @@ def _cmd_insert(args) -> int:
     def grounded():
         """(index, QA record) for each record that passes the filter."""
         nonlocal kept
-        for qa in unique_qa(args.input, args.source, stats):
-            if args.no_ground_filter or filter_grounded(qa, stats=stats):
+        for _, _, qa in ingest(args.input, args.source, stats):
+            if args.no_ground_filter or filter_grounded(qa):
                 kept += 1
                 yield kept - 1, qa
 
@@ -302,6 +302,10 @@ def _cmd_insert(args) -> int:
         f"records={written} site_skips={skips} failures={failures}",
         file=sys.stderr,
     )
+    for reason in stats.reasons:
+        print(f"insert: skipped {reason}", file=sys.stderr)
+    if stats.skipped > len(stats.reasons):
+        print(f"insert: skipped {stats.skipped - len(stats.reasons)} more (not shown)", file=sys.stderr)
     return 0
 
 
@@ -522,10 +526,13 @@ def _cmd_eval_edit(args) -> int:
     if args.judge == "containment":
         judge = containment_judge
     else:
+        if args.profile is None:
+            raise ValueError("--judge llm needs --profile")
         cp = _load_ini(args.config)
         profiles = {p.name: p for p in _client_profiles(cp, args.config)}
         if args.profile not in profiles:
-            raise ValueError(f"unknown client profile {args.profile!r}")
+            defined = ", ".join(profiles) or "none"
+            raise ValueError(f"unknown client profile {args.profile!r} (the config defines: {defined})")
         from .llm_client import LlmClient
 
         judge = llm_judge(LlmClient(profiles[args.profile]))

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .jsonl import index_by_id, read_jsonl, row_at, unique_ids, write_jsonl
+from .jsonl import read_jsonl, row_at, unique_ids, write_jsonl
 from .markup import derive_erroneous, label_of, serialize, to_target_output
 from .partition import split  # noqa: F401  (corpus.split stays importable)
 from .patterns import numbers_within
@@ -19,7 +19,7 @@ from .taxonomy import KINDS
 
 __all__ = [
     "QARecord", "IngestStats", "TrainingPair", "DistributionReport",
-    "SourceDistribution", "ingest", "unique_qa", "join_qa", "qa_at", "write_qa_records",
+    "SourceDistribution", "ingest", "join_qa", "qa_at", "write_qa_records",
     "filter_grounded",
     "split", "emit_training_pair", "distribution_report", "write_pairs",
     "read_pairs", "passage_of_prompt",
@@ -46,8 +46,7 @@ class QARecord:
 class IngestStats:
     kept: int = 0
     skipped: int = 0
-    hook_failures: int = 0
-    reasons: list = field(default_factory=list)
+    reasons: list = field(default_factory=list)  # of the first five skips, which `insert` prints
 
     @property
     def read(self) -> int:
@@ -56,60 +55,48 @@ class IngestStats:
 
     def skip(self, line_no: int, reason: str) -> None:
         self.skipped += 1
-        if len(self.reasons) < 50:
+        if len(self.reasons) < 5:
             self.reasons.append(f"line {line_no}: {reason}")
 
 
 _QA_FIELDS = {"id": (str, int), "documents": (str, list), "question": object, "response": str}
-_QA_KEYS = tuple(_QA_FIELDS)
 
 
-def _qa_record(obj: dict, keys, source_label: str) -> QARecord:
-    rid, documents, question, response = (obj[key] for key in keys)
+def _qa_record(obj: dict, source_label: str) -> QARecord:
+    documents = obj["documents"]
     documents = (documents,) if isinstance(documents, str) else tuple(documents)
-    return QARecord(str(rid), documents, str(question), response, source_label)
+    return QARecord(str(obj["id"]), documents, str(obj["question"]), obj["response"], source_label)
 
 
 def ingest(
-    path: str | Path,
-    source_label: str = "",
-    field_map: dict | None = None,
-    stats: IngestStats | None = None,
-    spans: bool = False,
-) -> Iterator[QARecord]:
-    """Yield validated QA records from a JSONL file.
+    path: str | Path, source_label: str = "", stats: IngestStats | None = None
+) -> Iterator[tuple[int, tuple[int, int], QARecord]]:
+    """Yield `(line_no, span, qa)` for each valid QA record of a JSONL
+    file, in file order: its line, its `(offset, length)` in bytes, which
+    `qa_at` reads back, and the record.
 
     Malformed lines (not UTF-8, bad JSON, not an object, a missing or
-    wrong-typed field, empty response, no documents) are skipped with a
-    counted warning in `stats`. `field_map` renames source keys onto the
-    expected schema, e.g. {"documents": "context"} for corpora laid out
-    differently. With `spans=True`, each record comes as `(line_no, span,
-    qa)`: its line and its `(offset, length)` in bytes, which `qa_at`
-    reads back.
+    wrong-typed field, empty response, no documents) are skipped and
+    counted in `stats`. A repeated id raises `ValueError` naming both
+    lines (see `unique_ids`).
     """
     stats = stats if stats is not None else IngestStats()
-    keys = tuple((field_map or {}).get(name, name) for name in _QA_KEYS)
-    fields = dict(zip(keys, _QA_FIELDS.values()))
-    for line_no, obj, span in read_jsonl(path, skip=stats.skip, fields=fields, spans=True):
-        qa = _qa_record(obj, keys, source_label)
+    rows = read_jsonl(path, skip=stats.skip, fields=_QA_FIELDS, spans=True)
+    for line_no, _, (span, qa) in unique_ids(path, _valid_qa(rows, source_label, stats)):
+        yield line_no, span, qa
+
+
+def _valid_qa(rows, source_label: str, stats: IngestStats):
+    """`(line_no, id, (span, qa))` for each row that makes a valid record."""
+    for line_no, obj, span in rows:
+        qa = _qa_record(obj, source_label)
         if not qa.documents or not all(isinstance(d, str) for d in qa.documents):
             stats.skip(line_no, "documents must be a nonempty list of strings")
         elif not qa.response.strip():
             stats.skip(line_no, "response must be a nonempty string")
         else:
             stats.kept += 1
-            yield (line_no, span, qa) if spans else qa
-
-
-def unique_qa(
-    path: str | Path, source_label: str = "", stats: IngestStats | None = None
-) -> Iterator[QARecord]:
-    """The valid QA records of `path` in file order, as `ingest` yields
-    them, keeping only their ids. A repeated id raises `ValueError` naming
-    both lines."""
-    rows = ingest(path, source_label, stats=stats, spans=True)
-    for _, _, qa in unique_ids(path, ((line_no, qa.id, qa) for line_no, _, qa in rows)):
-        yield qa
+            yield line_no, qa.id, (span, qa)
 
 
 def join_qa(
@@ -120,8 +107,7 @@ def join_qa(
     once up front for the byte span of each valid record, so a repeated
     QA id raises `ValueError` naming both lines before any item is joined;
     each record joined is then read again at its span (`qa_at`)."""
-    rows = ingest(path, source_label, spans=True)
-    spans = index_by_id(path, ((line_no, qa.id, span) for line_no, span, qa in rows))
+    spans = {qa.id: span for _, span, qa in ingest(path, source_label)}
     with open(path, "rb") as fh:
         for key, item in keyed:
             span = spans.get(key)
@@ -129,9 +115,9 @@ def join_qa(
 
 
 def qa_at(fh, span: tuple[int, int], source_label: str = "") -> QARecord:
-    """The QA record `ingest(..., spans=True)` gave `span` for, read from
-    the QA file open in binary mode as `fh`."""
-    return _qa_record(row_at(fh, span), _QA_KEYS, source_label)
+    """The QA record `ingest` gave `span` for, read from the QA file open
+    in binary mode as `fh`."""
+    return _qa_record(row_at(fh, span), source_label)
 
 
 def write_qa_records(path: str | Path, records: Iterable[QARecord]) -> int:
@@ -144,28 +130,10 @@ def write_qa_records(path: str | Path, records: Iterable[QARecord]) -> int:
     )
 
 
-def filter_grounded(
-    record: QARecord,
-    hook: Callable[[QARecord], bool] | None = None,
-    stats: IngestStats | None = None,
-) -> bool:
-    """Retain a record iff its response is grounded in its documents.
-
-    Default heuristic: every number and year token in the response must
-    appear (normalized) in the concatenated documents. An optional judge
-    hook overrides the heuristic; a hook failure retains the record and is
-    flagged in `stats`.
-    """
-    if hook is not None:
-        try:
-            return bool(hook(record))
-        except Exception as exc:
-            import logging
-
-            logging.getLogger(__name__).warning("grounding hook failed for %s: %s", record.id, exc)
-            if stats is not None:
-                stats.hook_failures += 1
-            return True
+def filter_grounded(record: QARecord) -> bool:
+    """Retain a record iff its response is grounded in its documents:
+    every number and year token in the response appears (normalized) in
+    the concatenated documents."""
     return numbers_within(record.response, record.reference)
 
 

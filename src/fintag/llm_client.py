@@ -1,6 +1,6 @@
-"""Chat-completion client shared by the inserter, the grounding hook and
-the editing judge: request shaping, retry with exponential backoff, an
-in-flight limiter, and append-only response caching for reproducible runs.
+"""Chat-completion client shared by the inserter and the editing judge:
+request shaping, retry with exponential backoff, an in-flight limiter,
+and append-only response caching for reproducible runs.
 
 With a warm cache a whole pipeline run is deterministic and offline. API
 keys come only from the environment variable named in the profile (never

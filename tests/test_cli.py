@@ -169,6 +169,9 @@ _EDIT = ["eval-edit", "--input", "rows.jsonl", "--output", "out"]
 _INSERT = ["insert", "--input", "qa.jsonl", "--output", "out"]
 _REPORT = ["report", "--input", "records.jsonl", "--sources", "sources.json", "--output", "out"]
 _INI = _INSERT + ["--config", "fintag.ini"]
+# llm mode with a pool: the pool is read before any model call is made.
+_POOL = _INI + ["--mode", "llm", "--exemplars", "ex.jsonl"]
+_CLIENT = "[client:a]\nendpoint = x\nmodel = m\n"
 
 
 @pytest.mark.parametrize(
@@ -194,11 +197,11 @@ _INI = _INSERT + ["--config", "fintag.ini"]
                      "rows.jsonl:1", "field 'edited' is int, expected str", id="edit-edited-int"),
         pytest.param(_EDIT, {"rows.jsonl": [{"id": "e", "edited": "x"}]},
                      "rows.jsonl:1", "missing field 'reference'", id="edit-no-reference"),
-        pytest.param(_INSERT + ["--exemplars", "ex.jsonl"],
-                     {"qa.jsonl": [_QA], "ex.jsonl": [{"kind": "numerica", "passage": "p", "tagged": "t"}]},
+        pytest.param(_POOL, {"qa.jsonl": [_QA], "fintag.ini": _CLIENT,
+                             "ex.jsonl": [{"kind": "numerica", "passage": "p", "tagged": "t"}]},
                      "ex.jsonl:1", "unknown kind 'numerica'", id="exemplar-unknown-kind"),
-        pytest.param(_INSERT + ["--exemplars", "ex.jsonl"],
-                     {"qa.jsonl": [_QA], "ex.jsonl": [{"kind": "numerical", "passage": "p"}]},
+        pytest.param(_POOL, {"qa.jsonl": [_QA], "fintag.ini": _CLIENT,
+                             "ex.jsonl": [{"kind": "numerical", "passage": "p"}]},
                      "ex.jsonl:1", "missing field 'tagged'", id="exemplar-no-tagged"),
         pytest.param(_REPORT, {"records.jsonl": [_RECORD], "sources.json": '["a"]'}, "sources.json",
                      "expected a JSON object of record id to source label", id="sources-list"),
@@ -395,6 +398,46 @@ def test_insert_counts_a_line_that_is_not_utf8_as_skipped(tmp_path, capsys):
     assert "read=4 kept=3 skipped_lines=1 records=3" in capsys.readouterr().err
 
 
+def test_insert_prints_the_reasons_of_the_first_five_skipped_lines(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=2)
+    out = tmp_path / "records.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out)]) == 0
+    assert len(capsys.readouterr().err.splitlines()) == 1  # nothing skipped, nothing more said
+    row = {"id": "x", "documents": [], "question": "q", "response": "r"}
+    with open(qa, "a", encoding="utf-8") as fh:
+        fh.write("not json\n" + json.dumps(row) + "\n")
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "insert: skipped line 3: bad JSON (Expecting value)",
+        "insert: skipped line 4: documents must be a nonempty list of strings",
+    ]
+    with open(qa, "a", encoding="utf-8") as fh:
+        fh.write("5\n" * 5)
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "skipped_lines=7" in err[0]
+    assert err[1:] == [
+        "insert: skipped line 3: bad JSON (Expecting value)",
+        "insert: skipped line 4: documents must be a nonempty list of strings",
+        "insert: skipped line 5: not a JSON object",
+        "insert: skipped line 6: not a JSON object",
+        "insert: skipped line 7: not a JSON object",
+        "insert: skipped 2 more (not shown)",
+    ]
+
+
+def test_insert_rule_mode_reads_no_exemplar_pool(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=6, seed=3)
+    plain, pooled = tmp_path / "plain.jsonl", tmp_path / "pooled.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(plain)]) == 0
+    assert dispatch(["insert", "--input", str(qa), "--output", str(pooled),
+                     "--exemplars", str(tmp_path / "missing.jsonl")]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert pooled.read_bytes() == plain.read_bytes()
+
+
 def test_eval_detect_gold_as_prediction_scores_100(tmp_path, capsys):
     qa = tmp_path / "qa.jsonl"
     _qa_file(qa, n=25, seed=2)
@@ -493,6 +536,24 @@ def test_eval_edit_fails_when_the_judge_fails_every_unit(tmp_path, capsys, monke
                      "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert "fintag: error: the containment judge failed on all 3 units" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "profile, reason",
+    [
+        ([], "--judge llm needs --profile"),
+        (["--profile", "c"], "unknown client profile 'c' (the config defines: a, b)"),
+    ],
+)
+def test_eval_edit_llm_judge_names_its_profile_problem(tmp_path, capsys, profile, reason):
+    config = tmp_path / "fintag.ini"
+    config.write_text("[client:a]\nendpoint = x\nmodel = m\n[client:b]\nendpoint = y\nmodel = m\n",
+                      encoding="utf-8")
+    out = tmp_path / "edit.json"
+    assert dispatch(["eval-edit", "--input", str(_edit_rows(tmp_path / "rows.jsonl")), "--judge", "llm",
+                     "--config", str(config), "--output", str(out), *profile]) == 1
+    assert capsys.readouterr().err == f"fintag: error: {reason}\n"
     assert not out.exists()
 
 

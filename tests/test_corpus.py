@@ -48,7 +48,7 @@ class TestIngest:
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
         stats = IngestStats()
-        records = list(ingest(path, "finqa", stats=stats))
+        records = [qa for _, _, qa in ingest(path, "finqa", stats=stats)]
         assert len(records) == 3
         assert stats.kept == 3 and stats.skipped == 0
         assert all(r.source == "finqa" for r in records)
@@ -61,7 +61,7 @@ class TestIngest:
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
         stats = IngestStats()
-        records = list(ingest(path, stats=stats))
+        records = [qa for _, _, qa in ingest(path, stats=stats)]
         assert [r.id for r in records] == ["ok"]
         assert stats.skipped == 1
         assert "response" in stats.reasons[0]
@@ -78,7 +78,7 @@ class TestIngest:
             encoding="utf-8",
         )
         stats = IngestStats()
-        records = list(ingest(path, stats=stats))
+        records = [qa for _, _, qa in ingest(path, stats=stats)]
         assert len(records) == 1 and stats.skipped == 2
 
     def test_non_object_lines_are_skipped_not_taken_for_headers(self, tmp_path):
@@ -89,7 +89,7 @@ class TestIngest:
             encoding="utf-8",
         )
         stats = IngestStats()
-        assert [r.id for r in ingest(path, stats=stats)] == ["ok"]
+        assert [qa.id for _, _, qa in ingest(path, stats=stats)] == ["ok"]
         assert (stats.read, stats.kept, stats.skipped) == (3, 1, 2)
         assert stats.reasons == ["line 1: not a JSON object", "line 2: not a JSON object"]
 
@@ -99,40 +99,28 @@ class TestIngest:
         bad = '{"id": "x", "documents": ["d"], "question": "q", "response": "a\\ud800"}'
         path.write_text(f"{bad}\n{good}\n", encoding="utf-8")
         stats = IngestStats()
-        assert [r.id for r in ingest(path, stats=stats)] == ["ok"]
+        assert [qa.id for _, _, qa in ingest(path, stats=stats)] == ["ok"]
         assert (stats.read, stats.kept, stats.skipped) == (2, 1, 1)
         assert stats.reasons == ["line 1: lone surrogate in a string (UTF-8 cannot encode it)"]
 
     def test_wrong_typed_field_is_skipped_with_its_reason(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         rows = [
-            {"id": "ok", "context": ["d"], "question": "q", "response": "a"},
-            {"id": "r", "context": ["d"], "question": "q", "response": 5},
-            {"id": "d", "context": 7, "question": "q", "response": "a"},
-            {"id": 1.5, "context": ["d"], "question": "q", "response": "a"},
+            {"id": "ok", "documents": ["d"], "question": "q", "response": "a"},
+            {"id": "r", "documents": ["d"], "question": "q", "response": 5},
+            {"id": "d", "documents": 7, "question": "q", "response": "a"},
+            {"id": 1.5, "documents": ["d"], "question": "q", "response": "a"},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         stats = IngestStats()
-        records = list(ingest(path, field_map={"documents": "context"}, stats=stats))
+        records = [qa for _, _, qa in ingest(path, stats=stats)]
         assert [r.id for r in records] == ["ok"]
         assert (stats.read, stats.kept, stats.skipped) == (4, 1, 3)
         assert stats.reasons == [
             "line 2: field 'response' is int, expected str",
-            "line 3: field 'context' is int, expected str or list",
+            "line 3: field 'documents' is int, expected str or list",
             "line 4: field 'id' is float, expected str or int",
         ]
-
-    def test_field_map(self, tmp_path):
-        path = tmp_path / "qa.jsonl"
-        path.write_text(
-            json.dumps({"id": "r", "context": ["d"], "question": "q", "answer": "a"}) + "\n",
-            encoding="utf-8",
-        )
-        records = list(
-            ingest(path, field_map={"documents": "context", "response": "answer"})
-        )
-        assert records[0].documents == ("d",)
-        assert records[0].response == "a"
 
     def test_write_ingest_round_trip(self, tmp_path):
         rng = random.Random(4)
@@ -147,7 +135,7 @@ class TestIngest:
         ]
         first = tmp_path / "first.jsonl"
         write_qa_records(first, originals)
-        loaded = list(ingest(first))
+        loaded = [qa for _, _, qa in ingest(first)]
         second = tmp_path / "second.jsonl"
         write_qa_records(second, loaded)
         assert first.read_text(encoding="utf-8") == second.read_text(encoding="utf-8")
@@ -163,7 +151,7 @@ class TestIngest:
             "\u2028" + json.dumps({"id": "b", "documents": ["d", "e"], "question": "q", "response": "r"}),
         ]
         path.write_bytes("\r\n".join(rows).encode("utf-8") + b"\r")
-        by_id = {qa.id: qa for qa in ingest(path, "finqa")}
+        by_id = {qa.id: qa for _, _, qa in ingest(path, "finqa")}
         joined = list(join_qa(path, ((rid, n) for n, rid in enumerate(ids)), "finqa"))
         assert joined == [(n, by_id.get(rid)) for n, rid in enumerate(ids)]
 
@@ -192,19 +180,6 @@ class TestGroundingFilter:
     def test_normalization_across_formats(self):
         qa = _qa(docs=("value was 1,204",), response="The value was $1204.")
         assert filter_grounded(qa) is True
-
-    def test_hook_overrides_heuristic(self):
-        qa = _qa(docs=("no numbers here",), response="It is $5.")
-        assert filter_grounded(qa, hook=lambda r: True) is True
-        assert filter_grounded(qa, hook=lambda r: False) is False
-
-    def test_hook_failure_retains_with_flag(self):
-        def broken(record):
-            raise RuntimeError("transport down")
-
-        stats = IngestStats()
-        assert filter_grounded(_qa(), hook=broken, stats=stats) is True
-        assert stats.hook_failures == 1
 
 
 class TestSplit:

@@ -3,6 +3,7 @@ counting rule, F1 consistency, and brute-force oracle equivalence."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from fintag.detect_eval import (
     strip_reply_envelope,
 )
 from fintag.markup import Form, TagSpan, parse
-from fintag.taxonomy import DEFAULT_LABELS, FAVA_EXTRA_STATEMENT_TAGS, FAVA_LABELS, ErrorType
+from fintag.taxonomy import DEFAULT_LABELS, FAVA_EXTRA_STATEMENT_TAGS, FAVA_LABELS, KINDS, ErrorType
 
 
 class TestParsePrediction:
@@ -288,6 +289,19 @@ class TestF1:
             f1_from_pr(101.0, 50.0)
 
 
+_EDITABLE = [row.kind.value for row in KINDS if row.editable]
+_STATEMENTS = [row.kind.value for row in KINDS if not row.editable] + list(FAVA_EXTRA_STATEMENT_TAGS)
+_WORDS = st.lists(st.sampled_from(["Revenue ", "rose ", "$5.2 ", "2020", ". ", "\n", "<", "é"]),
+                  max_size=4).map("".join)
+_TAGGED = (
+    st.tuples(st.sampled_from(_EDITABLE), _WORDS, _WORDS).map(
+        lambda t: f"<{t[0]}><mark>{t[1]}</mark><delete>{t[2]}</delete></{t[0]}>")
+    | st.tuples(st.sampled_from(_STATEMENTS), _WORDS).map(lambda t: f"<{t[0]}>{t[1]}</{t[0]}>")
+)
+# Target-output passages: plain text and tags of every label, FAVA's too.
+_TARGETS = st.lists(_WORDS | _TAGGED, max_size=4).map("".join)
+
+
 class TestCorpus:
     def test_gold_as_prediction_scores_100(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)
@@ -301,6 +315,31 @@ class TestCorpus:
         report = evaluate_corpus({"a": gold}, {"a": "<temporal><mark>x</mark>"})
         assert report.unparseable == 1
         assert report.binary.fn == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        labels=st.sampled_from([DEFAULT_LABELS, FAVA_LABELS]),
+        mode=st.sampled_from(["overlap", "exact"]),
+        data=st.data(),
+    )
+    def test_report_does_not_depend_on_row_order(self, labels, mode, data):
+        extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
+        rows = []
+        for target in data.draw(st.lists(_TARGETS, min_size=1, max_size=6)):
+            # No reply, the gold itself (maybe in a JSON envelope), another
+            # passage, or the gold cut short.
+            reply = data.draw(st.none() | st.sampled_from([
+                target, json.dumps({"Edited": target}), target[: len(target) // 2]]) | _TARGETS)
+            rows.append((parse(target, Form.TARGET_OUTPUT, extra_statement_tags=extra).document, reply))
+
+        def corpus(order):
+            gold = {f"d{i}": rows[i][0] for i in order}
+            return gold, {f"d{i}": rows[i][1] for i in order if rows[i][1] is not None}
+
+        listed = evaluate_corpus(*corpus(range(len(rows))), labels, mode)
+        gold, _ = corpus(data.draw(st.permutations(range(len(rows)))))
+        _, preds = corpus(data.draw(st.permutations(range(len(rows)))))
+        assert evaluate_corpus(gold, preds, labels, mode).to_json() == listed.to_json()
 
     def test_fava_label_set_accepts_extra_statement_tags(self):
         raw = "ok. <invented>Entirely made-up fact.</invented> <subjective>A matter of taste.</subjective>"

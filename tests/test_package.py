@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,14 @@ def test_every_jsonl_read_declares_its_fields():
                         by_span.add(f"{path.stem}.{func.name}")
     assert unchecked == {"cli._cmd_split"}
     assert by_span == {"corpus.ingest", "cli._cmd_split"}
+
+
+def test_readme_library_example_runs_as_its_comments_say():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    names: dict = {}
+    exec(block, names)
+    assert names["warnings"] == ()
+    assert names["erroneous"] == "Revenue fell in 2020."
+    assert names["original"] == "Revenue rose in 2020."
+    assert "<mark>rose</mark>" in names["target"]  # the correction
