@@ -225,6 +225,7 @@ def _cmd_insert(args) -> int:
         load_exemplars,
         plan_errors,
     )
+    from .jsonl import open_output
     from .records import write_records
 
     cp = _load_ini(args.config)
@@ -244,7 +245,6 @@ def _cmd_insert(args) -> int:
             pass
     stats = IngestStats()
     kept = skips = failures = 0
-    ids = []
 
     def grounded():
         """(index, QA record) for each record that passes the filter."""
@@ -288,25 +288,42 @@ def _cmd_insert(args) -> int:
                 if record is None:
                     failures += 1
                     continue
-                if args.sources_out:
-                    ids.append(record.id)
                 yield record
 
     meta = _meta("insert", seed=args.seed, mode=args.mode, source=args.source,
                  config=_config_echo(config))
-    written = write_records(args.output, inserted(), meta=meta)
-    if args.sources_out:
-        _write_json(args.sources_out, dict.fromkeys(ids, args.source))
+    with open_output(args.sources_out) if args.sources_out else nullcontext() as sources:
+        records = inserted() if sources is None else _listing_sources(inserted(), sources, args.source)
+        written = write_records(args.output, records, meta=meta)
     print(
         f"insert: read={stats.read} kept={kept} skipped_lines={stats.skipped} "
         f"records={written} site_skips={skips} failures={failures}",
         file=sys.stderr,
     )
-    for reason in stats.reasons:
-        print(f"insert: skipped {reason}", file=sys.stderr)
-    if stats.skipped > len(stats.reasons):
-        print(f"insert: skipped {stats.skipped - len(stats.reasons)} more (not shown)", file=sys.stderr)
+    _print_skips("insert", stats)
     return 0
+
+
+def _listing_sources(records, fh, source: str):
+    """Pass `records` on, writing to `fh` the map of each record's id to
+    `source` as it goes: the bytes of `json.dumps(map, ensure_ascii=False,
+    indent=2)` and a newline. Record ids are unique, as `ingest` holds."""
+    value = json.dumps(source, ensure_ascii=False)
+    sep = "{\n  "
+    for record in records:
+        fh.write(f"{sep}{json.dumps(record.id, ensure_ascii=False)}: {value}")
+        sep = ",\n  "
+        yield record
+    fh.write("{}\n" if sep == "{\n  " else "\n}\n")
+
+
+def _print_skips(stage: str, stats) -> None:
+    """The reasons of the first five lines `stats` counted as skipped, and
+    the number of the rest."""
+    for reason in stats.reasons:
+        print(f"{stage}: skipped {reason}", file=sys.stderr)
+    if stats.skipped > len(stats.reasons):
+        print(f"{stage}: skipped {stats.skipped - len(stats.reasons)} more (not shown)", file=sys.stderr)
 
 
 def _in_order(pool, fn, items, burst: int = 128):
@@ -419,9 +436,16 @@ def _cmd_derive(args) -> int:
     return 0
 
 
-def _cmd_split(args) -> int:
+def _is_regular_file(path: str) -> bool:
+    """Whether `path` names a regular file, which a stage may read twice;
+    a pipe or a device cannot be."""
     import os
     import stat
+
+    return stat.S_ISREG(os.stat(path).st_mode)
+
+
+def _cmd_split(args) -> int:
     from functools import partial
 
     from .jsonl import line_at, read_jsonl, write_jsonl
@@ -429,7 +453,7 @@ def _cmd_split(args) -> int:
 
     # Only each line's byte span is kept, and kept lines are read back
     # verbatim; a pipe cannot be read twice, so its lines are kept instead.
-    regular = stat.S_ISREG(os.stat(args.input).st_mode)
+    regular = _is_regular_file(args.input)
     rows = [row for _, _, row in read_jsonl(args.input, spans=regular)]
     train, val = split_records(rows, ratio=args.ratio, seed=args.seed)
     meta = _meta("split", seed=args.seed, ratio=args.ratio)
@@ -442,7 +466,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    from .corpus import emit_training_pair, join_qa, write_pairs
+    from .corpus import IngestStats, emit_training_pair, join_qa, write_pairs
     from .quality import check
     from .records import read_records
 
@@ -453,15 +477,19 @@ def _cmd_pairs(args) -> int:
             else:
                 yield record.id, record
 
+    stats = IngestStats()
+
     def pairs():
-        for record, qa in join_qa(args.qa, gated(), args.source):
+        for record, qa in join_qa(args.qa, gated(), args.source, stats):
             if qa is None:
                 print(f"pairs: skipping {record.id}: no QA source", file=sys.stderr)
             else:
                 yield emit_training_pair(record, qa)
 
     count = write_pairs(args.output, pairs(), meta=_meta("pairs", source=args.source))
-    print(f"pairs: wrote {count}", file=sys.stderr)
+    skipped = f" skipped_lines={stats.skipped}" if stats.skipped else ""
+    print(f"pairs: wrote {count}{skipped}", file=sys.stderr)
+    _print_skips("pairs", stats)
     return 0
 
 
@@ -486,21 +514,27 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_eval_detect(args) -> int:
-    from .detect_eval import evaluate_corpus, read_gold_documents, read_predictions
+    from itertools import islice
+
+    from .detect_eval import Replies, evaluate_corpus, read_gold_documents, read_predictions
+    from .jsonl import row_at
     from .taxonomy import DEFAULT_LABELS, FAVA_LABELS
 
     labels = FAVA_LABELS if args.label_set == "fava" else DEFAULT_LABELS
-    gold = read_gold_documents(args.gold, labels)
-    preds = read_predictions(args.pred)
-    # Unpaired gold ids score as empty replies; unpaired predictions are ignored.
-    unpredicted = [rid for rid in gold if rid not in preds]
-    ungolded = [rid for rid in preds if rid not in gold]
+    # Only each reply's byte span is kept, and a reply is read back when its
+    # gold row comes; a pipe cannot be read twice, so its replies are kept.
+    regular = _is_regular_file(args.pred)
+    preds = read_predictions(args.pred, spans=regular)
+    with open(args.pred, "rb") if regular else nullcontext() as fh:
+        replies = Replies(preds, (lambda span: row_at(fh, span)["raw"]) if regular else str)
+        report = evaluate_corpus(read_gold_documents(args.gold, labels), replies, labels, args.match_mode)
+    # Unpaired gold ids score as empty replies; unpaired predictions, the
+    # ids left in the index, are ignored.
     print(
-        f"eval-detect: {_ids_with_examples(unpredicted, 'gold ids without a prediction')}; "
-        f"{_ids_with_examples(ungolded, 'prediction ids without gold')}",
+        f"eval-detect: {_ids_with_examples(replies.missed, replies.first_missed, 'gold ids without a prediction')}; "
+        f"{_ids_with_examples(len(preds), list(islice(preds, 5)), 'prediction ids without gold')}",
         file=sys.stderr,
     )
-    report = evaluate_corpus(gold, preds, labels, args.match_mode)
     if args.format == "json":
         payload = {
             "meta": _meta(
@@ -514,18 +548,27 @@ def _cmd_eval_detect(args) -> int:
     return 0
 
 
-def _ids_with_examples(ids: list[str], what: str, limit: int = 5) -> str:
-    text = f"{len(ids)} {what}"
-    return f"{text} (e.g. {', '.join(ids[:limit])})" if ids else text
+def _ids_with_examples(count: int, examples: list[str], what: str) -> str:
+    text = f"{count} {what}"
+    return f"{text} (e.g. {', '.join(examples)})" if count else text
 
 
 def _cmd_eval_edit(args) -> int:
     from .edit_eval import containment_judge, llm_judge, read_editing_rows, score_corpus
+    from .jsonl import open_output
 
     rows = read_editing_rows(args.input)
     if args.judge == "containment":
         judge = containment_judge
     else:
+        # Every row is checked before the first judge call is paid for; a
+        # pipe cannot be read twice, so its rows are kept for scoring.
+        if _is_regular_file(args.input):
+            for _ in rows:
+                pass
+            rows = read_editing_rows(args.input)
+        else:
+            rows = list(rows)
         if args.profile is None:
             raise ValueError("--judge llm needs --profile")
         cp = _load_ini(args.config)
@@ -536,20 +579,36 @@ def _cmd_eval_edit(args) -> int:
         from .llm_client import LlmClient
 
         judge = llm_judge(LlmClient(profiles[args.profile]))
-    results, mean, failed = score_corpus(rows, judge)
-    units = sum(r["total"] for r in results)
-    if failed and failed == units:
-        raise ValueError(f"the {args.judge} judge failed on all {units} units")
-    payload = {
-        "meta": _meta("eval-edit", judge=args.judge),
-        "records": results,
-        "mean_score": round(mean, 4),
-        "mean_pct": round(100 * mean, 1),
-    }
-    _write_json(args.output, payload)
+    meta = _meta("eval-edit", judge=args.judge)
+    with open_output(args.output) if args.output else nullcontext(sys.stdout) as fh:
+        # The bytes `_write_json` gives the payload, each record written as
+        # it is scored.
+        fh.write('{\n  "meta": ' + json.dumps(meta, ensure_ascii=False, indent=2).replace("\n", "\n  ")
+                 + ',\n  "records": [')
+        records = _RecordWriter(fh)
+        _, mean, failed = score_corpus(rows, judge, records)
+        if failed and failed == records.units:
+            raise ValueError(f"the {args.judge} judge failed on all {records.units} units")
+        fh.write(("\n  ]" if records.count else "]")
+                 + f',\n  "mean_score": {round(mean, 4)!r},\n  "mean_pct": {round(100 * mean, 1)!r}\n}}\n')
     # One table-style row: judge label, percentage score, judge failures.
-    print(f"{args.judge:<16}{100 * mean:6.1f}  failed {failed}/{units} units", file=sys.stderr)
+    print(f"{args.judge:<16}{100 * mean:6.1f}  failed {failed}/{records.units} units", file=sys.stderr)
     return 0
+
+
+class _RecordWriter:
+    """The `results` of `score_corpus` for `eval-edit`: each record is
+    written to `fh` as it comes, as an element of the payload's "records"
+    list laid out as `_write_json` lays it out; only counts are kept."""
+
+    def __init__(self, fh) -> None:
+        self.fh, self.count, self.units = fh, 0, 0
+
+    def append(self, record: dict) -> None:
+        text = json.dumps(record, ensure_ascii=False, indent=2).replace("\n", "\n    ")
+        self.fh.write((",\n    " if self.count else "\n    ") + text)
+        self.count += 1
+        self.units += record["total"]
 
 
 if __name__ == "__main__":

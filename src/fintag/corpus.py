@@ -69,7 +69,10 @@ def _qa_record(obj: dict, source_label: str) -> QARecord:
 
 
 def ingest(
-    path: str | Path, source_label: str = "", stats: IngestStats | None = None
+    path: str | Path,
+    source_label: str = "",
+    stats: IngestStats | None = None,
+    seen: dict | None = None,
 ) -> Iterator[tuple[int, tuple[int, int], QARecord]]:
     """Yield `(line_no, span, qa)` for each valid QA record of a JSONL
     file, in file order: its line, its `(offset, length)` in bytes, which
@@ -78,11 +81,12 @@ def ingest(
     Malformed lines (not UTF-8, bad JSON, not an object, a missing or
     wrong-typed field, empty response, no documents) are skipped and
     counted in `stats`. A repeated id raises `ValueError` naming both
-    lines (see `unique_ids`).
+    lines; the ids are kept in `seen`, which the caller may give to set a
+    value per id (see `unique_ids`).
     """
     stats = stats if stats is not None else IngestStats()
     rows = read_jsonl(path, skip=stats.skip, fields=_QA_FIELDS, spans=True)
-    for line_no, _, (span, qa) in unique_ids(path, _valid_qa(rows, source_label, stats)):
+    for line_no, _, (span, qa) in unique_ids(path, _valid_qa(rows, source_label, stats), seen):
         yield line_no, span, qa
 
 
@@ -100,14 +104,20 @@ def _valid_qa(rows, source_label: str, stats: IngestStats):
 
 
 def join_qa(
-    path: str | Path, keyed: Iterable[tuple[str, object]], source_label: str = ""
+    path: str | Path,
+    keyed: Iterable[tuple[str, object]],
+    source_label: str = "",
+    stats: IngestStats | None = None,
 ) -> Iterator[tuple[object, QARecord | None]]:
     """Yield `(item, qa)` for each `(id, item)` of `keyed`, where `qa` is
     the valid QA record of `path` with that id, or None. `path` is read
-    once up front for the byte span of each valid record, so a repeated
-    QA id raises `ValueError` naming both lines before any item is joined;
-    each record joined is then read again at its span (`qa_at`)."""
-    spans = {qa.id: span for _, span, qa in ingest(path, source_label)}
+    once up front, its malformed lines counted in `stats`, for the byte
+    span of each valid record, so a repeated QA id raises `ValueError`
+    naming both lines before any item is joined; each record joined is
+    then read again at its span (`qa_at`)."""
+    spans: dict = {}
+    for _, span, qa in ingest(path, source_label, stats, spans):
+        spans[qa.id] = span  # the id check's own dict, so ids are kept once
     with open(path, "rb") as fh:
         for key, item in keyed:
             span = spans.get(key)

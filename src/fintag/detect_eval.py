@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .jsonl import index_by_id, read_jsonl
+from .jsonl import batches, index_by_id, read_jsonl, unique_ids
 from .markup import (
     Form,
     TaggedDocument,
@@ -266,29 +266,35 @@ def combine_reports(reports: Iterable[DetectionReport], labels: tuple = DEFAULT_
 
 
 def evaluate_corpus(
-    gold_docs: dict,
+    gold_docs: dict | Iterable[tuple[str, TaggedDocument]],
     raw_predictions: dict,
     labels: tuple = DEFAULT_LABELS,
     mode: str = "overlap",
 ) -> DetectionReport:
     """Score a corpus of raw predictions against gold documents by id.
 
-    Gold ids with no prediction are scored against an empty reply; replies
-    with demoted parse structure count toward `unparseable` but are still
-    scored on whatever survived.
+    `gold_docs` maps each id to its gold document, or is an iterable of
+    `(id, document)` pairs, which is read once, in order, a batch at a
+    time (see `jsonl.batches`). `raw_predictions` maps ids to raw replies;
+    only its `get` is called, once per gold id. Gold ids with no
+    prediction are scored against an empty reply; replies with demoted
+    parse structure count toward `unparseable` but are still scored on
+    whatever survived.
     """
     extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
-    reports = []
-    unparseable = 0
-    for rid, gold in gold_docs.items():
-        raw = raw_predictions.get(rid, "")
-        pred, warnings = parse_prediction(raw, extra_statement_tags=extra)
-        if any(w.category == "demoted" for w in warnings):
-            unparseable += 1
-        reports.append(score(align(gold, pred, mode), gold, pred, labels))
-    combined = combine_reports(reports, labels)
-    combined.unparseable = unparseable
-    return combined
+
+    def reports():
+        # Gold rows are read, their replies fetched, then both scored, a
+        # batch at a time.
+        for batch in batches(gold_docs.items() if isinstance(gold_docs, dict) else gold_docs):
+            replies = [raw_predictions.get(rid, "") for rid, _ in batch]
+            for (_, gold), raw in zip(batch, replies):
+                pred, warnings = parse_prediction(raw, extra_statement_tags=extra)
+                report = score(align(gold, pred, mode), gold, pred, labels)
+                report.unparseable = int(any(w.category == "demoted" for w in warnings))
+                yield report
+
+    return combine_reports(reports(), labels)
 
 
 def f1_from_pr(precision: float, recall: float) -> float:
@@ -301,18 +307,44 @@ def f1_from_pr(precision: float, recall: float) -> float:
     return round(2 * precision * recall / (precision + recall), 1)
 
 
-def read_gold_documents(path: str | Path, labels: tuple = DEFAULT_LABELS) -> dict:
-    """Load gold documents from a training-pair JSONL (parses each target
-    in target-output form)."""
+def read_gold_documents(
+    path: str | Path, labels: tuple = DEFAULT_LABELS
+) -> Iterator[tuple[str, TaggedDocument]]:
+    """Yield `(id, document)` for each row of a training-pair JSONL, in
+    file order, parsing its target in target-output form. A repeated id
+    raises `ValueError` naming both lines (see `unique_ids`)."""
     extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
     rows = read_jsonl(path, fields={"id": (str, int), "target": str})
+    for _, rid, target in unique_ids(path, ((n, obj["id"], obj["target"]) for n, obj, _ in rows)):
+        yield rid, parse(target, Form.TARGET_OUTPUT, extra_statement_tags=extra).document
+
+
+def read_predictions(path: str | Path, spans: bool = False) -> dict:
+    """Map each id of a JSONL of {"id", "raw"} to its raw reply or, with
+    `spans=True`, to its line's byte span, which `row_at` reads back."""
+    rows = read_jsonl(path, fields={"id": (str, int), "raw": str}, spans=spans)
     return index_by_id(path, (
-        (line_no, obj["id"], parse(obj["target"], Form.TARGET_OUTPUT, extra_statement_tags=extra).document)
-        for line_no, obj, _ in rows
+        (line_no, obj["id"], where if spans else obj["raw"]) for line_no, obj, where in rows
     ))
 
 
-def read_predictions(path: str | Path) -> dict:
-    """Load raw predictions from JSONL of {"id", "raw"}."""
-    rows = read_jsonl(path, fields={"id": (str, int), "raw": str})
-    return index_by_id(path, ((line_no, obj["id"], obj["raw"]) for line_no, obj, _ in rows))
+class Replies:
+    """The raw replies of a `read_predictions` index, as `evaluate_corpus`
+    asks for them by gold id: `read` turns an index value into the reply
+    (`str` for replies kept, a reader for byte spans). Each reply is taken
+    out of the index when asked for, so that the index ends with only the
+    ids no gold row asked for, in file order. The ids asked for and not
+    found are counted, and the first five kept."""
+
+    def __init__(self, index: dict, read) -> None:
+        self.index, self.read = index, read
+        self.missed, self.first_missed = 0, []
+
+    def get(self, rid: str, default: str = "") -> str:
+        where = self.index.pop(rid, None)
+        if where is not None:
+            return self.read(where)
+        self.missed += 1
+        if len(self.first_missed) < 5:
+            self.first_missed.append(rid)
+        return default

@@ -16,9 +16,9 @@ from enum import Enum
 from functools import lru_cache
 from math import fsum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from .jsonl import read_jsonl
+from .jsonl import batches, read_jsonl
 from .markup import Form, derive_original, parse
 from .patterns import (
     ANTONYMS,
@@ -212,21 +212,36 @@ def llm_judge(client) -> Judge:
     return judge
 
 
-def score_corpus(rows: Iterable[dict], judge: Judge) -> tuple[list[dict], float, int]:
-    """Score {"id", "edited", "reference"} rows; returns per-record results,
-    the corpus mean score and the number of units the judge failed on."""
-    results = []
-    failed = 0
-    for row in rows:
-        fs = score_editing(row["edited"], row["reference"], judge)
-        failed += fs.failed
-        results.append({"id": str(row["id"]), "supported": fs.supported, "total": fs.total,
-                        "abstained": fs.abstained, "score": round(fs.score, 4)})
+def score_corpus(rows: Iterable[dict], judge: Judge, results=None) -> tuple[list[dict], float, int]:
+    """Score {"id", "edited", "reference"} rows, a batch at a time (see
+    `jsonl.batches`); returns the per-record results, the corpus mean
+    score and the number of units the judge failed on. Each result is
+    appended to `results` once its batch is scored: a new list, or any
+    object with `append`, such as a writer that keeps none of them."""
+    results = [] if results is None else results
+    count = failed = 0
+
+    def scores():
+        nonlocal count, failed
+        # Rows are read, then scored, then handed to `results`, a batch at
+        # a time.
+        for batch in batches(rows):
+            scored = [(row, score_editing(row["edited"], row["reference"], judge)) for row in batch]
+            for row, fs in scored:
+                result = {"id": str(row["id"]), "supported": fs.supported, "total": fs.total,
+                          "abstained": fs.abstained, "score": round(fs.score, 4)}
+                results.append(result)
+                count += 1
+                failed += fs.failed
+                yield result["score"]
+
     # fsum: a plain float sum's last bit depends on the row order.
-    mean = fsum(r["score"] for r in results) / len(results) if results else 0.0
-    return results, mean, failed
+    total = fsum(scores())
+    return results, total / count if count else 0.0, failed
 
 
-def read_editing_rows(path: str | Path) -> list[dict]:
+def read_editing_rows(path: str | Path) -> Iterator[dict]:
+    """Yield each {"id", "edited", "reference"} row of a JSONL file in turn."""
     fields = {"id": (str, int), "edited": str, "reference": str}
-    return [obj for _, obj, _ in read_jsonl(path, fields=fields)]
+    for _, obj, _ in read_jsonl(path, fields=fields):
+        yield obj

@@ -193,6 +193,9 @@ _CLIENT = "[client:a]\nendpoint = x\nmodel = m\n"
                      "gold.jsonl:1", "missing field 'target'", id="detect-no-target"),
         pytest.param(_DETECT, {"gold.jsonl": [_GOLD], "pred.jsonl": [{"id": "g0", "raw": 5}]},
                      "pred.jsonl:1", "field 'raw' is int, expected str", id="detect-raw-int"),
+        # The predictions are indexed before the gold rows are read.
+        pytest.param(_DETECT, {"gold.jsonl": [{"id": "g0"}], "pred.jsonl": [{"id": "g0", "raw": 5}]},
+                     "pred.jsonl:1", "field 'raw' is int, expected str", id="detect-both-bad"),
         pytest.param(_EDIT, {"rows.jsonl": [{"id": "e", "edited": 5, "reference": "x"}]},
                      "rows.jsonl:1", "field 'edited' is int, expected str", id="edit-edited-int"),
         pytest.param(_EDIT, {"rows.jsonl": [{"id": "e", "edited": "x"}]},
@@ -427,6 +430,39 @@ def test_insert_prints_the_reasons_of_the_first_five_skipped_lines(tmp_path, cap
     ]
 
 
+def test_pairs_prints_the_reasons_of_the_qa_lines_it_skipped(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=3)
+    records, out = tmp_path / "records.jsonl", tmp_path / "pairs.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(records)]) == 0
+    argv = ["pairs", "--records", str(records), "--qa", str(qa), "--output", str(out)]
+    capsys.readouterr()
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().err == "pairs: wrote 3\n"  # nothing skipped, nothing more said
+    lines = qa.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps(json.loads(lines[1]) | {"documents": []})
+    qa.write_text("\n".join(lines + ["not json"]) + "\n", encoding="utf-8")
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "pairs: skipping qa1: no QA source",
+        "pairs: wrote 2 skipped_lines=2",
+        "pairs: skipped line 2: documents must be a nonempty list of strings",
+        "pairs: skipped line 4: bad JSON (Expecting value)",
+    ]
+
+
+@pytest.mark.parametrize("ids", [[], ["q0", 'é"\\n\t1', 7]])
+def test_insert_sources_out_is_the_indented_json_map(tmp_path, capsys, ids):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text("".join(json.dumps(_QA | {"id": rid}) + "\n" for rid in ids), encoding="utf-8")
+    sources = tmp_path / "sources.json"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(tmp_path / "records.jsonl"),
+                     "--source", "fin\u00e9\"qa", "--sources-out", str(sources)]) == 0
+    capsys.readouterr()
+    expected = dict.fromkeys(map(str, ids), "fin\u00e9\"qa")
+    assert sources.read_text(encoding="utf-8") == json.dumps(expected, ensure_ascii=False, indent=2) + "\n"
+
+
 def test_insert_rule_mode_reads_no_exemplar_pool(tmp_path, capsys):
     qa = tmp_path / "qa.jsonl"
     _qa_file(qa, n=6, seed=3)
@@ -568,6 +604,25 @@ def test_eval_edit_writes_each_id_as_a_string(tmp_path, capsys):
     assert dispatch(["eval-edit", "--input", str(rows), "--output", str(out)]) == 0
     capsys.readouterr()
     assert [r["id"] for r in json.loads(out.read_text(encoding="utf-8"))["records"]] == ["5", "e2"]
+
+
+@pytest.mark.parametrize("ids", [[], [5, "é\"2", "e3"]])
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_eval_edit_writes_the_indented_payload(tmp_path, capsys, ids, to_stdout):
+    from fintag.edit_eval import containment_judge, score_corpus
+
+    rows = [{"id": rid, "edited": text, "reference": WORKED_ORIGINAL}
+            for rid, text in zip(ids, (WORKED_ORIGINAL, WORKED_ERRONEOUS, "Revenue rose."))]
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "edit.json"
+    assert dispatch(["eval-edit", "--input", str(path)] + ([] if to_stdout else ["--output", str(out)])) == 0
+    written = capsys.readouterr().out if to_stdout else out.read_text(encoding="utf-8")
+    results, mean, _ = score_corpus(rows, containment_judge)
+    payload = {"meta": {"tool": "fintag", "version": fintag.__version__, "command": "eval-edit",
+                        "judge": "containment"},
+               "records": results, "mean_score": round(mean, 4), "mean_pct": round(100 * mean, 1)}
+    assert written == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
 def _write_rows(path, rows):

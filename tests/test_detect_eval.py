@@ -3,6 +3,8 @@ counting rule, F1 consistency, and brute-force oracle equivalence."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WORKED_TARGET, oracle_counts, random_spans
+from fintag.cli import dispatch
 from fintag.detect_eval import (
     align,
     align_spans,
@@ -340,6 +343,52 @@ class TestCorpus:
         gold, _ = corpus(data.draw(st.permutations(range(len(rows)))))
         _, preds = corpus(data.draw(st.permutations(range(len(rows)))))
         assert evaluate_corpus(gold, preds, labels, mode).to_json() == listed.to_json()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        labels=st.sampled_from([DEFAULT_LABELS, FAVA_LABELS]),
+        mode=st.sampled_from(["overlap", "exact"]),
+        data=st.data(),
+    )
+    def test_cli_report_is_the_library_report(self, tmp_path_factory, labels, mode, data):
+        # Gold rows with replies missing, replies no gold row has, the
+        # replies in another order, and ids written as numbers or strings.
+        extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
+        gold, replies, gold_rows = {}, {}, []
+        for i, target in enumerate(data.draw(st.lists(_TARGETS, max_size=7))):
+            gold_rows.append({"id": data.draw(st.sampled_from([i, str(i)])), "target": target})
+            gold[str(i)] = parse(target, Form.TARGET_OUTPUT, extra_statement_tags=extra).document
+            reply = data.draw(st.none() | st.sampled_from([target, json.dumps({"Edited": target})]) | _TARGETS)
+            if reply is not None:
+                replies[str(i)] = reply
+        for k in range(data.draw(st.integers(0, 6))):
+            replies[f"x{k}"] = data.draw(_TARGETS)
+        order = data.draw(st.permutations(list(replies)))
+        pred_rows = [
+            {"id": int(rid) if rid.isdigit() and data.draw(st.booleans()) else rid, "raw": replies[rid]}
+            for rid in order
+        ]
+        base = tmp_path_factory.getbasetemp()
+        files = {name: base / f"cli-report-{name}.jsonl" for name in ("gold", "pred")}
+        for name, rows in (("gold", gold_rows), ("pred", pred_rows)):
+            files[name].write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = base / "cli-report.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert dispatch(["eval-detect", "--gold", str(files["gold"]), "--pred", str(files["pred"]),
+                             "--label-set", "fava" if labels == FAVA_LABELS else "default",
+                             "--match-mode", mode, "--format", "json", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        del payload["meta"]
+        assert payload == evaluate_corpus(gold, replies, labels, mode).to_json()
+
+        def unpaired(ids, what):
+            return f"{len(ids)} {what}" + (f" (e.g. {', '.join(ids[:5])})" if ids else "")
+
+        assert err.getvalue() == (
+            f"eval-detect: {unpaired([r for r in gold if r not in replies], 'gold ids without a prediction')}; "
+            f"{unpaired([r for r in order if r not in gold], 'prediction ids without gold')}\n"
+        )
 
     def test_fava_label_set_accepts_extra_statement_tags(self):
         raw = "ok. <invented>Entirely made-up fact.</invented> <subjective>A matter of taste.</subjective>"

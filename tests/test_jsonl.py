@@ -187,8 +187,9 @@ def _readers():
         "records": (("id", "original", "tagged", "provenance", "seed"), lambda p: list(read_records(p))),
         "qa": (("id", "documents", "question", "response"), lambda p: list(ingest(p))),
         "pairs": (("id", "prompt", "target", "meta"), read_pairs),
-        "gold": (("id", "target"), lambda p: read_gold_documents(p, FAVA_LABELS)),
+        "gold": (("id", "target"), lambda p: list(read_gold_documents(p, FAVA_LABELS))),
         "predictions": (("id", "raw"), read_predictions),
+        "prediction-spans": (("id", "raw"), lambda p: read_predictions(p, spans=True)),
         "editing": (("id", "edited", "reference"), score_rows),
         "exemplars": (("kind", "passage", "tagged"), load_exemplars),
         "cache": (("key", "reply"), _read_cache),

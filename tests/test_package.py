@@ -98,7 +98,7 @@ def test_every_jsonl_read_declares_its_fields():
                     if "spans" in keywords:
                         by_span.add(f"{path.stem}.{func.name}")
     assert unchecked == {"cli._cmd_split"}
-    assert by_span == {"corpus.ingest", "cli._cmd_split"}
+    assert by_span == {"corpus.ingest", "cli._cmd_split", "detect_eval.read_predictions"}
 
 
 def test_readme_library_example_runs_as_its_comments_say():

@@ -7,12 +7,17 @@ import os
 import random
 import threading
 import tracemalloc
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
 from conftest import make_context, make_passage
 from fintag.cli import dispatch
 from fintag.corpus import QARecord, write_qa_records
+from fintag.insertion import InsertionPlan, insert_rule_based
+from fintag.jsonl import write_jsonl
+from fintag.markup import derive_erroneous, serialize, to_target_output
+from fintag.taxonomy import ErrorType
 
 # Evidence of at least 1 KB a row, so a stage that keeps rows shows.
 _FILLER = " ".join(f"Segment note {k} restates the schedule of the prior filing." for k in range(20))
@@ -45,10 +50,46 @@ def _chain(tmp_path, n):
     ]
 
 
-def _peaks(tmp_path, n) -> dict:
+def _eval_files(tmp_path, n):
+    """Gold pairs, replies and editing rows over `n` passages in
+    `tmp_path`, each gold target and reference padded past 1 KB. A third of
+    the gold ids have no reply, and every tenth passage adds a reply that
+    no gold row has."""
+    tmp_path.mkdir(exist_ok=True)
+    rng = random.Random(0)
+    gold, preds, edits = [], [], []
+    for i in range(n):
+        passage = make_passage(rng)
+        context = make_context(rng, passage)
+        plan = InsertionPlan(False, 2, (ErrorType.NUMERICAL, ErrorType.TEMPORAL), i)
+        doc = insert_rule_based(passage, context, plan, seed=i).record.doc
+        target, erroneous = f"{serialize(to_target_output(doc))} {_FILLER}", derive_erroneous(doc)[0]
+        gold.append({"id": f"g{i}", "target": target})
+        if i % 3:
+            preds.append({"id": f"g{i}", "raw": target if i % 3 == 1 else erroneous})
+        if i % 10 == 0:
+            preds.append({"id": f"x{i}", "raw": erroneous})
+        edits.append({"id": f"e{i}", "edited": erroneous, "reference": f"{context} {_FILLER}"})
+    paths = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl", tmp_path / "edits.jsonl"
+    for path, rows in zip(paths, (gold, preds, edits)):
+        write_jsonl(path, rows)
+    return paths
+
+
+def _eval_chain(tmp_path, n):
+    """`eval-detect` and `eval-edit` over `n` rows in `tmp_path`."""
+    gold, pred, edits = _eval_files(tmp_path, n)
+    return [
+        ["eval-detect", "--gold", str(gold), "--pred", str(pred), "--format", "json",
+         "--output", str(tmp_path / "detect.json")],
+        ["eval-edit", "--input", str(edits), "--output", str(tmp_path / "edit.json")],
+    ]
+
+
+def _peaks(argvs) -> dict:
     """Each stage's peak of traced Python memory, in bytes."""
     peaks = {}
-    for argv in _chain(tmp_path, n):
+    for argv in argvs:
         tracemalloc.start()
         try:
             assert dispatch(argv) == 0
@@ -58,12 +99,25 @@ def _peaks(tmp_path, n) -> dict:
     return peaks
 
 
+def _growth_per_row(tmp_path, chain) -> dict:
+    """Each stage's peak growth per row from 100 to 1,000 rows, in bytes."""
+    _peaks(chain(tmp_path / "warm", 5))  # imports and one-time tables
+    small, large = _peaks(chain(tmp_path / "small", 100)), _peaks(chain(tmp_path / "large", 1000))
+    return {stage: (large[stage] - small[stage]) / 900 for stage in large}
+
+
 def test_each_build_stage_keeps_memory_flat(tmp_path, capsys):
-    _peaks(tmp_path / "warm", 5)  # imports and one-time tables
-    small, large = _peaks(tmp_path / "small", 100), _peaks(tmp_path / "large", 1000)
+    per_row = _growth_per_row(tmp_path, _chain)
     capsys.readouterr()
     assert (tmp_path / "large" / "qa.jsonl").stat().st_size > 1000 * 1024
-    per_row = {stage: (large[stage] - small[stage]) / 900 for stage in large}
+    assert all(growth < 512 for growth in per_row.values()), per_row
+
+
+def test_each_evaluation_stage_keeps_memory_flat(tmp_path, capsys):
+    per_row = _growth_per_row(tmp_path, _eval_chain)
+    capsys.readouterr()
+    for name in ("gold.jsonl", "edits.jsonl"):
+        assert (tmp_path / "large" / name).stat().st_size > 1000 * 1024
     assert all(growth < 512 for growth in per_row.values()), per_row
 
 
@@ -148,29 +202,88 @@ def test_two_outputs_may_name_one_file(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "out.jsonl"]
 
 
-def test_split_reads_an_input_that_is_not_a_regular_file(tmp_path, capsys):
-    data = tmp_path / "data.jsonl"
-    _records(data, [{"id": i, "text": "é" * i} for i in range(40)])
-    fifo = tmp_path / "in.fifo"
+@contextmanager
+def _fed_fifo(fifo, data: bytes):
+    """`fifo` made and fed `data` by a thread while the block runs."""
     os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(data.read_bytes()), daemon=True)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
     writer.start()
-    # A split that opened the FIFO again would wait for a writer for good.
+    # A stage that opened the FIFO again would wait for a writer for good.
     unblock = threading.Timer(10, lambda: fifo.write_bytes(b""))
     unblock.daemon = True
     unblock.start()
-    outs = {name: tmp_path / f"{name}.jsonl" for name in ("fifo-train", "fifo-val", "train", "val")}
     try:
-        assert dispatch(["split", "--input", str(fifo), "--train-out", str(outs["fifo-train"]),
-                         "--val-out", str(outs["fifo-val"])]) == 0
+        yield str(fifo)
     finally:
         unblock.cancel()
         writer.join(timeout=10)
+
+
+def test_split_reads_an_input_that_is_not_a_regular_file(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    _records(data, [{"id": i, "text": "é" * i} for i in range(40)])
+    outs = {name: tmp_path / f"{name}.jsonl" for name in ("fifo-train", "fifo-val", "train", "val")}
+    with _fed_fifo(tmp_path / "in.fifo", data.read_bytes()) as fifo:
+        assert dispatch(["split", "--input", fifo, "--train-out", str(outs["fifo-train"]),
+                         "--val-out", str(outs["fifo-val"])]) == 0
     assert dispatch(["split", "--input", str(data), "--train-out", str(outs["train"]),
                      "--val-out", str(outs["val"])]) == 0
     capsys.readouterr()
     assert outs["fifo-train"].read_bytes() == outs["train"].read_bytes()
     assert outs["fifo-val"].read_bytes() == outs["val"].read_bytes()
+
+
+def test_eval_detect_reads_inputs_that_are_not_regular_files(tmp_path, capsys):
+    gold, pred, _ = _eval_files(tmp_path, 30)
+    fifo_out, file_out = tmp_path / "fifo.json", tmp_path / "file.json"
+    with _fed_fifo(tmp_path / "gold.fifo", gold.read_bytes()) as gold_fifo, \
+            _fed_fifo(tmp_path / "pred.fifo", pred.read_bytes()) as pred_fifo:
+        assert dispatch(["eval-detect", "--gold", gold_fifo, "--pred", pred_fifo, "--format", "json",
+                         "--output", str(fifo_out)]) == 0
+    fifo_err = capsys.readouterr().err
+    assert dispatch(["eval-detect", "--gold", str(gold), "--pred", str(pred), "--format", "json",
+                     "--output", str(file_out)]) == 0
+    assert capsys.readouterr().err == fifo_err
+    assert "10 gold ids without a prediction" in fifo_err
+    assert fifo_out.read_bytes() == file_out.read_bytes()
+
+
+def test_eval_edit_llm_judge_checks_every_row_before_the_first_call(tmp_path, capsys, monkeypatch):
+    from fintag.llm_client import CompletionReply, LlmClient
+
+    calls = []
+
+    def call(self, request):
+        calls.append(request)
+        return CompletionReply("Supported", "stub", 0.0)
+
+    monkeypatch.setattr(LlmClient, "call", call)
+    config = tmp_path / "fintag.ini"
+    config.write_text("[client:a]\nendpoint = x\nmodel = m\n", encoding="utf-8")
+    _, _, edits = _eval_files(tmp_path, 3)
+    good = edits.read_bytes()
+    bad = good + b'{"id": "e3", "edited": 5, "reference": "r"}\n'
+    outs = {}
+    for kind in ("file", "fifo"):
+        for rows, name in ((good, "good"), (bad, "bad")):
+            out = tmp_path / f"{kind}-{name}.json"
+            path = tmp_path / f"{kind}-{name}.jsonl"
+            with _fed_fifo(path, rows) if kind == "fifo" else nullcontext(str(path)) as source:
+                if kind == "file":
+                    path.write_bytes(rows)
+                argv = ["eval-edit", "--input", source, "--judge", "llm", "--profile", "a",
+                        "--config", str(config), "--output", str(out)]
+                code = dispatch(argv)
+            err = capsys.readouterr().err
+            if name == "bad":
+                assert (code, calls) == (1, [])
+                assert err == f"fintag: error: {path}:4: field 'edited' is int, expected str\n"
+                assert not out.exists()
+            else:
+                assert code == 0 and calls, err
+                outs[kind] = out.read_bytes()
+            calls.clear()
+    assert outs["fifo"] == outs["file"]
 
 
 def test_output_through_a_symlink_replaces_its_target(tmp_path, capsys):
