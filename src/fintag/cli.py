@@ -225,7 +225,7 @@ def _cmd_insert(args) -> int:
         load_exemplars,
         plan_errors,
     )
-    from .jsonl import open_output
+    from .jsonl import open_output, rereadable
     from .records import write_records
 
     cp = _load_ini(args.config)
@@ -240,16 +240,13 @@ def _cmd_insert(args) -> int:
         from .llm_client import LlmClient
 
         clients = [LlmClient(profile) for profile in profiles]
-        # Every id is checked before the first model call is paid for.
-        for _ in ingest(args.input, args.source):
-            pass
     stats = IngestStats()
     kept = skips = failures = 0
 
     def grounded():
         """(index, QA record) for each record that passes the filter."""
         nonlocal kept
-        for _, _, qa in ingest(args.input, args.source, stats):
+        for _, _, qa in ingest(source, args.source, stats):
             if args.no_ground_filter or filter_grounded(qa):
                 kept += 1
                 yield kept - 1, qa
@@ -292,9 +289,13 @@ def _cmd_insert(args) -> int:
 
     meta = _meta("insert", seed=args.seed, mode=args.mode, source=args.source,
                  config=_config_echo(config))
-    with open_output(args.sources_out) if args.sources_out else nullcontext() as sources:
-        records = inserted() if sources is None else _listing_sources(inserted(), sources, args.source)
-        written = write_records(args.output, records, meta=meta)
+    with rereadable(args.input) if llm else nullcontext(args.input) as source:
+        if llm:  # every id is checked before the first model call is paid for
+            for _ in ingest(source, args.source):
+                pass
+        with open_output(args.sources_out) if args.sources_out else nullcontext() as sources:
+            records = inserted() if sources is None else _listing_sources(inserted(), sources, args.source)
+            written = write_records(args.output, records, meta=meta)
     print(
         f"insert: read={stats.read} kept={kept} skipped_lines={stats.skipped} "
         f"records={written} site_skips={skips} failures={failures}",
@@ -436,31 +437,17 @@ def _cmd_derive(args) -> int:
     return 0
 
 
-def _is_regular_file(path: str) -> bool:
-    """Whether `path` names a regular file, which a stage may read twice;
-    a pipe or a device cannot be."""
-    import os
-    import stat
-
-    return stat.S_ISREG(os.stat(path).st_mode)
-
-
 def _cmd_split(args) -> int:
-    from functools import partial
-
-    from .jsonl import line_at, read_jsonl, write_jsonl
+    from .jsonl import line_at, read_jsonl, rereadable, write_jsonl
     from .partition import split as split_records
 
-    # Only each line's byte span is kept, and kept lines are read back
-    # verbatim; a pipe cannot be read twice, so its lines are kept instead.
-    regular = _is_regular_file(args.input)
-    rows = [row for _, _, row in read_jsonl(args.input, spans=regular)]
-    train, val = split_records(rows, ratio=args.ratio, seed=args.seed)
-    meta = _meta("split", seed=args.seed, ratio=args.ratio)
-    with open(args.input, "rb") if regular else nullcontext() as fh:
-        line = partial(line_at, fh) if regular else str
-        write_jsonl(args.train_out, map(line, train), meta)
-        write_jsonl(args.val_out, map(line, val), meta)
+    # Only each line's byte span is kept, and kept lines are read back verbatim.
+    with rereadable(args.input) as source, open(source, "rb") as fh:
+        spans = [span for _, _, span in read_jsonl(source)]
+        train, val = split_records(spans, ratio=args.ratio, seed=args.seed)
+        meta = _meta("split", seed=args.seed, ratio=args.ratio)
+        write_jsonl(args.train_out, (line_at(fh, span) for span in train), meta)
+        write_jsonl(args.val_out, (line_at(fh, span) for span in val), meta)
     print(f"split: train={len(train)} val={len(val)}", file=sys.stderr)
     return 0
 
@@ -517,16 +504,14 @@ def _cmd_eval_detect(args) -> int:
     from itertools import islice
 
     from .detect_eval import Replies, evaluate_corpus, read_gold_documents, read_predictions
-    from .jsonl import row_at
+    from .jsonl import rereadable
     from .taxonomy import DEFAULT_LABELS, FAVA_LABELS
 
     labels = FAVA_LABELS if args.label_set == "fava" else DEFAULT_LABELS
-    # Only each reply's byte span is kept, and a reply is read back when its
-    # gold row comes; a pipe cannot be read twice, so its replies are kept.
-    regular = _is_regular_file(args.pred)
-    preds = read_predictions(args.pred, spans=regular)
-    with open(args.pred, "rb") if regular else nullcontext() as fh:
-        replies = Replies(preds, (lambda span: row_at(fh, span)["raw"]) if regular else str)
+    # Only each reply's byte span is kept; a reply is read back as its gold row comes.
+    with rereadable(args.pred) as pred, open(pred, "rb") as fh:
+        preds = read_predictions(pred)
+        replies = Replies(preds, fh)
         report = evaluate_corpus(read_gold_documents(args.gold, labels), replies, labels, args.match_mode)
     # Unpaired gold ids score as empty replies; unpaired predictions, the
     # ids left in the index, are ignored.
@@ -555,42 +540,36 @@ def _ids_with_examples(count: int, examples: list[str], what: str) -> str:
 
 def _cmd_eval_edit(args) -> int:
     from .edit_eval import containment_judge, llm_judge, read_editing_rows, score_corpus
-    from .jsonl import open_output
+    from .jsonl import open_output, rereadable
 
-    rows = read_editing_rows(args.input)
-    if args.judge == "containment":
+    with rereadable(args.input) if args.judge == "llm" else nullcontext(args.input) as source:
         judge = containment_judge
-    else:
-        # Every row is checked before the first judge call is paid for; a
-        # pipe cannot be read twice, so its rows are kept for scoring.
-        if _is_regular_file(args.input):
-            for _ in rows:
+        if args.judge == "llm":
+            # Every row is checked before the first judge call is paid for.
+            for _ in read_editing_rows(source):
                 pass
-            rows = read_editing_rows(args.input)
-        else:
-            rows = list(rows)
-        if args.profile is None:
-            raise ValueError("--judge llm needs --profile")
-        cp = _load_ini(args.config)
-        profiles = {p.name: p for p in _client_profiles(cp, args.config)}
-        if args.profile not in profiles:
-            defined = ", ".join(profiles) or "none"
-            raise ValueError(f"unknown client profile {args.profile!r} (the config defines: {defined})")
-        from .llm_client import LlmClient
+            if args.profile is None:
+                raise ValueError("--judge llm needs --profile")
+            cp = _load_ini(args.config)
+            profiles = {p.name: p for p in _client_profiles(cp, args.config)}
+            if args.profile not in profiles:
+                defined = ", ".join(profiles) or "none"
+                raise ValueError(f"unknown client profile {args.profile!r} (the config defines: {defined})")
+            from .llm_client import LlmClient
 
-        judge = llm_judge(LlmClient(profiles[args.profile]))
-    meta = _meta("eval-edit", judge=args.judge)
-    with open_output(args.output) if args.output else nullcontext(sys.stdout) as fh:
-        # The bytes `_write_json` gives the payload, each record written as
-        # it is scored.
-        fh.write('{\n  "meta": ' + json.dumps(meta, ensure_ascii=False, indent=2).replace("\n", "\n  ")
-                 + ',\n  "records": [')
-        records = _RecordWriter(fh)
-        _, mean, failed = score_corpus(rows, judge, records)
-        if failed and failed == records.units:
-            raise ValueError(f"the {args.judge} judge failed on all {records.units} units")
-        fh.write(("\n  ]" if records.count else "]")
-                 + f',\n  "mean_score": {round(mean, 4)!r},\n  "mean_pct": {round(100 * mean, 1)!r}\n}}\n')
+            judge = llm_judge(LlmClient(profiles[args.profile]))
+        meta = _meta("eval-edit", judge=args.judge)
+        with open_output(args.output) if args.output else nullcontext(sys.stdout) as fh:
+            # The bytes `_write_json` gives the payload, each record written
+            # as it is scored.
+            fh.write('{\n  "meta": ' + json.dumps(meta, ensure_ascii=False, indent=2).replace("\n", "\n  ")
+                     + ',\n  "records": [')
+            records = _RecordWriter(fh)
+            _, mean, failed = score_corpus(read_editing_rows(source), judge, records)
+            if failed and failed == records.units:
+                raise ValueError(f"the {args.judge} judge failed on all {records.units} units")
+            fh.write(("\n  ]" if records.count else "]")
+                     + f',\n  "mean_score": {round(mean, 4)!r},\n  "mean_pct": {round(100 * mean, 1)!r}\n}}\n')
     # One table-style row: judge label, percentage score, judge failures.
     print(f"{args.judge:<16}{100 * mean:6.1f}  failed {failed}/{records.units} units", file=sys.stderr)
     return 0

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .jsonl import read_jsonl, row_at, unique_ids, write_jsonl
+from .jsonl import read_jsonl, rereadable, row_at, unique_ids, write_jsonl
 from .markup import derive_erroneous, label_of, serialize, to_target_output
 from .partition import split  # noqa: F401  (corpus.split stays importable)
 from .patterns import numbers_within
@@ -19,10 +19,9 @@ from .taxonomy import KINDS
 
 __all__ = [
     "QARecord", "IngestStats", "TrainingPair", "DistributionReport",
-    "SourceDistribution", "ingest", "join_qa", "qa_at", "write_qa_records",
-    "filter_grounded",
+    "SourceDistribution", "ingest", "join_qa", "qa_at", "filter_grounded",
     "split", "emit_training_pair", "distribution_report", "write_pairs",
-    "read_pairs", "passage_of_prompt",
+    "passage_of_prompt",
 ]
 
 
@@ -85,7 +84,7 @@ def ingest(
     value per id (see `unique_ids`).
     """
     stats = stats if stats is not None else IngestStats()
-    rows = read_jsonl(path, skip=stats.skip, fields=_QA_FIELDS, spans=True)
+    rows = read_jsonl(path, skip=stats.skip, fields=_QA_FIELDS)
     for line_no, _, (span, qa) in unique_ids(path, _valid_qa(rows, source_label, stats), seen):
         yield line_no, span, qa
 
@@ -110,15 +109,16 @@ def join_qa(
     stats: IngestStats | None = None,
 ) -> Iterator[tuple[object, QARecord | None]]:
     """Yield `(item, qa)` for each `(id, item)` of `keyed`, where `qa` is
-    the valid QA record of `path` with that id, or None. `path` is read
-    once up front, its malformed lines counted in `stats`, for the byte
-    span of each valid record, so a repeated QA id raises `ValueError`
-    naming both lines before any item is joined; each record joined is
-    then read again at its span (`qa_at`)."""
+    the valid QA record of `path` with that id, or None. `path` (a pipe
+    through its copy, see `rereadable`) is read once up front, its
+    malformed lines counted in `stats`, for the byte span of each valid
+    record, so a repeated QA id raises `ValueError` naming both lines
+    before any item is joined; each record joined is then read again at
+    its span (`qa_at`)."""
     spans: dict = {}
-    for _, span, qa in ingest(path, source_label, stats, spans):
-        spans[qa.id] = span  # the id check's own dict, so ids are kept once
-    with open(path, "rb") as fh:
+    with rereadable(path) as path, open(path, "rb") as fh:
+        for _, span, qa in ingest(path, source_label, stats, spans):
+            spans[qa.id] = span  # the id check's own dict, so ids are kept once
         for key, item in keyed:
             span = spans.get(key)
             yield item, None if span is None else qa_at(fh, span, source_label)
@@ -128,16 +128,6 @@ def qa_at(fh, span: tuple[int, int], source_label: str = "") -> QARecord:
     """The QA record `ingest` gave `span` for, read from the QA file open
     in binary mode as `fh`."""
     return _qa_record(row_at(fh, span), source_label)
-
-
-def write_qa_records(path: str | Path, records: Iterable[QARecord]) -> int:
-    return write_jsonl(
-        path,
-        (
-            {"id": r.id, "documents": list(r.documents), "question": r.question, "response": r.response}
-            for r in records
-        ),
-    )
 
 
 def filter_grounded(record: QARecord) -> bool:
@@ -179,14 +169,6 @@ def write_pairs(path: str | Path, pairs: Iterable[TrainingPair], meta: dict | No
         ({"id": p.id, "prompt": p.prompt, "target": p.target, "meta": p.meta} for p in pairs),
         meta,
     )
-
-
-def read_pairs(path: str | Path) -> list[TrainingPair]:
-    fields = {"id": (str, int), "prompt": str, "target": str, "meta": (dict, type(None))}
-    return [
-        TrainingPair(str(obj["id"]), obj["prompt"], obj["target"], obj.get("meta", {}))
-        for _, obj, _ in read_jsonl(path, fields=fields)
-    ]
 
 
 @dataclass(frozen=True)

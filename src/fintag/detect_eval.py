@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonl import batches, index_by_id, read_jsonl, unique_ids
+from .jsonl import batches, read_jsonl, row_at, unique_ids
 from .markup import (
     Form,
     TaggedDocument,
@@ -319,31 +319,33 @@ def read_gold_documents(
         yield rid, parse(target, Form.TARGET_OUTPUT, extra_statement_tags=extra).document
 
 
-def read_predictions(path: str | Path, spans: bool = False) -> dict:
-    """Map each id of a JSONL of {"id", "raw"} to its raw reply or, with
-    `spans=True`, to its line's byte span, which `row_at` reads back."""
-    rows = read_jsonl(path, fields={"id": (str, int), "raw": str}, spans=spans)
-    return index_by_id(path, (
-        (line_no, obj["id"], where if spans else obj["raw"]) for line_no, obj, where in rows
-    ))
+def read_predictions(path: str | Path) -> dict:
+    """Map each id of a JSONL of {"id", "raw"} to its line's byte span,
+    which `Replies` reads the reply back at. A repeated id raises
+    `ValueError` naming both lines (see `unique_ids`)."""
+    index: dict = {}
+    rows = read_jsonl(path, fields={"id": (str, int), "raw": str})
+    for _, rid, span in unique_ids(path, ((n, obj["id"], span) for n, obj, span in rows), index):
+        index[rid] = span  # the id check's own dict, so ids are kept once
+    return index
 
 
 class Replies:
     """The raw replies of a `read_predictions` index, as `evaluate_corpus`
-    asks for them by gold id: `read` turns an index value into the reply
-    (`str` for replies kept, a reader for byte spans). Each reply is taken
-    out of the index when asked for, so that the index ends with only the
-    ids no gold row asked for, in file order. The ids asked for and not
-    found are counted, and the first five kept."""
+    asks for them by gold id, each read back from `fh`, the predictions
+    file open in binary mode. Each reply is taken out of the index when
+    asked for, so that the index ends with only the ids no gold row asked
+    for, in file order. The ids asked for and not found are counted, and
+    the first five kept."""
 
-    def __init__(self, index: dict, read) -> None:
-        self.index, self.read = index, read
+    def __init__(self, index: dict, fh) -> None:
+        self.index, self.fh = index, fh
         self.missed, self.first_missed = 0, []
 
     def get(self, rid: str, default: str = "") -> str:
-        where = self.index.pop(rid, None)
-        if where is not None:
-            return self.read(where)
+        span = self.index.pop(rid, None)
+        if span is not None:
+            return row_at(self.fh, span)["raw"]
         self.missed += 1
         if len(self.first_missed) < 5:
             self.first_missed.append(rid)

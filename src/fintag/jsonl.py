@@ -2,10 +2,12 @@
 line, blank lines ignored, and an optional `{"_meta": {...}}` header line
 that carries the writing command's config and is skipped on reading.
 
-Stages stream: the reader decodes one line at a time and can give each
-row's byte span, so a stage keeps only small per-row indexes and reads a
-row again by its span; the writer writes into a sibling temporary file
-that replaces the output only once every row is written.
+Stages stream: the reader decodes one line at a time and gives each row's
+byte span, so a stage keeps only small per-row indexes and reads a row
+again by its span; the writer writes into a sibling temporary file that
+replaces the output only once every row is written. A stage that reads an
+input twice takes it through `rereadable`, so the input may also be a FIFO
+or /dev/stdin: such an input is copied once to a temporary file.
 """
 
 from __future__ import annotations
@@ -29,17 +31,15 @@ def read_jsonl(
     path: str | Path,
     skip: Callable[[int, str], None] | None = None,
     fields: dict | None = None,
-    spans: bool = False,
-) -> Iterator[tuple[int, dict, str]]:
-    """Yield `(line_no, obj, text)` for each data line of a JSONL file.
+) -> Iterator[tuple[int, dict, tuple[int, int]]]:
+    """Yield `(line_no, obj, span)` for each data line of a JSONL file.
 
     `line_no` counts from 1 over every line, blank ones included, with
-    lines broken at "\\n", "\\r" and "\\r\\n"; `text` is the line as read,
-    without its line break. With `spans=True`, `text` is replaced by the
-    line's `(offset, length)` in bytes, which `line_at` reads back.
-    Blank lines and `_meta` header lines are skipped. A line that is not
-    UTF-8, not valid JSON, not a JSON object, or holds a string UTF-8
-    cannot encode (a lone-surrogate escape such as "\\ud800") raises
+    lines broken at "\\n", "\\r" and "\\r\\n"; `span` is the line's
+    `(offset, length)` in bytes, without its line break, which `line_at`
+    reads back. Blank lines and `_meta` header lines are skipped. A line
+    that is not UTF-8, not valid JSON, not a JSON object, or holds a string
+    UTF-8 cannot encode (a lone-surrogate escape such as "\\ud800") raises
     `ValueError("<path>:<line_no>: <reason>")`, or, when `skip` is given,
     is passed to `skip(line_no, reason)` and reading goes on. A string no
     writer can encode is thus rejected where it is read, not halfway
@@ -79,16 +79,45 @@ def read_jsonl(
                         elif _META in obj:
                             continue
                         elif not fields or (reason := _field_error(obj, fields)) is None:
-                            yield line_no, obj, (start, len(line)) if spans else text
+                            yield line_no, obj, (start, len(line))
                             continue
                 if skip is None:
                     raise ValueError(f"{path}:{line_no}: {reason}")
                 skip(line_no, reason)
 
 
+@contextmanager
+def rereadable(path: str | Path):
+    """`path` itself when it names a regular file; otherwise (a FIFO,
+    /dev/stdin) a copy of its bytes in a temporary file, removed when the
+    block ends, so that a stage can read its input twice. The copy's `str`
+    is `path`, so messages name the input as given."""
+    if stat.S_ISREG(os.stat(path).st_mode):
+        yield path
+        return
+    import shutil
+    import tempfile
+
+    with open(path, "rb") as fh, tempfile.NamedTemporaryFile(prefix="fintag-") as copy:
+        shutil.copyfileobj(fh, copy, 1 << 16)
+        copy.flush()
+        yield _Copy(copy.name, path)
+
+
+class _Copy(os.PathLike):
+    def __init__(self, copy: str, given) -> None:
+        self.copy, self.given = copy, given
+
+    def __fspath__(self) -> str:
+        return self.copy
+
+    def __str__(self) -> str:
+        return str(self.given)
+
+
 def line_at(fh, span: tuple[int, int]) -> str:
-    """The line that `read_jsonl(..., spans=True)` gave `span` for, read
-    back with one read from `fh`, the same file open in binary mode."""
+    """The line that `read_jsonl` gave `span` for, read back with one read
+    from `fh`, the same file open in binary mode."""
     offset, length = span
     return os.pread(fh.fileno(), length, offset).decode("utf-8")
 
@@ -121,16 +150,6 @@ def unique_ids(path: str | Path, rows: Iterable[tuple[int, object, object]], see
         seen[key] = None
         lines += line_no.to_bytes(8, "little")
         yield line_no, key, value
-
-
-def index_by_id(path: str | Path, rows: Iterable[tuple[int, object, object]]) -> dict:
-    """Map `str(id)` to `value` for the `(line_no, id, value)` rows read
-    from `path`, for a join on id; a repeated id raises as `unique_ids`
-    says, rather than replacing the earlier row."""
-    index: dict = {}
-    for _, key, value in unique_ids(path, rows, index):
-        index[key] = value
-    return index
 
 
 def _field_error(obj: dict, fields: dict) -> str | None:

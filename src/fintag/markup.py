@@ -191,14 +191,9 @@ class _Demote(Exception):
         self.message = message
 
 
-def contains_tag_token(text: str, extra_statement_tags: tuple = ()) -> bool:
-    """True if `text` contains any token of the grammar (or compat labels)."""
-    known = _known_names(extra_statement_tags)
-    return any(m.group(2) in known for m in _TAG_CANDIDATE_RE.finditer(text))
-
-
-def _known_names(extra_statement_tags: tuple) -> frozenset:
-    return _GRAMMAR_NAMES.union(extra_statement_tags) if extra_statement_tags else _GRAMMAR_NAMES
+def contains_tag_token(text: str) -> bool:
+    """True if `text` contains any token of the grammar."""
+    return any(m.group(2) in _GRAMMAR_NAMES for m in _TAG_CANDIDATE_RE.finditer(text))
 
 
 def parse(
@@ -215,7 +210,7 @@ def parse(
     every input byte. Strict mode runs the same parse and raises ParseError
     from the first demotion.
     """
-    known = _known_names(extra_statement_tags)
+    known = _GRAMMAR_NAMES.union(extra_statement_tags) if extra_statement_tags else _GRAMMAR_NAMES
 
     toks = [
         _Tok(m.start(), m.end(), m.group(2), m.group(1) == "/")

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import random
 
+from fintag.corpus import TrainingPair
+from fintag.jsonl import read_jsonl, write_jsonl
 from fintag.markup import TagSpan, label_of
 
 # --- the worked-example quartet (one passage in all four renderings) -------
@@ -152,6 +154,26 @@ def make_context(rng: random.Random, passage: str) -> str:
         + f"{extra[0]} and {extra[1]} are referenced elsewhere in the same filing. "
         + "Additional table rows omitted."
     )
+
+
+# --- QA and training-pair files ---------------------------------------------
+
+
+def write_qa_records(path, records) -> int:
+    """Write each QARecord as a row of the QA JSONL that `ingest` reads."""
+    return write_jsonl(path, (
+        {"id": r.id, "documents": list(r.documents), "question": r.question, "response": r.response}
+        for r in records
+    ))
+
+
+def read_pairs(path) -> list:
+    """The training pairs of a JSONL that `write_pairs` wrote."""
+    fields = {"id": (str, int), "prompt": str, "target": str, "meta": (dict, type(None))}
+    return [
+        TrainingPair(str(obj["id"]), obj["prompt"], obj["target"], obj.get("meta", {}))
+        for _, obj, _ in read_jsonl(path, fields=fields)
+    ]
 
 
 # --- exhaustive matching oracle ---------------------------------------------

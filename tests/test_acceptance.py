@@ -31,9 +31,10 @@ from conftest import (
     make_passage,
     oracle_counts,
     random_spans,
+    write_qa_records,
 )
 from fintag.cli import dispatch
-from fintag.corpus import QARecord, distribution_report, write_qa_records
+from fintag.corpus import QARecord, distribution_report
 from fintag.detect_eval import (
     MatchSet,
     align_spans,

@@ -20,10 +20,11 @@ from conftest import (
     WORKED_TARGET,
     make_context,
     make_passage,
+    write_qa_records,
 )
 import fintag
 from fintag.cli import dispatch
-from fintag.corpus import QARecord, write_qa_records
+from fintag.corpus import QARecord
 
 
 def _qa_file(path, n=30, seed=0):

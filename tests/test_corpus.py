@@ -15,6 +15,8 @@ from conftest import (
     WORKED_TARGET,
     make_context,
     make_passage,
+    read_pairs,
+    write_qa_records,
 )
 from fintag.corpus import (
     IngestStats,
@@ -25,10 +27,8 @@ from fintag.corpus import (
     ingest,
     passage_of_prompt,
     join_qa,
-    read_pairs,
     split,
     write_pairs,
-    write_qa_records,
 )
 from fintag.insertion import InserterConfig, insert_rule_based, plan_errors
 from fintag.markup import Form, label_of, parse

@@ -48,11 +48,10 @@ def test_spans_read_back_each_line_as_text_mode_splits_it(tmp_path_factory, rows
     path.write_bytes("".join(line + brk for line, brk in zip(lines, breaks)).encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
         expected = [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
-    assert [(no, text) for no, _, text in read_jsonl(path)] == expected
     with open(path, "rb") as fh:
-        spans = list(read_jsonl(path, spans=True))
-        assert [line_at(fh, span) for _, _, span in spans] == [text for _, text in expected]
-        assert [row_at(fh, span) for _, _, span in spans] == [obj for _, obj, _ in spans] == rows
+        read = list(read_jsonl(path))
+        assert [(no, line_at(fh, span)) for no, _, span in read] == expected
+        assert [row_at(fh, span) for _, _, span in read] == [obj for _, obj, _ in read] == rows
 
 
 def test_meta_and_blank_lines_are_skipped_anywhere(tmp_path):
@@ -68,7 +67,9 @@ def test_meta_and_blank_lines_are_skipped_anywhere(tmp_path):
 def test_text_is_the_line_as_read(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text(' {"id":1}  \n{"id": "\\u00e9"}', encoding="utf-8")
-    assert [text for _, _, text in read_jsonl(path)] == [' {"id":1}  ', '{"id": "\\u00e9"}']
+    with open(path, "rb") as fh:
+        texts = [line_at(fh, span) for _, _, span in read_jsonl(path)]
+    assert texts == [' {"id":1}  ', '{"id": "\\u00e9"}']
 
 
 def test_escaped_surrogate_pair_reads_as_one_character(tmp_path):
@@ -172,7 +173,8 @@ def _read_cache(path):
 
 
 def _readers():
-    from fintag.corpus import ingest, read_pairs
+    from conftest import read_pairs
+    from fintag.corpus import ingest
     from fintag.detect_eval import read_gold_documents, read_predictions
     from fintag.edit_eval import containment_judge, read_editing_rows, score_editing
     from fintag.insertion import load_exemplars
@@ -189,7 +191,6 @@ def _readers():
         "pairs": (("id", "prompt", "target", "meta"), read_pairs),
         "gold": (("id", "target"), lambda p: list(read_gold_documents(p, FAVA_LABELS))),
         "predictions": (("id", "raw"), read_predictions),
-        "prediction-spans": (("id", "raw"), lambda p: read_predictions(p, spans=True)),
         "editing": (("id", "edited", "reference"), score_rows),
         "exemplars": (("kind", "passage", "tagged"), load_exemplars),
         "cache": (("key", "reply"), _read_cache),

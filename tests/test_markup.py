@@ -400,12 +400,11 @@ def test_strict_raises_exactly_from_the_first_lenient_demotion(text, form, extra
 def test_fava_extra_statement_tags_are_known_only_when_passed():
     text = "Sales rose. <invented>A made-up fact.</invented> <subjective>Fine.</subjective>"
     extra = FAVA_EXTRA_STATEMENT_TAGS
-    assert contains_tag_token(text, extra)
     doc, warnings = parse(text, Form.TARGET_OUTPUT, strict=True, extra_statement_tags=extra)
     assert warnings == ()
     assert doc.kinds() == ["invented", "subjective"]
     assert Statement("invented", "A made-up fact.") in doc.segments
-    # A call with extra tags leaves the grammar's own name set as it was.
+    # A parse with extra tags leaves the grammar's own name set as it was.
     assert not contains_tag_token(text)
     plain, warnings = parse(text, Form.TARGET_OUTPUT)
     assert not plain.has_tags

@@ -81,11 +81,10 @@ def test_only_the_taxonomy_module_spells_a_kind_name():
 
 def test_every_jsonl_read_declares_its_fields():
     # A reader that passes no field table hands unchecked rows on; only
-    # `split`, which copies lines verbatim, reads rows it does not use. The
-    # offset-reading form (`spans=True`) is held to the same rule: a row
-    # read back by its span (`line_at`, `row_at`) was checked when read.
+    # `split`, which copies lines verbatim, reads rows it does not use. A
+    # row read back by its span (`line_at`, `row_at`) was checked when read.
     package = Path(fintag.__file__).parent
-    unchecked, by_span = set(), set()
+    unchecked = set()
     for path in package.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(func, ast.FunctionDef):
@@ -95,10 +94,7 @@ def test_every_jsonl_read_declares_its_fields():
                     keywords = {kw.arg for kw in node.keywords}
                     if "fields" not in keywords:
                         unchecked.add(f"{path.stem}.{func.name}")
-                    if "spans" in keywords:
-                        by_span.add(f"{path.stem}.{func.name}")
     assert unchecked == {"cli._cmd_split"}
-    assert by_span == {"corpus.ingest", "cli._cmd_split", "detect_eval.read_predictions"}
 
 
 def test_readme_library_example_runs_as_its_comments_say():

@@ -5,15 +5,16 @@ from __future__ import annotations
 import json
 import os
 import random
+import tempfile
 import threading
 import tracemalloc
 from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from conftest import make_context, make_passage
+from conftest import make_context, make_passage, write_qa_records
 from fintag.cli import dispatch
-from fintag.corpus import QARecord, write_qa_records
+from fintag.corpus import QARecord
 from fintag.insertion import InsertionPlan, insert_rule_based
 from fintag.jsonl import write_jsonl
 from fintag.markup import derive_erroneous, serialize, to_target_output
@@ -284,6 +285,103 @@ def test_eval_edit_llm_judge_checks_every_row_before_the_first_call(tmp_path, ca
                 outs[kind] = out.read_bytes()
             calls.clear()
     assert outs["fifo"] == outs["file"]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_rereadable_reads_a_fifo_through_one_copy_that_the_block_removes(tmp_path, monkeypatch, fails):
+    from fintag.jsonl import read_jsonl, rereadable
+
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    data = tmp_path / "rows.jsonl"
+    _records(data, _GOOD)
+    with rereadable(data) as same:
+        assert same is data
+    with _fed_fifo(tmp_path / "in.fifo", data.read_bytes()) as fifo, \
+            pytest.raises(ValueError, match="the block failed") if fails else nullcontext():
+        with rereadable(fifo) as copy:
+            assert str(copy) == fifo
+            assert [p.name for p in temp.iterdir()] == [os.path.basename(copy)]
+            for _ in range(2):  # read twice
+                assert [obj for _, obj, _ in read_jsonl(copy)] == _GOOD
+            if fails:
+                raise ValueError("the block failed")
+    assert list(temp.iterdir()) == []
+
+
+def _stub_call(self, request):
+    """A model reply: the prompt's passage with one numerical edit, as the
+    rule inserter makes it, or a judge's verdict."""
+    from fintag.llm_client import CompletionReply
+
+    end = request.user.rfind("\n\nReturn only the tagged passage.")
+    if end < 0:
+        return CompletionReply("Supported", "stub", 0.0)
+    passage = request.user[request.user.rfind("Passage: ") + len("Passage: "):end]
+    plan = InsertionPlan(False, 1, (ErrorType.NUMERICAL,), 0)
+    return CompletionReply(serialize(insert_rule_based(passage, "", plan, seed=5).record.doc), "stub", 0.0)
+
+
+def _twice_read(tmp_path, stage):
+    """A stage that reads an input twice: that input file, the line that
+    stops the stage when appended to it, and its arguments for an input
+    path and an output directory."""
+    tmp_path.mkdir()
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, 12)
+    records = tmp_path / "records.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(records)]) == 0
+    gold, pred, edits = _eval_files(tmp_path, 12)
+    config = tmp_path / "fintag.ini"
+    config.write_text("[client:a]\nendpoint = x\nmodel = m\n", encoding="utf-8")
+    llm = ["--config", str(config)]
+    repeat = qa.read_bytes().splitlines(True)[0]  # a repeated QA id
+    return {
+        "insert": (qa, repeat, lambda src, out: ["insert", "--input", src, "--output", f"{out}/r.jsonl",
+                                                 "--mode", "llm", "--jobs", "2", *llm]),
+        "pairs": (qa, repeat, lambda src, out: ["pairs", "--records", str(records), "--qa", src,
+                                                "--output", f"{out}/p.jsonl"]),
+        "split": (records, b"{oops\n", lambda src, out: ["split", "--input", src, "--train-out",
+                                                         f"{out}/t.jsonl", "--val-out", f"{out}/v.jsonl"]),
+        "eval-detect": (pred, b"{oops\n", lambda src, out: ["eval-detect", "--gold", str(gold), "--pred", src,
+                                                            "--format", "json", "--output", f"{out}/d.json"]),
+        "eval-edit": (edits, b"{oops\n", lambda src, out: ["eval-edit", "--input", src, "--judge", "llm",
+                                                           "--profile", "a", *llm, "--output", f"{out}/e.json"]),
+    }[stage]
+
+
+@pytest.mark.parametrize("stage", ["insert", "pairs", "split", "eval-detect", "eval-edit"])
+def test_a_stage_reads_twice_an_input_that_is_not_a_regular_file(tmp_path, capsys, monkeypatch, stage):
+    # A FIFO input gives the outputs, stderr and exit code of the same bytes
+    # in a regular file, when the stage succeeds and when a bad last line
+    # stops it; the copy it reads twice is gone either way.
+    from fintag.llm_client import LlmClient
+
+    monkeypatch.setattr(LlmClient, "call", _stub_call)
+    data, bad, argv = _twice_read(tmp_path / "data", stage)
+    capsys.readouterr()
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    runs = {}
+    for kind in ("file", "fifo"):
+        for name, rows in (("good", data.read_bytes()), ("bad", data.read_bytes() + bad)):
+            out, path = tmp_path / f"{kind}-{name}", tmp_path / f"{kind}-{name}.jsonl"
+            out.mkdir()
+            if kind == "file":
+                path.write_bytes(rows)
+            with _fed_fifo(path, rows) if kind == "fifo" else nullcontext(str(path)) as source:
+                code = dispatch(argv(source, out))
+            err = capsys.readouterr().err.replace(str(path), "<input>")
+            runs[kind, name] = code, err, {p.name: p.read_bytes() for p in out.iterdir()}
+            assert list(temp.iterdir()) == []
+    assert runs["fifo", "good"] == runs["file", "good"]
+    assert runs["fifo", "bad"] == runs["file", "bad"]
+    code, _, outputs = runs["file", "good"]
+    assert code == 0 and sum(text.count(b"\n") for text in outputs.values()) > 2 * len(outputs), runs
+    code, err, outputs = runs["file", "bad"]
+    assert (code, outputs) == (1, {}) and err.startswith("fintag: error: <input>:"), err
 
 
 def test_output_through_a_symlink_replaces_its_target(tmp_path, capsys):
