@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, closing, nullcontext
 from pathlib import Path
 
 # Each command imports the layers it runs inside its handler, so a stage
@@ -237,9 +237,6 @@ def _cmd_insert(args) -> int:
         profiles = _client_profiles(cp, args.config)
         if not profiles:
             raise ValueError("llm mode needs at least one [client:...] config section")
-        from .llm_client import LlmClient
-
-        clients = [LlmClient(profile) for profile in profiles]
     stats = IngestStats()
     kept = skips = failures = 0
 
@@ -289,10 +286,13 @@ def _cmd_insert(args) -> int:
 
     meta = _meta("insert", seed=args.seed, mode=args.mode, source=args.source,
                  config=_config_echo(config))
-    with rereadable(args.input) if llm else nullcontext(args.input) as source:
+    with rereadable(args.input) if llm else nullcontext(args.input) as source, ExitStack() as held:
         if llm:  # every id is checked before the first model call is paid for
             for _ in ingest(source, args.source):
                 pass
+            from .llm_client import LlmClient
+
+            clients = [held.enter_context(closing(LlmClient(profile))) for profile in profiles]
         with open_output(args.sources_out) if args.sources_out else nullcontext() as sources:
             records = inserted() if sources is None else _listing_sources(inserted(), sources, args.source)
             written = write_records(args.output, records, meta=meta)
@@ -542,7 +542,7 @@ def _cmd_eval_edit(args) -> int:
     from .edit_eval import containment_judge, llm_judge, read_editing_rows, score_corpus
     from .jsonl import open_output, rereadable
 
-    with rereadable(args.input) if args.judge == "llm" else nullcontext(args.input) as source:
+    with rereadable(args.input) if args.judge == "llm" else nullcontext(args.input) as source, ExitStack() as held:
         judge = containment_judge
         if args.judge == "llm":
             # Every row is checked before the first judge call is paid for.
@@ -557,7 +557,7 @@ def _cmd_eval_edit(args) -> int:
                 raise ValueError(f"unknown client profile {args.profile!r} (the config defines: {defined})")
             from .llm_client import LlmClient
 
-            judge = llm_judge(LlmClient(profiles[args.profile]))
+            judge = llm_judge(held.enter_context(closing(LlmClient(profiles[args.profile]))))
         meta = _meta("eval-edit", judge=args.judge)
         with open_output(args.output) if args.output else nullcontext(sys.stdout) as fh:
             # The bytes `_write_json` gives the payload, each record written

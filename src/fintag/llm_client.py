@@ -2,9 +2,13 @@
 request shaping, retry with exponential backoff, an in-flight limiter,
 and append-only response caching for reproducible runs.
 
-With a warm cache a whole pipeline run is deterministic and offline. API
-keys come only from the environment variable named in the profile (never
-from config files).
+With a warm cache a whole pipeline run is deterministic and offline. The
+client keeps an index of each cached key to the span of its line, not the
+replies: a hit reads its line back from the file, so a cache file may only
+be appended to while a run uses it, and a line read back that no longer
+carries the key is a miss. Concurrent misses on one key share one call.
+API keys come only from the environment variable named in the profile
+(never from config files).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -126,8 +131,24 @@ class LlmClient:
         self._transport = transport or _default_transport
         self._sleeper = sleeper
         self._inflight = threading.BoundedSemaphore(profile.max_in_flight)
-        self._cache: dict[str, CompletionReply] | None = None
+        # The replay cache: each key's 32-byte digest maps to the span of
+        # its last valid line, packed `offset << 32 | length`. A dict of
+        # hex keys to (offset, length) tuples held about twice the bytes.
+        self._index: dict[bytes, int] | None = None
+        self._fd: int | None = None  # read-only, opened at the first hit
+        self._closer = None  # weakref.finalize closing `_fd`
+        self._flights: dict[bytes, threading.Event] = {}  # misses being called
         self._cache_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the cache file's descriptor; a later hit opens it again.
+        Must not be called while any call of this client is running: a hit
+        reads the descriptor outside the lock. A client that is never
+        closed closes it when it is collected."""
+        with self._cache_lock:
+            if self._closer is not None:
+                self._closer()
+                self._fd = self._closer = None
 
     def call(self, request: CompletionRequest) -> CompletionReply:
         """One completion: through the replay cache when the profile sets a
@@ -183,23 +204,38 @@ class LlmClient:
 
     def cached_complete(self, request: CompletionRequest) -> CompletionReply:
         """Cache-through completion keyed on the full request identity; a
-        hit performs no network operations."""
+        hit performs no network operations. A miss on a key that another
+        thread is already calling waits for that call and replays its
+        reply, or makes its own call when that one raised."""
         if not self.profile.cache_path:
             raise ValueError("profile has no cache_path configured")
         key = self._cache_key(request)
-        with self._cache_lock:
-            cache = self._load_cache()
-            hit = cache.get(key)
-        if hit is not None:
-            return hit
-        reply = self.complete(request)
-        with self._cache_lock:
-            # A hit replays text and model only: the measured latency varies
-            # between runs, and the cache's bytes must not.
-            self._cache[key] = CompletionReply(reply.text, reply.model, 0.0)
-            entry = {"key": key, "reply": {"text": reply.text, "model": reply.model}}
-            with open(self.profile.cache_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+        digest = bytes.fromhex(key)
+        while True:
+            with self._cache_lock:
+                span, fd = self._lookup(digest)
+            # Read back outside the lock: a read hands the GIL to the other
+            # threads, which would only wait on the lock; read under it, a
+            # `--jobs 2` replay took 30% more wall time.
+            hit = self._read_back(fd, span, key) if span is not None else None
+            if hit is not None:
+                return hit
+            with self._cache_lock:
+                if self._index.get(digest) != span:
+                    continue  # a call of another thread indexed a line meanwhile
+                flight = self._flights.get(digest)
+                if flight is None:
+                    flight = self._flights[digest] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            reply = self.complete(request)
+            with self._cache_lock:
+                self._append(digest, key, reply)
+        finally:
+            with self._cache_lock:
+                del self._flights[digest]
+            flight.set()
         return reply
 
     def _cache_key(self, request: CompletionRequest) -> str:
@@ -217,16 +253,68 @@ class LlmClient:
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def _load_cache(self) -> dict:
-        if self._cache is None:
-            self._cache = {}
-            path = self.profile.cache_path
-            if Path(path).exists():
-                # Corrupt or wrong-shaped cache lines degrade to misses.
-                rows = read_jsonl(path, skip=lambda *_: None, fields={"key": str, "reply": dict})
-                for _, entry, _ in rows:
-                    text, model = entry["reply"].get("text"), entry["reply"].get("model")
-                    if isinstance(text, str) and isinstance(model, str):
-                        self._cache[entry["key"]] = CompletionReply(text, model, 0.0)
-        return self._cache
+    def _lookup(self, digest: bytes) -> tuple[int | None, int | None]:
+        """The indexed span of `digest`, and the descriptor to read it from
+        (both None for a key with no line); called with the lock held."""
+        if self._index is None:
+            self._index = self._load_index()
+        span = self._index.get(digest)
+        if span is not None and self._fd is None:
+            self._fd = os.open(self.profile.cache_path, os.O_RDONLY)
+            self._closer = weakref.finalize(self, os.close, self._fd)
+        return span, self._fd
 
+    @staticmethod
+    def _read_back(fd: int, span: int, key: str) -> CompletionReply | None:
+        """The reply of the line at `span`, or None when that line no
+        longer holds `key`'s reply (the file was rewritten since it was
+        indexed)."""
+        line = os.pread(fd, span & 0xFFFFFFFF, span >> 32)
+        try:
+            entry = json.loads(line.decode("utf-8"))
+            found, text, model = entry["key"], entry["reply"]["text"], entry["reply"]["model"]
+        except (ValueError, TypeError, KeyError):
+            return None
+        if found != key or not isinstance(text, str) or not isinstance(model, str):
+            return None
+        return CompletionReply(text, model, 0.0)
+
+    def _load_index(self) -> dict[bytes, int]:
+        index: dict[bytes, int] = {}
+        path = self.profile.cache_path
+        if Path(path).exists():
+            # Corrupt or wrong-shaped cache lines degrade to misses, and of
+            # the lines of one key the last valid one wins.
+            rows = read_jsonl(path, skip=lambda *_: None, fields={"key": str, "reply": dict})
+            for _, entry, (offset, length) in rows:
+                reply, key = entry["reply"], entry["key"]
+                if isinstance(reply.get("text"), str) and isinstance(reply.get("model"), str):
+                    digest = _digest(key)
+                    if digest is not None:
+                        index[digest] = offset << 32 | length
+        return index
+
+    def _append(self, digest: bytes, key: str, reply: CompletionReply) -> None:
+        # A hit replays text and model only: the measured latency varies
+        # between runs, and the cache's bytes must not.
+        entry = {"key": key, "reply": {"text": reply.text, "model": reply.model}}
+        line = json.dumps(entry, ensure_ascii=False).encode("utf-8")
+        with open(self.profile.cache_path, "a+b") as fh:
+            offset = os.fstat(fh.fileno()).st_size
+            # A file cut short inside its last line (a run killed mid-append)
+            # gets a line break first, so the new line is not joined to it.
+            if offset and os.pread(fh.fileno(), 1, offset - 1) not in (b"\n", b"\r"):
+                fh.write(b"\n")
+                offset += 1
+            fh.write(line + b"\n")
+        self._index[digest] = offset << 32 | len(line)
+
+
+def _digest(key: str) -> bytes | None:
+    """The 32 bytes of a key written as 64 lowercase hex digits, the form
+    `_cache_key` gives; None for any other string."""
+    try:
+        digest = bytes.fromhex(key)
+    except ValueError:
+        return None
+    return digest if len(digest) == 32 and digest.hex() == key else None

@@ -168,8 +168,15 @@ def test_optional_fields_may_be_absent_or_null(tmp_path):
 def _read_cache(path):
     from fintag.llm_client import ClientProfile, LlmClient
 
-    cache = LlmClient(ClientProfile("p", "", "", cache_path=str(path)))._load_cache()
-    assert all(isinstance(r.text, str) and isinstance(r.model, str) for r in cache.values())
+    # Every indexed line reads back as a hit.
+    client = LlmClient(ClientProfile("p", "", "", cache_path=str(path)))
+    replies = []
+    for digest in client._load_index():
+        span, fd = client._lookup(digest)
+        replies.append(client._read_back(fd, span, digest.hex()))
+    client.close()
+    assert all(r is not None and isinstance(r.text, str) and isinstance(r.model, str)
+               for r in replies)
 
 
 def _readers():
@@ -208,7 +215,9 @@ _RIGHT = {
     "meta": st.none() | _objects(st.sampled_from(["kinds", "source"]), _VALUES, 2),
     "documents": _TEXT | st.lists(_TEXT, max_size=2),
     "kind": st.sampled_from(["numerical", "unverifiable", "numerica"]),
-    "reply": _objects(st.sampled_from(["text", "model"]), _TEXT | _VALUES, 2),
+    "key": st.binary(min_size=32, max_size=32).map(bytes.hex),
+    "reply": st.fixed_dictionaries({"text": _TEXT, "model": _TEXT})
+    | _objects(st.sampled_from(["text", "model"]), _TEXT | _VALUES, 2),
     "tagged": _MARKUP,
     "target": _MARKUP,
     "raw": _MARKUP,

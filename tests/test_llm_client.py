@@ -3,14 +3,21 @@ in-flight limiter."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import os
+import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fintag import llm_client
+from fintag.jsonl import read_jsonl
 from fintag.llm_client import (
     ClientError,
     ClientErrorKind,
@@ -201,6 +208,284 @@ class TestCache:
         plain.call(_request())
         plain.call(_request())
         assert transport.calls == 3
+
+    def test_an_append_after_a_cut_short_line_starts_a_new_line(self, tmp_path):
+        # A run killed mid-append leaves a last line with no line break.
+        for tail, sep in ((b'{"key": "0123', b"\n"), (b'{"key": "0123"}\r', b"")):
+            path = tmp_path / "cache.jsonl"
+            path.write_bytes(tail)
+            transport = SequenceTransport([(200, _reply_body("paid once"))])
+            profile = _profile(cache_path=str(path))
+            LlmClient(profile, transport, sleeper=lambda s: None).cached_complete(_request())
+            fresh = LlmClient(profile, transport, sleeper=lambda s: None)
+            assert fresh.cached_complete(_request()).text == "paid once"
+            assert transport.calls == 1
+            entry = {"key": fresh._cache_key(_request()), "reply": {"text": "paid once", "model": "unit-model"}}
+            assert path.read_bytes() == tail + sep + json.dumps(entry).encode() + b"\n"
+
+    def test_a_line_that_no_longer_holds_its_key_reads_as_a_miss(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        texts = ("first", "second", "third", "fourth")
+        transport = SequenceTransport([(200, _reply_body(text)) for text in texts])
+        client = LlmClient(_profile(cache_path=str(path)), transport, sleeper=lambda s: None)
+        key = client._cache_key(_request())
+        assert client.cached_complete(_request()).text == "first"
+        # Rewritten in place: another key at the indexed span.
+        path.write_bytes(path.read_bytes().replace(key.encode(), key[::-1].encode()))
+        assert client.cached_complete(_request()).text == "second"
+        assert client.cached_complete(_request()).text == "second"  # the appended line hits
+        # Rewritten in place: a reply and no key at the indexed span.
+        path.write_bytes(path.read_bytes().replace(b'"key"', b'"kez"'))
+        assert client.cached_complete(_request()).text == "third"
+        # Cut short: the indexed span reads nothing.
+        path.write_bytes(b"")
+        assert client.cached_complete(_request()).text == "fourth"
+        assert transport.calls == 4
+        client.close()
+
+
+class _Gate:
+    """A transport that holds its first call until `release` is set, then
+    answers it with `first` (a body, or an exception to raise) and every
+    later call with "later"."""
+
+    def __init__(self, first):
+        self.first = first
+        self.entered, self.release = threading.Event(), threading.Event()
+        self.calls = 0
+
+    def __call__(self, profile, payload, headers):
+        self.calls += 1
+        if self.calls > 1:
+            return 200, _reply_body("later")
+        self.entered.set()
+        assert self.release.wait(10)
+        if isinstance(self.first, Exception):
+            raise self.first
+        return 200, self.first
+
+
+def _two_threads_miss_on_one_key(tmp_path, gate):
+    """The outcomes of two threads asking one client for one key, the
+    second after the first has reached the transport."""
+    client = LlmClient(_profile(cache_path=str(tmp_path / "cache.jsonl")), gate, sleeper=lambda s: None)
+    outcomes = {}
+
+    def ask(name):
+        try:
+            outcomes[name] = client.cached_complete(_request()).text
+        except ClientError as exc:
+            outcomes[name] = exc.kind
+
+    first = threading.Thread(target=ask, args=("first",))
+    first.start()
+    assert gate.entered.wait(10)
+    second = threading.Thread(target=ask, args=("second",))
+    second.start()
+    time.sleep(0.1)  # the second thread reaches the miss and waits
+    gate.release.set()
+    for thread in (first, second):
+        thread.join(10)
+        assert not thread.is_alive()
+    return outcomes, (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+def test_concurrent_misses_on_one_key_share_one_call(tmp_path):
+    gate = _Gate(_reply_body("shared"))
+    outcomes, lines = _two_threads_miss_on_one_key(tmp_path, gate)
+    assert outcomes == {"first": "shared", "second": "shared"}
+    assert gate.calls == 1
+    assert len(lines) == 1
+
+
+def test_a_waiter_makes_its_own_call_when_the_shared_one_fails(tmp_path):
+    gate = _Gate(ClientError(ClientErrorKind.AUTH, "HTTP 401"))
+    outcomes, lines = _two_threads_miss_on_one_key(tmp_path, gate)
+    assert outcomes == {"first": ClientErrorKind.AUTH, "second": "later"}
+    assert gate.calls == 2
+    assert len(lines) == 1
+
+
+def test_many_threads_on_few_keys_call_each_key_once(tmp_path):
+    # More threads than cores, switching often: every key is called once,
+    # cached once, and every thread gets its key's reply.
+    calls, lock = {}, threading.Lock()
+
+    def transport(profile, payload, headers):
+        user = payload["messages"][1]["content"]
+        with lock:
+            calls[user] = calls.get(user, 0) + 1
+        time.sleep(0.001)
+        return 200, _reply_body(f"reply to {user}")
+
+    client = LlmClient(_profile(cache_path=str(tmp_path / "cache.jsonl")), transport, sleeper=lambda s: None)
+    wrong = []
+
+    def worker(n):
+        for i in range(60):
+            user = f"u{(n + i) % 12}"
+            if client.cached_complete(_request(user=user)).text != f"reply to {user}":
+                wrong.append(user)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    client.close()
+    assert wrong == []
+    assert calls == {f"u{k}": 1 for k in range(12)}
+    assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 12
+
+
+def _whole_file_load(path) -> dict:
+    """The replay cache as a load of the whole file reads it: the text and
+    model of each key's last valid line, corrupt and wrong-shaped lines
+    skipped. The indexed cache must answer every key as this does."""
+    cache = {}
+    if path.exists():
+        rows = read_jsonl(path, skip=lambda *_: None, fields={"key": str, "reply": dict})
+        for _, entry, _ in rows:
+            text, model = entry["reply"].get("text"), entry["reply"].get("model")
+            if isinstance(text, str) and isinstance(model, str):
+                cache[entry["key"]] = (text, model)
+    return cache
+
+
+_KEYS = 4  # requests `_request(seed_tag=str(i))` for i < _KEYS
+_REPLY_TEXT = st.text(st.sampled_from(["a", " ", "\n", "\r", "\u2028", "\x85", '"', "\\", "é", "数"]), max_size=6)
+
+
+def _line(key: str, kind: str, text: str) -> bytes:
+    """A cache line of `kind` for `key`, without its line break."""
+    valid = {"key": key, "reply": {"text": text, "model": "unit-model"}}
+    line = {
+        "valid": valid,
+        "latency": {"key": key, "reply": {"text": text, "model": "m2", "latency": 0.5}},
+        "upper key": {**valid, "key": key.upper()},
+        "spaced key": {**valid, "key": key[:32] + " " + key[32:]},
+        "short key": {**valid, "key": key[:62]},
+        "list key": {**valid, "key": [key]},
+        "list reply": {"key": key, "reply": [text, "unit-model"]},
+        "int text": {"key": key, "reply": {"text": 5, "model": "unit-model"}},
+        "no model": {"key": key, "reply": {"text": text}},
+        "meta": {"_meta": valid},
+    }.get(kind)
+    if line is not None:
+        return json.dumps(line, ensure_ascii=kind == "latency").encode("utf-8")
+    return {
+        "blank": b"   ",
+        "broken": b'{"key": "' + key.encode() + b'", "reply": {"text"',
+        "not utf-8": b'{"key": "' + key.encode() + b'", "reply": {"text": "\xff", "model": "m"}}',
+        "surrogate": b'{"key": "' + key.encode() + b'", "reply": {"text": "\\ud800", "model": "m"}}',
+        "array": b"[1, 2]",
+    }[kind]
+
+
+_KINDS = ["valid", "valid", "valid", "latency", "upper key", "spaced key", "short key", "list key",
+          "list reply", "int text", "no model", "meta", "blank", "broken", "not utf-8", "surrogate", "array"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(st.tuples(st.integers(0, _KEYS - 1), st.sampled_from(_KINDS), _REPLY_TEXT,
+                             st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=10),
+    last_break=st.booleans(),
+)
+def test_the_indexed_cache_answers_every_key_as_a_whole_file_load(tmp_path_factory, lines, last_break):
+    path = tmp_path_factory.getbasetemp() / "property-cache.jsonl"
+    transport = SequenceTransport([(200, _reply_body("fresh"))])
+    client = LlmClient(_profile(cache_path=str(path)), transport, sleeper=lambda s: None)
+    requests = [_request(seed_tag=str(i)) for i in range(_KEYS)]
+    keys = [client._cache_key(request) for request in requests]
+    data = b"".join(_line(keys[i], kind, text) + brk for i, kind, text, brk in lines)
+    if lines and not last_break:
+        data = data.rstrip(b"\r\n")
+    path.write_bytes(data)
+    expected = _whole_file_load(path)
+
+    appended = []
+    for key, request in zip(keys, requests):
+        calls = transport.calls
+        reply = client.cached_complete(request)
+        if key in expected:
+            assert (reply.text, reply.model, reply.latency, transport.calls) == (*expected[key], 0.0, calls)
+        else:
+            assert (reply.text, transport.calls) == ("fresh", calls + 1)
+            entry = {"key": key, "reply": {"text": "fresh", "model": "unit-model"}}
+            appended.append(json.dumps(entry).encode("utf-8") + b"\n")
+    # An append after a cut-short last line starts a new line.
+    cut_short = appended and data[-1:] not in b"\r\n"
+    assert path.read_bytes() == data + b"\n" * bool(cut_short) + b"".join(appended)
+    # Every key now hits, in this client and in a fresh one.
+    fresh = LlmClient(_profile(cache_path=str(path)), SequenceTransport([(500, "")]), sleeper=lambda s: None)
+    for reader in (client, fresh):
+        calls = transport.calls
+        assert [reader.cached_complete(r).text for r in requests] == [
+            expected.get(k, ("fresh",))[0] for k in keys]
+        assert transport.calls == calls
+    client.close()
+    fresh.close()
+
+
+def _held_after_loading(tmp_path, entries: int) -> int:
+    """The traced heap a client holds once it has loaded a cache of
+    `entries` replies of 1 KB each and replayed one of them, in bytes."""
+    path = tmp_path / f"cache-{entries}.jsonl"
+    client = LlmClient(_profile(cache_path=str(path)), SequenceTransport([(500, "")]), sleeper=lambda s: None)
+    filler = "Net revenue rose on the segment's higher volumes. " * 20
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(entries):
+            entry = {"key": client._cache_key(_request(seed_tag=str(i))),
+                     "reply": {"text": f"{i}: {filler}", "model": "unit-model"}}
+            fh.write(json.dumps(entry) + "\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert client.cached_complete(_request(seed_tag="0")).text.startswith("0: ")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        client.close()
+    return held
+
+
+def test_a_loaded_cache_holds_no_reply_text(tmp_path):
+    _held_after_loading(tmp_path, 5)  # imports and one-time tables
+    small, large = _held_after_loading(tmp_path, 100), _held_after_loading(tmp_path, 1000)
+    assert (tmp_path / "cache-1000.jsonl").stat().st_size > 1000 * 1024
+    assert (large - small) / 900 < 300, (small, large)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count descriptors")
+def test_close_leaves_no_descriptor_open(tmp_path):
+    def open_descriptors() -> int:
+        return len(os.listdir("/proc/self/fd"))
+
+    transport = SequenceTransport([(200, _reply_body("x"))])
+    client = LlmClient(_profile(cache_path=str(tmp_path / "cache.jsonl")), transport, sleeper=lambda s: None)
+    gc.collect()  # clients of earlier tests close their descriptors now, not below
+    before = open_descriptors()
+    client.cached_complete(_request())  # a miss appends and holds no descriptor
+    assert open_descriptors() == before
+    client.cached_complete(_request())  # the first hit opens one
+    assert open_descriptors() == before + 1
+    client.close()
+    client.close()
+    assert open_descriptors() == before
+    # A hit after close() opens it again; collecting the client closes it.
+    assert client.cached_complete(_request()).text == "x"
+    assert open_descriptors() == before + 1
+    del client
+    gc.collect()
+    assert open_descriptors() == before
+    assert transport.calls == 1
 
 
 def test_in_flight_never_exceeds_limit():
