@@ -374,32 +374,33 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fix(args) -> int:
-    from .jsonl import write_jsonl
+    from .jsonl import jsonl_output
     from .quality import QualityTally, fix
     from .records import read_records, write_records
 
     tally = QualityTally()
-    discarded = []
+    discarded = 0
+    meta = _meta("fix", seed=args.seed)
 
-    def fixed():
+    def fixed(discard):
+        # Each discarded record's id and reasons are written as it is found.
+        nonlocal discarded
         for record, warnings in read_records(args.input):
             outcome = fix(record, warnings)
             tally.add(record.provenance or "unknown", outcome.issues, discarded=not outcome.fixed)
             if outcome.fixed:
                 yield outcome.record
-            else:
-                discarded.append(
-                    {"id": record.id, "reasons": [i.kind.value for i in outcome.reasons]}
-                )
+                continue
+            discarded += 1
+            if discard is not None:
+                discard({"id": record.id, "reasons": [i.kind.value for i in outcome.reasons]})
 
-    meta = _meta("fix", seed=args.seed)
-    kept = write_records(args.output, fixed(), meta=meta)
-    if args.discarded:
-        write_jsonl(args.discarded, discarded, meta=meta)
+    with jsonl_output(args.discarded, meta) if args.discarded else nullcontext() as discard:
+        kept = write_records(args.output, fixed(discard), meta=meta)
     if args.tally:
         _write_json(args.tally, {"meta": _meta("fix"), "tally": tally.to_json()})
     print(
-        f"fix: kept={kept} discarded={len(discarded)}\n{tally.format_table()}",
+        f"fix: kept={kept} discarded={discarded}\n{tally.format_table()}",
         file=sys.stderr,
     )
     return 0

@@ -20,11 +20,11 @@ from .markup import (
     Form,
     TaggedDocument,
     TagSpan,
+    Text,
     derive_erroneous,
     label_of,
     parse,
 )
-from .patterns import squash_ws
 from .prompts import strip_reply_envelope
 from .taxonomy import DEFAULT_LABELS, FAVA_EXTRA_STATEMENT_TAGS
 
@@ -57,17 +57,16 @@ def align_spans(
     mode: str = "overlap",
 ) -> tuple:
     """Greedy one-to-one matching over candidate pairs with >=1 character
-    overlap (mode "exact" restricts candidates to identical spans)."""
+    overlap or identical spans, so that an empty span can match its twin
+    (mode "exact" restricts candidates to identical spans)."""
     if mode not in ("overlap", "exact"):
         raise ValueError(f"unknown match mode {mode!r}")
     candidates = []
     for gi, g in enumerate(gold_spans):
         for pi, p in enumerate(pred_spans):
             overlap = min(g.end, p.end) - max(g.start, p.start)
-            if overlap <= 0:
-                continue
             exact = g.start == p.start and g.end == p.end
-            if mode == "exact" and not exact:
+            if not exact and (overlap <= 0 or mode == "exact"):
                 continue
             exact_typed = exact and label_of(g.kind) == label_of(p.kind)
             # Tie-breaks use min/max so the ordering is invariant under
@@ -97,15 +96,27 @@ def align_spans(
     return tuple(pairs), unmatched_gold, unmatched_pred
 
 
+def _leading_space(doc: TaggedDocument) -> int:
+    first = doc.segments[0] if doc.segments else None
+    return len(first.content) - len(first.content.lstrip()) if isinstance(first, Text) else 0
+
+
 def align(gold: TaggedDocument, pred: TaggedDocument, mode: str = "overlap") -> MatchSet:
     """Align two documents on their erroneous renderings.
 
-    When the renderings differ (whitespace-insensitively) alignment still
-    proceeds on each document's own offsets, flagged via render_mismatch.
+    Offsets count from the end of the whitespace that leads each document
+    outside its tags, since a reply is stripped of it before it is parsed
+    and a gold passage is not. When the renderings differ
+    (whitespace-insensitively) alignment still proceeds on each
+    document's own offsets, flagged via render_mismatch.
     """
     gold_render, gold_spans = derive_erroneous(gold)
     pred_render, pred_spans = derive_erroneous(pred)
-    mismatch = squash_ws(gold_render) != squash_ws(pred_render)
+    shift = _leading_space(gold) - _leading_space(pred)
+    if shift:
+        pred_spans = [TagSpan(p.kind, p.start + shift, p.end + shift, p.error_text, p.correction)
+                      for p in pred_spans]
+    mismatch = gold_render.split() != pred_render.split()
     pairs, unmatched_gold, unmatched_pred = align_spans(gold_spans, pred_spans, mode)
     return MatchSet(pairs, unmatched_gold, unmatched_pred, mismatch)
 
@@ -119,11 +130,6 @@ class KindCounts:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-    def add(self, other: KindCounts) -> None:
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
 
     @property
     def precision(self) -> float:
@@ -143,10 +149,6 @@ class KindCounts:
 class BinaryCounts(KindCounts):
     tn: int = 0
 
-    def add(self, other: BinaryCounts) -> None:
-        super().add(other)
-        self.tn += other.tn
-
 
 @dataclass
 class DetectionReport:
@@ -155,6 +157,10 @@ class DetectionReport:
     binary: BinaryCounts
     unparseable: int = 0
     labels: tuple = DEFAULT_LABELS
+
+    @classmethod
+    def empty(cls, labels: tuple = DEFAULT_LABELS) -> DetectionReport:
+        return cls({label: KindCounts() for label in labels}, KindCounts(), BinaryCounts(), 0, labels)
 
     def macro_overall(self) -> tuple[float, float, float]:
         """Unweighted mean of per-kind precision/recall, F1 from those.
@@ -210,22 +216,31 @@ def score(
     gold_doc: TaggedDocument,
     pred_doc: TaggedDocument,
     labels: tuple = DEFAULT_LABELS,
+    into: DetectionReport | None = None,
 ) -> DetectionReport:
-    """Score one aligned document pair.
+    """Score one aligned document pair, into a new report or added to the
+    counts of `into`, which is returned.
 
     Per-kind: a type-equal pair is a TP of that kind; a type-unequal pair
     contributes FP to the predicted kind and FN to the gold kind; unmatched
     spans are FP/FN of their own kind. Overall micro-aggregates the kinds.
     Binary is passage-level: positive iff a document contains any tag.
     """
-    per_kind = {label: KindCounts() for label in labels}
+    report = DetectionReport.empty(labels) if into is None else into
+    per_kind = report.per_kind
 
     def bucket(kind) -> KindCounts:
-        return per_kind.setdefault(label_of(kind), KindCounts())
+        label = label_of(kind)
+        counts = per_kind.get(label)
+        if counts is None:
+            counts = per_kind[label] = KindCounts()
+        return counts
 
+    tp = 0
     for g, p, type_equal in match.pairs:
         if type_equal:
             bucket(g.kind).tp += 1
+            tp += 1
         else:
             bucket(p.kind).fp += 1
             bucket(g.kind).fn += 1
@@ -234,35 +249,21 @@ def score(
     for p in match.unmatched_pred:
         bucket(p.kind).fp += 1
 
-    overall = KindCounts()
-    for counts in per_kind.values():
-        overall.add(counts)
-    binary = BinaryCounts()
+    overall, binary = report.overall, report.binary
+    mistyped = len(match.pairs) - tp
+    overall.tp += tp
+    overall.fp += mistyped + len(match.unmatched_pred)
+    overall.fn += mistyped + len(match.unmatched_gold)
     gold_pos, pred_pos = gold_doc.has_tags, pred_doc.has_tags
     if gold_pos and pred_pos:
-        binary.tp = 1
+        binary.tp += 1
     elif gold_pos:
-        binary.fn = 1
+        binary.fn += 1
     elif pred_pos:
-        binary.fp = 1
+        binary.fp += 1
     else:
-        binary.tn = 1
-    return DetectionReport(per_kind, overall, binary, 0, labels)
-
-
-def combine_reports(reports: Iterable[DetectionReport], labels: tuple = DEFAULT_LABELS) -> DetectionReport:
-    """Sum per-document reports into one corpus report (order-invariant)."""
-    per_kind = {label: KindCounts() for label in labels}
-    overall = KindCounts()
-    binary = BinaryCounts()
-    unparseable = 0
-    for report in reports:
-        for label, counts in report.per_kind.items():
-            per_kind.setdefault(label, KindCounts()).add(counts)
-        overall.add(report.overall)
-        binary.add(report.binary)
-        unparseable += report.unparseable
-    return DetectionReport(per_kind, overall, binary, unparseable, labels)
+        binary.tn += 1
+    return report
 
 
 def evaluate_corpus(
@@ -282,19 +283,16 @@ def evaluate_corpus(
     whatever survived.
     """
     extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
-
-    def reports():
-        # Gold rows are read, their replies fetched, then both scored, a
-        # batch at a time.
-        for batch in batches(gold_docs.items() if isinstance(gold_docs, dict) else gold_docs):
-            replies = [raw_predictions.get(rid, "") for rid, _ in batch]
-            for (_, gold), raw in zip(batch, replies):
-                pred, warnings = parse_prediction(raw, extra_statement_tags=extra)
-                report = score(align(gold, pred, mode), gold, pred, labels)
-                report.unparseable = int(any(w.category == "demoted" for w in warnings))
-                yield report
-
-    return combine_reports(reports(), labels)
+    report = DetectionReport.empty(labels)
+    # Gold rows are read, their replies fetched, then both scored into the
+    # running totals, a batch at a time.
+    for batch in batches(gold_docs.items() if isinstance(gold_docs, dict) else gold_docs):
+        replies = [raw_predictions.get(rid, "") for rid, _ in batch]
+        for (_, gold), raw in zip(batch, replies):
+            pred, warnings = parse_prediction(raw, extra_statement_tags=extra)
+            score(align(gold, pred, mode), gold, pred, labels, into=report)
+            report.unparseable += any(w.category == "demoted" for w in warnings)
+    return report
 
 
 def f1_from_pr(precision: float, recall: float) -> float:

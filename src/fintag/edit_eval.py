@@ -10,7 +10,6 @@ deflate scores.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -23,11 +22,11 @@ from .markup import Form, derive_original, parse
 from .patterns import (
     ANTONYMS,
     RELATION_WORD_RE,
-    extract_numbers,
+    absent_values,
+    number_cores,
+    number_values,
     sentence_spans,
 )
-
-log = logging.getLogger(__name__)
 
 
 class VerdictLabel(Enum):
@@ -79,29 +78,39 @@ _STOPWORDS = frozenset(
 )
 
 
-def _content_words(text: str) -> set[str]:
-    return {
-        w
-        for w in (t.strip(".,;:()%$").lower() for t in text.split())
-        if w and w not in _STOPWORDS and w.isalpha()
-    }
+def _content_words(text: str) -> frozenset[str]:
+    words = {t.strip(".,;:()%$") for t in set(text.lower().split())}
+    return frozenset(filter(str.isalpha, words - _STOPWORDS))
 
 
 @lru_cache(maxsize=1)
 def _reference_index(
     reference: str,
-) -> tuple[frozenset[str], tuple[tuple[frozenset[str], str], ...]]:
-    """The reference's number set and each sentence with its content words.
+) -> tuple[frozenset[str], tuple[str, ...], tuple[frozenset[str], ...]]:
+    """The reference's number cores as spelled, its sentences, and each
+    sentence's content words.
 
     One entry suffices: `score_editing` judges every unit of a passage
-    against the same reference. Relation words are scanned only in the
-    sentence a fact picks as its counterpart, which measured faster than
-    scanning every sentence up front.
+    against the same reference. The values of the number cores are read
+    only when some fact spells a number otherwise (`_reference_values`),
+    and relation words only in a sentence that some fact picks as its
+    counterpart, once per sentence (`_relation_words`).
     """
-    sentences = split_facts(reference) or [reference]
-    return frozenset(extract_numbers(reference)), tuple(
-        (frozenset(_content_words(s)), s) for s in sentences
-    )
+    sentences = tuple(split_facts(reference) or [reference])
+    return frozenset(number_cores(reference)), sentences, tuple(map(_content_words, sentences))
+
+
+@lru_cache(maxsize=1)
+def _reference_values(cores: frozenset[str]) -> frozenset[str]:
+    return frozenset(number_values(cores))
+
+
+@lru_cache(maxsize=256)
+def _relation_words(sentence: str) -> frozenset[str]:
+    return frozenset(m.group().lower() for m in RELATION_WORD_RE.finditer(sentence.lower()))
+
+
+_SUPPORTED = JudgeVerdict(VerdictLabel.SUPPORTED)
 
 
 def containment_judge(fact: str, reference: str) -> JudgeVerdict:
@@ -112,8 +121,8 @@ def containment_judge(fact: str, reference: str) -> JudgeVerdict:
     is contradicted by its antonym in the reference sentence sharing the
     most content words with the fact.
     """
-    ref_numbers, ref_sentences = _reference_index(reference)
-    missing = extract_numbers(fact) - ref_numbers
+    ref_cores, ref_sentences, ref_words = _reference_index(reference)
+    missing = absent_values(number_cores(fact), ref_cores, _reference_values)
     if missing:
         return JudgeVerdict(
             VerdictLabel.UNSUPPORTED,
@@ -130,17 +139,15 @@ def containment_judge(fact: str, reference: str) -> JudgeVerdict:
     }
     if relation_words:
         fact_words = _content_words(fact)
-        _, counterpart = max(ref_sentences, key=lambda s: len(s[0] & fact_words))
-        counterpart_words = {
-            m.group().lower() for m in RELATION_WORD_RE.finditer(counterpart.lower())
-        }
+        shared = [len(words & fact_words) for words in ref_words]
+        counterpart_words = _relation_words(ref_sentences[shared.index(max(shared))])
         for word, antonym in relation_words.items():
             if antonym in counterpart_words and word not in counterpart_words:
                 return JudgeVerdict(
                     VerdictLabel.UNSUPPORTED,
                     f"{word!r} contradicts {antonym!r} in the reference",
                 )
-    return JudgeVerdict(VerdictLabel.SUPPORTED)
+    return _SUPPORTED
 
 
 def score_editing(edited: str, reference: str, judge: Judge) -> FactScore:
@@ -161,7 +168,10 @@ def score_editing(edited: str, reference: str, judge: Judge) -> FactScore:
             verdict = judge(unit, reference)
         except Exception:
             if not failed:
-                log.warning("judge failed on a unit; failed units count as abstentions", exc_info=True)
+                import logging
+
+                logging.getLogger(__name__).warning(
+                    "judge failed on a unit; failed units count as abstentions", exc_info=True)
             failed += 1
             verdict = JudgeVerdict(VerdictLabel.ABSTAIN, "judge failure")
         if verdict.label is VerdictLabel.SUPPORTED:

@@ -246,26 +246,33 @@ def batches(items: Iterable) -> Iterator[list]:
         yield batch
 
 
-def write_jsonl(
-    path: str | Path | None, rows: Iterable[dict | str], meta: dict | None = None
-) -> int:
-    """Write the `{"_meta": meta}` header (when `meta` is given), then one
-    line per row, to `path` through `open_output` or, when it is None, to
-    standard output. `rows` may be a generator that does a stage's work:
-    rows are drawn a batch at a time (`batches`), each batch written before
-    the next is drawn, so memory holds one batch.
-
-    A dict row is encoded with `json.dumps(row, ensure_ascii=False)`; a
-    str row is a line already in JSON, written as is. Returns the number
-    of rows written.
-    """
-    count = 0
+@contextmanager
+def jsonl_output(path: str | Path | None, meta: dict | None = None):
+    """A JSONL file written through `open_output` or, when `path` is None,
+    to standard output: the `{"_meta": meta}` header (when `meta` is
+    given), then one line for each row passed to the function the block
+    gets. A dict row is encoded with `json.dumps(row, ensure_ascii=False)`;
+    a str row is a line already in JSON, written as is."""
     target = open_output(path) if path is not None else nullcontext(sys.stdout)
     with target as fh:
         if meta is not None:
             fh.write(_ENCODE({_META: meta}) + "\n")
+        yield lambda row: fh.write((row if isinstance(row, str) else _ENCODE(row)) + "\n")
+
+
+def write_jsonl(
+    path: str | Path | None, rows: Iterable[dict | str], meta: dict | None = None
+) -> int:
+    """Write `rows` through `jsonl_output(path, meta)`. `rows` may be a
+    generator that does a stage's work: rows are drawn a batch at a time
+    (`batches`), each batch written before the next is drawn, so what
+    memory holds does not grow with the rows. Returns the number of rows
+    written.
+    """
+    count = 0
+    with jsonl_output(path, meta) as write:
         for batch in batches(rows):
             for row in batch:
-                fh.write((row if isinstance(row, str) else _ENCODE(row)) + "\n")
+                write(row)
             count += len(batch)
     return count

@@ -41,10 +41,38 @@ def _word_scanner(alternation: str, leads: Iterable[str], flags: int = re.IGNORE
     word character, so `(?<!\w)` says what the leading `\b` said, and a
     lookahead on the leads' first characters rejects every other word at
     once. The matches are those of the `\b`-led pattern, which Python's
-    engine must try alternative by alternative at every word start.
+    engine must try alternative by alternative at every word start. A long
+    word list, as the relation lexicon is, comes spelled as a trie
+    (`_trie`), so that the engine reads a shared prefix once at a word
+    start, not once per word.
     """
     first = "".join(sorted({re.escape(lead[0]) for lead in leads}))
     return re.compile(rf"(?<!\w)(?=[{first}])(?:{alternation})\b", flags)
+
+
+def _trie(words: Iterable[str]) -> str:
+    """An alternation of `words` spelled as a trie, so that a shared prefix
+    is matched once instead of once per word.
+
+    At each node the longer words are tried before the word that ends
+    there. All the words that match at one position lie on one path of the
+    trie, so the longest of them that the rest of the pattern accepts is
+    the match, as with an alternation sorted longest first.
+    """
+    root: dict = {}
+    for word in words:
+        node = root
+        for ch in word:
+            node = node.setdefault(ch, {})
+        node[""] = {}
+
+    def spell(node: dict) -> str:
+        alternatives = [re.escape(ch) + spell(child) for ch, child in sorted(node.items()) if ch]
+        if "" in node:
+            alternatives.append("")
+        return alternatives[0] if len(alternatives) == 1 else f"(?:{'|'.join(alternatives)})"
+
+    return spell(root)
 
 
 YEAR_RE = re.compile(_YEAR)
@@ -138,29 +166,43 @@ def normalize_number(token: str) -> str | None:
     return None if m is None else _canonical_number(m.group(2))
 
 
-def extract_numbers(text: str) -> set[str]:
-    """All normalized number/year values appearing in `text`.
+def number_cores(text: str) -> set[str]:
+    """The distinct number cores of `text`, as spelled. Sigils and percent
+    signs never change a value, so they are not read."""
+    return set(_NUMBER_CORE_RE.findall(text))
 
-    Sigils and percent signs never change a value, so the scan reads bare
-    number cores and normalizes each distinct one once.
+
+def number_values(cores: Iterable[str]) -> set[str]:
+    """The normalized values of number cores."""
+    return {_canonical_number(core) for core in cores}
+
+
+def extract_numbers(text: str) -> set[str]:
+    """All normalized number/year values appearing in `text`."""
+    return number_values(number_cores(text))
+
+
+def absent_values(cores: set[str], reference_cores: set[str], reference_values=number_values) -> set[str]:
+    """The values of number cores `cores` that a reference whose number
+    cores are `reference_cores` lacks.
+
+    A core spelled the same in both has the same value, so only the cores
+    missing from `reference_cores` as spelled ("1000" against "1,000") are
+    normalized, and only then is `reference_values(reference_cores)`, the
+    reference's values, called: a caller that asks about one reference
+    again and again may cache it.
     """
-    return {_canonical_number(core) for core in set(_NUMBER_CORE_RE.findall(text))}
+    missing = cores - reference_cores
+    if not missing:
+        return missing
+    return number_values(missing) - reference_values(reference_cores)
 
 
 def numbers_within(text: str, reference: str) -> bool:
     """`extract_numbers(text) <= extract_numbers(reference)`, the grounding
-    test. A number core spelled the same in both has the same value, so
-    only when some core of `text` is missing from `reference` as spelled
-    ("1000" against "1,000") are the cores normalized."""
-    cores = set(_NUMBER_CORE_RE.findall(text))
-    if not cores:
-        return True
-    reference_cores = set(_NUMBER_CORE_RE.findall(reference))
-    missing = cores - reference_cores
-    if not missing:
-        return True
-    values = {_canonical_number(core) for core in reference_cores}
-    return all(_canonical_number(core) in values for core in missing)
+    test, by the raw-core-first rule of `absent_values`."""
+    cores = number_cores(text)
+    return not cores or not absent_values(cores, number_cores(reference))
 
 
 # Relation words whose flip inverts the claim. Kept symmetric: the mapping
@@ -198,9 +240,7 @@ for _a, _b in ANTONYM_PAIRS:
     ANTONYMS.setdefault(_a, _b)
     ANTONYMS.setdefault(_b, _a)
 
-RELATION_WORD_RE = _word_scanner(
-    "|".join(sorted((re.escape(w) for w in ANTONYMS), key=len, reverse=True)), ANTONYMS
-)
+RELATION_WORD_RE = _word_scanner(_trie(ANTONYMS), ANTONYMS)
 
 
 def flip_relation_word(word: str) -> str | None:

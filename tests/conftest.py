@@ -184,13 +184,10 @@ def _priority_candidates(gold_spans, pred_spans):
     for gi, g in enumerate(gold_spans):
         for pi, p in enumerate(pred_spans):
             overlap = min(g.end, p.end) - max(g.start, p.start)
-            if overlap <= 0:
+            same_span = g.start == p.start and g.end == p.end
+            if overlap <= 0 and not same_span:
                 continue
-            exact = (
-                g.start == p.start
-                and g.end == p.end
-                and label_of(g.kind) == label_of(p.kind)
-            )
+            exact = same_span and label_of(g.kind) == label_of(p.kind)
             key = (
                 0 if exact else 1,
                 -overlap,

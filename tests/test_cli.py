@@ -61,8 +61,8 @@ def test_cli_import_leaves_http_stack_unloaded():
     assert _run_probe(probe).strip() == "False"
 
 
-# Standard modules that no build stage but `insert --mode llm` and `split`
-# needs: each costs a stage process several milliseconds to import.
+# Standard modules that no build or evaluation stage but `insert --mode llm`
+# and `split` needs: each costs a stage process several milliseconds to import.
 _STDLIB_WATCHED = ("logging", "fractions")
 
 _LOADED_PROBE = (
@@ -127,8 +127,10 @@ def _stage_argv(tmp_path, stage):
 @pytest.mark.parametrize(
     "stage, runs, unloaded",
     [
-        ("eval-detect", "detect_eval", ("insertion", "quality", "corpus", "edit_eval", "llm_client")),
-        ("eval-edit", "edit_eval", ("insertion", "quality", "corpus", "detect_eval", "llm_client")),
+        ("eval-detect", "detect_eval",
+         ("insertion", "quality", "corpus", "edit_eval", "llm_client", "patterns", *_STDLIB_WATCHED)),
+        ("eval-edit", "edit_eval",
+         ("insertion", "quality", "corpus", "detect_eval", "llm_client", *_STDLIB_WATCHED)),
         ("fix", "quality", ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client")),
         ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("split", "partition",

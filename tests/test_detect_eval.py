@@ -17,7 +17,6 @@ from fintag.cli import dispatch
 from fintag.detect_eval import (
     align,
     align_spans,
-    combine_reports,
     evaluate_corpus,
     f1_from_pr,
     parse_prediction,
@@ -124,6 +123,27 @@ class TestAlign:
         pred = [_span(ErrorType.ENTITY, 11, 14)]
         pairs, ug, up = align_spans(gold, pred, mode="exact")
         assert pairs == () and len(ug) == 1 and len(up) == 1
+
+    @pytest.mark.parametrize("mode", ["overlap", "exact"])
+    def test_an_empty_span_matches_only_its_twin(self, mode):
+        gold = [_span(ErrorType.ENTITY, 7, 7), _span(ErrorType.TEMPORAL, 9, 9)]
+        pred = [_span(ErrorType.ENTITY, 7, 7), _span(ErrorType.TEMPORAL, 8, 12)]
+        pairs, ug, up = align_spans(gold, pred, mode)
+        assert [(g.start, p.start, same) for g, p, same in pairs] == [(7, 7, True)]
+        assert [g.start for g in ug] == [9] and [p.start for p in up] == [8]
+
+    @pytest.mark.parametrize("mode", ["overlap", "exact"])
+    def test_whitespace_before_the_first_tag_or_word_does_not_shift_offsets(self, mode):
+        # A reply is stripped before it is parsed; the gold is not.
+        target = "\n <numerical><mark>5</mark><delete>6</delete></numerical> rose"
+        gold, _ = parse(target, Form.TARGET_OUTPUT)
+        match = align(gold, parse_prediction(target)[0], mode)
+        assert len(match.pairs) == 1 and match.pairs[0][2]
+        # Whitespace inside a leading tag is kept on both sides.
+        target = "<unverifiable> Costs fell.</unverifiable>\n"
+        gold, _ = parse(target, Form.TARGET_OUTPUT)
+        match = align(gold, parse_prediction(target)[0], mode)
+        assert len(match.pairs) == 1 and match.pairs[0][2]
 
     def test_render_mismatch_flagged(self):
         gold, _ = parse("alpha beta", Form.TARGET_OUTPUT)
@@ -255,6 +275,22 @@ class TestOracleEquivalence:
         for _ in range(1500):
             self._check(random_spans(rng, labels), random_spans(rng, labels))
 
+    def test_instances_with_empty_spans(self):
+        rng = random.Random(303)
+        labels = list(ErrorType)
+
+        def spans():
+            # Starts in a tiny window, a third of them empty.
+            drawn = []
+            for _ in range(rng.randint(0, 5)):
+                start = rng.randrange(0, 6)
+                end = start + rng.choice((0, 1, 3))
+                drawn.append(TagSpan(rng.choice(labels), start, end, "x" * (end - start), None))
+            return drawn
+
+        for _ in range(300):
+            self._check(spans(), spans())
+
     def test_dense_adversarial_instances(self):
         rng = random.Random(202)
         labels = list(ErrorType)
@@ -312,6 +348,28 @@ class TestCorpus:
         assert report.overall.f1 == 100.0
         assert report.binary.f1 == 100.0
         assert report.unparseable == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labels=st.sampled_from([DEFAULT_LABELS, FAVA_LABELS]),
+        mode=st.sampled_from(["overlap", "exact"]),
+        targets=st.lists(_TARGETS, min_size=1, max_size=6),
+    )
+    def test_gold_as_its_own_reply_scores_100(self, labels, mode, targets):
+        extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
+        parsed = [parse(t, Form.TARGET_OUTPUT, extra_statement_tags=extra) for t in targets]
+        gold = {f"d{i}": doc for i, (doc, _) in enumerate(parsed)}
+        report = evaluate_corpus(gold, {f"d{i}": t for i, t in enumerate(targets)}, labels, mode)
+        # A gold row whose own parse demoted a tag (FAVA's tags under the
+        # default label set) is still a perfect reply, but an unparseable one.
+        assert report.unparseable == sum(any(w.category == "demoted" for w in ws) for _, ws in parsed)
+        if labels == FAVA_LABELS:
+            assert report.unparseable == 0
+        tagged = any(doc.has_tags for doc in gold.values())
+        for counts in (report.overall, report.binary):
+            assert counts.fp == counts.fn == 0
+            assert counts.f1 == (100.0 if tagged else 0.0)
+        assert report.binary.tn == sum(not doc.has_tags for doc in gold.values())
 
     def test_unparseable_prediction_counted_but_scored(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)
@@ -416,5 +474,7 @@ class TestCorpus:
         header = table.splitlines()[0]
         for abbrev in ("Num.", "Tem.", "Ent.", "Rel.", "Con.", "Unv.", "Ov.", "Bi."):
             assert abbrev in header
-        assert combine_reports([report, report]).overall.tp == 2 * report.overall.tp
+        tp = report.overall.tp
+        assert score(align(gold, gold), gold, gold, into=report) is report
+        assert report.overall.tp == 2 * tp
         assert set(report.to_json()["per_kind"]) == set(DEFAULT_LABELS)

@@ -123,12 +123,27 @@ class TestContainmentJudge:
             assert verdict.label is not VerdictLabel.ABSTAIN
 
 
+_ORACLE_STOPWORDS = frozenset(
+    "a an and are as at be by for from in is it its of on or that the this "
+    "to was were with".split()
+)
+
+
+def _oracle_content_words(text: str) -> set[str]:
+    return {
+        w
+        for w in (t.strip(".,;:()%$").lower() for t in text.split())
+        if w and w not in _ORACLE_STOPWORDS and w.isalpha()
+    }
+
+
 def per_fact_containment_judge(fact: str, reference: str) -> JudgeVerdict:
     """The containment judge as it was before the reference index: it
-    analyses the whole reference for every fact. Kept as the oracle for
-    the indexed judge, with the judge's two later fixes: relation words
-    are checked in order of first appearance, and one without a lexicon
-    entry is skipped."""
+    normalizes every number and analyses the whole reference for every
+    fact, with its own copy of the content-word rule. Kept as the oracle
+    for the indexed judge, with the judge's two later fixes: relation
+    words are checked in order of first appearance, and one without a
+    lexicon entry is skipped."""
     fact_numbers = extract_numbers(fact)
     missing = fact_numbers - extract_numbers(reference)
     if missing:
@@ -144,9 +159,9 @@ def per_fact_containment_judge(fact: str, reference: str) -> JudgeVerdict:
     ]
     if relation_words:
         ref_sentences = split_facts(reference) or [reference]
-        fact_words = edit_eval._content_words(fact)
+        fact_words = _oracle_content_words(fact)
         counterpart = max(
-            ref_sentences, key=lambda s: len(edit_eval._content_words(s) & fact_words)
+            ref_sentences, key=lambda s: len(_oracle_content_words(s) & fact_words)
         )
         counterpart_lower = counterpart.lower()
         counterpart_words = {
@@ -168,7 +183,11 @@ _RELATION_PAIRS = (("rose", "fell"), ("increased", "decreased"), ("up", "down"),
 # shared content words. "loſs" and "RİSE" match the relation regex under
 # IGNORECASE but lower-case to no lexicon entry.
 _WORDS = ("sales", "costs", "margin", "the", "of", "loſs", "RİSE")
-_NUMBERS = ("$1,200", "1,200", "19.5", "19.50", "2018", "12%", "7", "3,")
+# Spellings of one value with different cores ("1,200", "1200" and the
+# Arabic-Indic "١٢٠٠"; "19.5" and "19.500"; "012" and "12%"), so that the
+# judge's raw-core path and its normalizing fallback both run.
+_NUMBERS = ("$1,200", "1,200", "1200", "١٢٠٠", "19.5", "19.50", "19.500", "2018", "12%", "012",
+            "7", "3,")
 
 
 @st.composite
@@ -241,26 +260,51 @@ class TestReferenceIndex:
         assert containment_judge("Sales rose 7.", "  ").label is VerdictLabel.UNSUPPORTED
 
     def test_reference_numbers_are_extracted_once_per_passage(self, monkeypatch):
-        calls = []
+        calls = {"cores": [], "sentences": [], "relations": [], "values": []}
 
-        def counting(text):
-            calls.append(text)
-            return extract_numbers(text)
+        def counting(name, fn):
+            def wrapped(text):
+                calls[name].append(text)
+                return fn(text)
 
-        monkeypatch.setattr(edit_eval, "extract_numbers", counting)
+            return wrapped
+
+        monkeypatch.setattr(edit_eval, "number_cores", counting("cores", edit_eval.number_cores))
+        monkeypatch.setattr(edit_eval, "sentence_spans", counting("sentences", edit_eval.sentence_spans))
+        monkeypatch.setattr(edit_eval, "number_values", counting("values", edit_eval.number_values))
         edit_eval._reference_index.cache_clear()
+        edit_eval._reference_values.cache_clear()
+        edit_eval._relation_words.cache_clear()
+        scan = RELATION_WORD_RE.finditer
+        monkeypatch.setattr(edit_eval, "RELATION_WORD_RE", type("Scanner", (), {
+            "finditer": staticmethod(lambda text: calls["relations"].append(text) or scan(text))}))
         reference = "Sales rose to $1,200 in 2018. Costs fell to 19.5. Margin was 12%."
-        edited = "Sales rose to $1,200 in 2018. Costs fell to 19.5. Margin was 7%. Sales rose."
+        edited = ("Sales rose to $1,200 in 2018. Costs fell to 19.5. Margin was 7%. Sales rose. "
+                  "Sales rose again. Costs were 20. Costs fell.")
         fs = score_editing(edited, reference, containment_judge)
-        assert fs.total == 4
-        assert calls.count(reference) == 1
-        assert len(calls) == fs.total + 1
+        assert (fs.total, fs.supported) == (7, 5)
+        # Each fact is read once, the reference once, however many facts;
+        # the reference's values once, for the two facts that spell a
+        # number it does not.
+        assert calls["cores"].count(reference) == 1
+        assert len(calls["cores"]) == fs.total + 1
+        assert calls["sentences"].count(reference) == 1
+        assert calls["values"] == [frozenset({"1,200", "2018", "19.5", "12"})]
+        # Relation words: once in each of the five facts that reach the
+        # relation check, and once in each of the two reference sentences
+        # picked as a counterpart, lower-cased.
+        counterparts = [text for text in calls["relations"] if text.islower()]
+        assert sorted(counterparts) == ["costs fell to 19.5.", "sales rose to $1,200 in 2018."]
+        assert len(calls["relations"]) == 5 + 2
 
     def test_index_holds_only_immutable_values(self):
-        numbers, sentences = edit_eval._reference_index("Sales rose 7. Costs fell.")
-        assert isinstance(numbers, frozenset) and isinstance(sentences, tuple)
-        for words, sentence in sentences:
-            assert isinstance(words, frozenset) and isinstance(sentence, str)
+        cores, sentences, words = edit_eval._reference_index("Sales rose 1,200. Costs fell.")
+        assert cores == frozenset({"1,200"})
+        assert edit_eval._reference_values(cores) == frozenset({"1200"})
+        assert isinstance(sentences, tuple) and all(isinstance(s, str) for s in sentences)
+        assert isinstance(words, tuple) and len(words) == len(sentences)
+        assert all(isinstance(w, frozenset) for w in words)
+        assert isinstance(edit_eval._relation_words(sentences[0]), frozenset)
 
 
 class TestFactScore:

@@ -100,11 +100,11 @@ def _peaks(argvs) -> dict:
     return peaks
 
 
-def _growth_per_row(tmp_path, chain) -> dict:
-    """Each stage's peak growth per row from 100 to 1,000 rows, in bytes."""
+def _growth_per_row(tmp_path, chain, small: int = 100, large: int = 1000) -> dict:
+    """Each stage's peak growth per row from `small` to `large` rows, in bytes."""
     _peaks(chain(tmp_path / "warm", 5))  # imports and one-time tables
-    small, large = _peaks(chain(tmp_path / "small", 100)), _peaks(chain(tmp_path / "large", 1000))
-    return {stage: (large[stage] - small[stage]) / 900 for stage in large}
+    low, high = _peaks(chain(tmp_path / "small", small)), _peaks(chain(tmp_path / "large", large))
+    return {stage: (high[stage] - low[stage]) / (large - small) for stage in high}
 
 
 def test_each_build_stage_keeps_memory_flat(tmp_path, capsys):
@@ -120,6 +120,30 @@ def test_each_evaluation_stage_keeps_memory_flat(tmp_path, capsys):
     for name in ("gold.jsonl", "edits.jsonl"):
         assert (tmp_path / "large" / name).stat().st_size > 1000 * 1024
     assert all(growth < 512 for growth in per_row.values()), per_row
+
+
+def _mostly_discarded(tmp_path, n):
+    """`fix --discarded` over `n` records of which three in four are
+    discarded: their tagged text does not render their original."""
+    tmp_path.mkdir(exist_ok=True)
+    records = tmp_path / "records.jsonl"
+    rows = ({"id": f"record-{i:06d}-" + "x" * 200, "original": f"Sales rose {i}. {_FILLER}",
+             "tagged": f"Sales {'rose' if i % 4 == 0 else 'fell'} {i}. {_FILLER}"} for i in range(n))
+    write_jsonl(records, rows)
+    return [["fix", "--input", str(records), "--output", str(tmp_path / "fixed.jsonl"),
+             "--discarded", str(tmp_path / "discarded.jsonl")]]
+
+
+def test_fix_writes_discarded_rows_as_it_finds_them(tmp_path, capsys):
+    # The records output holds two batches of kept records at its peak
+    # (see `jsonl.batches`); from 600 rows up both are full, so only rows
+    # held elsewhere add to the peak.
+    per_row = _growth_per_row(tmp_path, _mostly_discarded, 600, 1800)
+    summaries = [line for line in capsys.readouterr().err.splitlines() if line.startswith("fix:")]
+    assert summaries[-1] == "fix: kept=450 discarded=1350"
+    lines = (tmp_path / "large" / "discarded.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1351 and json.loads(lines[1])["reasons"] == ["inconsistent_content"]
+    assert per_row["fix"] < 128, per_row
 
 
 def _records(path, rows):
