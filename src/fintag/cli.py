@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack, closing, nullcontext
+from functools import partial
 from pathlib import Path
 
 # Each command imports the layers it runs inside its handler, so a stage
@@ -199,14 +200,12 @@ def _meta(command: str, **extra) -> dict:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    """Write `text` and a newline to `path`, or print it to stdout."""
-    if path:
-        from .jsonl import open_output
+    """Write `text` and a newline to `path`, or to stdout when `path` is
+    None or empty."""
+    from .jsonl import open_output
 
-        with open_output(path) as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with open_output(path or None) as fh:
+        fh.write(text + "\n")
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -218,84 +217,76 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 def _cmd_insert(args) -> int:
     from .corpus import IngestStats, filter_grounded, ingest
-    from .insertion import (
-        InsertionFailure,
-        insert_llm,
-        insert_rule_based,
-        load_exemplars,
-        plan_errors,
-    )
+    from .insertion import InsertionFailure, insert_llm, insert_rule_based, load_exemplars, plan_errors
     from .jsonl import open_output, rereadable
     from .records import write_records
 
     cp = _load_ini(args.config)
     config = _inserter_config(cp, args.config)
     llm = args.mode == "llm"
-    if llm:
-        # A pool lacking a weighted kind fails here, before any model call.
-        exemplars = load_exemplars(args.exemplars, config.type_weights) if args.exemplars else None
-        profiles = _client_profiles(cp, args.config)
-        if not profiles:
-            raise ValueError("llm mode needs at least one [client:...] config section")
+    meta = _meta("insert", seed=args.seed, mode=args.mode, source=args.source,
+                 config=_config_echo(config))
     stats = IngestStats()
     kept = skips = failures = 0
-
-    def grounded():
-        """(index, QA record) for each record that passes the filter."""
-        nonlocal kept
-        for _, _, qa in ingest(source, args.source, stats):
-            if args.no_ground_filter or filter_grounded(qa):
-                kept += 1
-                yield kept - 1, qa
-
-    def insert_one(item):
-        """(record, site skips) for one grounded QA record; the record is
-        None when the model's replies never pass the gate."""
-        i, qa = item
-        plan = plan_errors(qa.response, config, seed=args.seed + i)
-        if not llm:
-            result = insert_rule_based(
-                qa.response, qa.reference, plan, seed=args.seed + i, record_id=qa.id
-            )
-            return result.record, len(result.skipped)
-        try:
-            record = insert_llm(qa.response, qa.reference, plan, clients[i % len(clients)],
-                                max_retries=args.max_retries, exemplar_pool=exemplars,
-                                record_id=qa.id)
-        except InsertionFailure:
-            record = None
-        return record, 0
-
-    def inserted():
-        """The records in input order, counted in this thread."""
-        nonlocal skips, failures
+    with ExitStack() as held:
+        source, run = args.input, map
         if llm:
+            # A pool lacking a weighted kind fails here, before any model call.
+            exemplars = load_exemplars(args.exemplars, config.type_weights) if args.exemplars else None
+            profiles = _client_profiles(cp, args.config)
+            if not profiles:
+                raise ValueError("llm mode needs at least one [client:...] config section")
+            source = held.enter_context(rereadable(args.input))
+            # Every id is checked before the first model call is paid for.
+            for _ in ingest(source, args.source):
+                pass
             from concurrent.futures import ThreadPoolExecutor
 
+            from .llm_client import LlmClient
+
+            clients = [held.enter_context(closing(LlmClient(profile))) for profile in profiles]
             pool = ThreadPoolExecutor(max_workers=max(1, args.jobs))
-            results = _in_order(pool, insert_one, grounded())
-        else:
-            pool, results = nullcontext(), map(insert_one, grounded())
-        with pool:
-            for record, skipped in results:
+            # Shut down before the clients close, none of which may close
+            # during a call: a unit that raises ends the stage, and the
+            # units still queued are never called.
+            held.callback(pool.shutdown, cancel_futures=True)
+            run = partial(_in_order, pool)
+
+        def insert_one(item):
+            """(record, site skips) for one grounded QA record; the record is
+            None when the model's replies never pass the gate."""
+            i, qa = item
+            plan = plan_errors(qa.response, config, seed=args.seed + i)
+            if not llm:
+                result = insert_rule_based(
+                    qa.response, qa.reference, plan, seed=args.seed + i, record_id=qa.id
+                )
+                return result.record, len(result.skipped)
+            try:
+                record = insert_llm(qa.response, qa.reference, plan, clients[i % len(clients)],
+                                    max_retries=args.max_retries, exemplar_pool=exemplars,
+                                    record_id=qa.id)
+            except InsertionFailure:
+                record = None
+            return record, 0
+
+        def records():
+            """The records in input order, counted in this thread."""
+            nonlocal kept, skips, failures
+            grounded = (qa for _, _, qa in ingest(source, args.source, stats)
+                        if args.no_ground_filter or filter_grounded(qa))
+            for record, skipped in run(insert_one, enumerate(grounded)):
+                kept += 1
                 skips += skipped
                 if record is None:
                     failures += 1
                     continue
                 yield record
 
-    meta = _meta("insert", seed=args.seed, mode=args.mode, source=args.source,
-                 config=_config_echo(config))
-    with rereadable(args.input) if llm else nullcontext(args.input) as source, ExitStack() as held:
-        if llm:  # every id is checked before the first model call is paid for
-            for _ in ingest(source, args.source):
-                pass
-            from .llm_client import LlmClient
-
-            clients = [held.enter_context(closing(LlmClient(profile))) for profile in profiles]
-        with open_output(args.sources_out) if args.sources_out else nullcontext() as sources:
-            records = inserted() if sources is None else _listing_sources(inserted(), sources, args.source)
-            written = write_records(args.output, records, meta=meta)
+        rows = records()
+        if args.sources_out:
+            rows = _listing_sources(rows, held.enter_context(open_output(args.sources_out)), args.source)
+        written = write_records(args.output, rows, meta=meta)
     print(
         f"insert: read={stats.read} kept={kept} skipped_lines={stats.skipped} "
         f"records={written} site_skips={skips} failures={failures}",
@@ -543,9 +534,10 @@ def _cmd_eval_edit(args) -> int:
     from .edit_eval import containment_judge, llm_judge, read_editing_rows, score_corpus
     from .jsonl import open_output, rereadable
 
-    with rereadable(args.input) if args.judge == "llm" else nullcontext(args.input) as source, ExitStack() as held:
-        judge = containment_judge
+    with ExitStack() as held:
+        source, judge = args.input, containment_judge
         if args.judge == "llm":
+            source = held.enter_context(rereadable(args.input))
             # Every row is checked before the first judge call is paid for.
             for _ in read_editing_rows(source):
                 pass
@@ -560,17 +552,17 @@ def _cmd_eval_edit(args) -> int:
 
             judge = llm_judge(held.enter_context(closing(LlmClient(profiles[args.profile]))))
         meta = _meta("eval-edit", judge=args.judge)
-        with open_output(args.output) if args.output else nullcontext(sys.stdout) as fh:
-            # The bytes `_write_json` gives the payload, each record written
-            # as it is scored.
-            fh.write('{\n  "meta": ' + json.dumps(meta, ensure_ascii=False, indent=2).replace("\n", "\n  ")
-                     + ',\n  "records": [')
-            records = _RecordWriter(fh)
-            _, mean, failed = score_corpus(read_editing_rows(source), judge, records)
-            if failed and failed == records.units:
-                raise ValueError(f"the {args.judge} judge failed on all {records.units} units")
-            fh.write(("\n  ]" if records.count else "]")
-                     + f',\n  "mean_score": {round(mean, 4)!r},\n  "mean_pct": {round(100 * mean, 1)!r}\n}}\n')
+        fh = held.enter_context(open_output(args.output or None))
+        # The bytes `_write_json` gives the payload, each record written as
+        # it is scored.
+        fh.write('{\n  "meta": ' + json.dumps(meta, ensure_ascii=False, indent=2).replace("\n", "\n  ")
+                 + ',\n  "records": [')
+        records = _RecordWriter(fh)
+        _, mean, failed = score_corpus(read_editing_rows(source), judge, records)
+        if failed and failed == records.units:
+            raise ValueError(f"the {args.judge} judge failed on all {records.units} units")
+        fh.write(("\n  ]" if records.count else "]")
+                 + f',\n  "mean_score": {round(mean, 4)!r},\n  "mean_pct": {round(100 * mean, 1)!r}\n}}\n')
     # One table-style row: judge label, percentage score, judge failures.
     print(f"{args.judge:<16}{100 * mean:6.1f}  failed {failed}/{records.units} units", file=sys.stderr)
     return 0

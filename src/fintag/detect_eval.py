@@ -48,7 +48,6 @@ class MatchSet:
     pairs: tuple  # (gold TagSpan, pred TagSpan, type_equal)
     unmatched_gold: tuple
     unmatched_pred: tuple
-    render_mismatch: bool = False
 
 
 def align_spans(
@@ -106,19 +105,16 @@ def align(gold: TaggedDocument, pred: TaggedDocument, mode: str = "overlap") -> 
 
     Offsets count from the end of the whitespace that leads each document
     outside its tags, since a reply is stripped of it before it is parsed
-    and a gold passage is not. When the renderings differ
-    (whitespace-insensitively) alignment still proceeds on each
-    document's own offsets, flagged via render_mismatch.
+    and a gold passage is not. Renderings that differ are aligned all the
+    same, each on its own offsets.
     """
-    gold_render, gold_spans = derive_erroneous(gold)
-    pred_render, pred_spans = derive_erroneous(pred)
+    _, gold_spans = derive_erroneous(gold)
+    _, pred_spans = derive_erroneous(pred)
     shift = _leading_space(gold) - _leading_space(pred)
     if shift:
         pred_spans = [TagSpan(p.kind, p.start + shift, p.end + shift, p.error_text, p.correction)
                       for p in pred_spans]
-    mismatch = gold_render.split() != pred_render.split()
-    pairs, unmatched_gold, unmatched_pred = align_spans(gold_spans, pred_spans, mode)
-    return MatchSet(pairs, unmatched_gold, unmatched_pred, mismatch)
+    return MatchSet(*align_spans(gold_spans, pred_spans, mode))
 
 
 def _rate(numer: int, denom: int) -> float:
@@ -292,6 +288,7 @@ def evaluate_corpus(
             pred, warnings = parse_prediction(raw, extra_statement_tags=extra)
             score(align(gold, pred, mode), gold, pred, labels, into=report)
             report.unparseable += any(w.category == "demoted" for w in warnings)
+        del batch, replies, gold, raw, pred, warnings  # before the next batch is drawn
     return report
 
 

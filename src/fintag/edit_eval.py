@@ -244,6 +244,7 @@ def score_corpus(rows: Iterable[dict], judge: Judge, results=None) -> tuple[list
                 count += 1
                 failed += fs.failed
                 yield result["score"]
+            del batch, scored, row, fs, result  # before the next batch is drawn
 
     # fsum: a plain float sum's last bit depends on the row order.
     total = fsum(scores())

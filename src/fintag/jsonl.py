@@ -17,7 +17,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -206,8 +206,12 @@ def open_output(path: str | Path):
     that fails part-way thus leaves no output, an existing output keeps
     its bytes, and a stage may write the file it reads. A path that names
     something other than a regular file (a FIFO, /dev/stdout) is written
-    in place.
+    in place. When `path` is None the block gets standard output, which it
+    leaves open.
     """
+    if path is None:
+        yield sys.stdout
+        return
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -240,21 +244,23 @@ def batches(items: Iterable) -> Iterator[list]:
     shorter. A stage whose steps each run for a batch at a time, rather
     than taking turns every row, takes less CPU: `pairs` about 10% less
     (its work, then the encoding), `eval-detect` and `eval-edit` 6–8%
-    (reading, then scoring, then writing)."""
+    (reading, then scoring, then writing). A caller that drops its batch,
+    and the batch's last item, before it asks for the next holds one batch
+    at a time."""
     items = iter(items)
     while batch := list(itertools.islice(items, _BATCH)):
         yield batch
+        del batch
 
 
 @contextmanager
 def jsonl_output(path: str | Path | None, meta: dict | None = None):
-    """A JSONL file written through `open_output` or, when `path` is None,
-    to standard output: the `{"_meta": meta}` header (when `meta` is
-    given), then one line for each row passed to the function the block
-    gets. A dict row is encoded with `json.dumps(row, ensure_ascii=False)`;
-    a str row is a line already in JSON, written as is."""
-    target = open_output(path) if path is not None else nullcontext(sys.stdout)
-    with target as fh:
+    """A JSONL file written through `open_output(path)`: the
+    `{"_meta": meta}` header (when `meta` is given), then one line for each
+    row passed to the function the block gets. A dict row is encoded with
+    `json.dumps(row, ensure_ascii=False)`; a str row is a line already in
+    JSON, written as is."""
+    with open_output(path) as fh:
         if meta is not None:
             fh.write(_ENCODE({_META: meta}) + "\n")
         yield lambda row: fh.write((row if isinstance(row, str) else _ENCODE(row)) + "\n")
@@ -275,4 +281,5 @@ def write_jsonl(
             for row in batch:
                 write(row)
             count += len(batch)
+            del batch, row  # before the next batch is drawn
     return count

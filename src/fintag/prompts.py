@@ -132,8 +132,8 @@ _FENCE_CLOSE_RE = re.compile(r"\n?```\s*$")
 def strip_reply_envelope(raw: str, keys: Sequence[str] = ("Edited",)) -> str:
     """Unwrap a model reply: optional code fences, then an optional one-key
     JSON envelope ({"Edited": ...}); tolerates single-quoted and bare keys
-    and unescaped content. Returns the payload unchanged when no envelope
-    is recognized."""
+    and unescaped content. When no envelope is recognized, returns the
+    reply stripped of surrounding whitespace (and of its fences)."""
     s = raw.strip()
     if s.startswith("```"):
         s = _FENCE_CLOSE_RE.sub("", _FENCE_OPEN_RE.sub("", s)).strip()

@@ -7,11 +7,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     WORKED_ERRONEOUS,
@@ -722,6 +725,7 @@ class _StubEndpoint(BaseHTTPRequestHandler):
 
     calls = 0
     fails_gate = False  # reply with a passage that does not reconstruct the prompt's
+    status = 200  # any other status is answered with an empty body
 
     def do_POST(self):
         from fintag.insertion import InsertionPlan, insert_rule_based
@@ -731,6 +735,11 @@ class _StubEndpoint(BaseHTTPRequestHandler):
         type(self).calls += 1
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
+        if self.status != 200:
+            self.send_response(self.status)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         prompt = payload["messages"][1]["content"]
         start = prompt.rfind("Passage: ") + len("Passage: ")
         end = prompt.rfind("\n\nReturn only")
@@ -757,6 +766,7 @@ def stub_endpoint():
     thread.start()
     _StubEndpoint.calls = 0
     _StubEndpoint.fails_gate = False
+    _StubEndpoint.status = 200
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     server.shutdown()
     server.server_close()
@@ -872,6 +882,79 @@ def test_insert_llm_mode_counts_each_record_whose_replies_fail_the_gate(
     assert counts["records"] == 0
     assert counts["records"] + counts["failures"] == counts["kept"]
     assert _StubEndpoint.calls == 2 * counts["kept"]  # first try plus one retry each
+
+
+_LINE_KINDS = ("grounded", "ungrounded", "blank", "bad JSON", "not an object", "not UTF-8")
+
+
+def _mixed_qa_file(path, kinds, seed) -> dict:
+    """A QA file of one line of each kind in `kinds`, and the counts that
+    `insert` must report for it."""
+    rng = random.Random(seed)
+    lines = []
+    for i, kind in enumerate(kinds):
+        passage = make_passage(rng)
+        row = {"id": f"q{i}", "documents": [make_context(rng, passage)], "question": "What changed?",
+               "response": passage + (" Margins reached 97531 points." if kind == "ungrounded" else "")}
+        lines.append({"blank": b"  ", "bad JSON": b"{oops", "not an object": b"[5]",
+                      "not UTF-8": b'{"id": "\xff"}'}.get(kind) or json.dumps(row).encode())
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    valid = kinds.count("grounded") + kinds.count("ungrounded")
+    skipped = len(kinds) - valid - kinds.count("blank")
+    return {"read": valid + skipped, "kept": kinds.count("grounded"), "skipped_lines": skipped}
+
+
+def _check_insert_counters(capsys, kinds, seed, *options):
+    with tempfile.TemporaryDirectory() as tmp:
+        qa, out = Path(tmp) / "qa.jsonl", Path(tmp) / "records.jsonl"
+        expected = _mixed_qa_file(qa, kinds, seed)
+        assert dispatch(["insert", "--input", str(qa), "--output", str(out), "--seed", str(seed),
+                         *options]) == 0
+        counts = _insert_counts(capsys.readouterr().err)
+        written = len(out.read_text(encoding="utf-8").splitlines()) - 1  # after the _meta line
+    assert {key: counts[key] for key in expected} == expected
+    assert counts["records"] + counts["failures"] == counts["kept"]
+    assert counts["records"] == written
+    return counts
+
+
+_MIXED_LINES = st.lists(st.sampled_from(_LINE_KINDS), max_size=12)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kinds=_MIXED_LINES, seed=st.integers(0, 1000))
+def test_insert_counts_every_line_it_reads(capsys, kinds, seed):
+    assert _check_insert_counters(capsys, kinds, seed)["failures"] == 0
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kinds=_MIXED_LINES, seed=st.integers(0, 1000), fails_gate=st.booleans())
+def test_insert_llm_mode_counts_every_line_it_reads(tmp_path, capsys, stub_endpoint, kinds, seed,
+                                                    fails_gate):
+    config = tmp_path / "fintag.ini"
+    config.write_text(f"[client:alpha]\nendpoint = {stub_endpoint}\nmodel = stub-a\n", encoding="utf-8")
+    _StubEndpoint.fails_gate = fails_gate
+    counts = _check_insert_counters(capsys, kinds, seed, "--mode", "llm", "--config", str(config),
+                                    "--max-retries", "0", "--jobs", "2")
+    assert fails_gate or counts["failures"] == 0
+
+
+def test_insert_llm_mode_calls_no_queued_unit_after_one_raises(tmp_path, capsys, stub_endpoint):
+    # Every call is refused, so the first unit to finish raises. The units
+    # submitted by then (two bursts of 128) are cancelled, not called.
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=400, seed=6)
+    config = tmp_path / "fintag.ini"
+    config.write_text("[inserter]\nclean_probability = 0.0\n"  # every unit calls the model
+                      f"[client:alpha]\nendpoint = {stub_endpoint}\nmodel = stub-a\n", encoding="utf-8")
+    _StubEndpoint.status = 401
+    out = tmp_path / "llm.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out), "--mode", "llm",
+                     "--config", str(config), "--jobs", "2", "--no-ground-filter",
+                     "--sources-out", str(tmp_path / "sources.json")]) == 1
+    assert capsys.readouterr().err == "fintag: error: auth: HTTP 401\n"
+    assert 0 < _StubEndpoint.calls < 128
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fintag.ini", "qa.jsonl"]
 
 
 def test_pool_results_come_in_input_order_two_bursts_at_most():

@@ -90,7 +90,6 @@ class TestAlign:
         assert len(match.pairs) == 2
         assert all(type_equal for *_, type_equal in match.pairs)
         assert match.unmatched_gold == () and match.unmatched_pred == ()
-        assert not match.render_mismatch
 
     def test_shifted_overlapping_span_still_matches(self):
         # Hand enumeration: one gold [10,24), one pred [13,29): overlap 11,
@@ -144,11 +143,6 @@ class TestAlign:
         gold, _ = parse(target, Form.TARGET_OUTPUT)
         match = align(gold, parse_prediction(target)[0], mode)
         assert len(match.pairs) == 1 and match.pairs[0][2]
-
-    def test_render_mismatch_flagged(self):
-        gold, _ = parse("alpha beta", Form.TARGET_OUTPUT)
-        pred, _ = parse("totally different text", Form.TARGET_OUTPUT)
-        assert align(gold, pred).render_mismatch
 
 
 class TestScore:

@@ -15,9 +15,11 @@ import pytest
 from conftest import make_context, make_passage, write_qa_records
 from fintag.cli import dispatch
 from fintag.corpus import QARecord
+from fintag.detect_eval import evaluate_corpus
+from fintag.edit_eval import JudgeVerdict, VerdictLabel, score_corpus
 from fintag.insertion import InsertionPlan, insert_rule_based
 from fintag.jsonl import write_jsonl
-from fintag.markup import derive_erroneous, serialize, to_target_output
+from fintag.markup import Form, derive_erroneous, parse, serialize, to_target_output
 from fintag.taxonomy import ErrorType
 
 # Evidence of at least 1 KB a row, so a stage that keeps rows shows.
@@ -144,6 +146,48 @@ def test_fix_writes_discarded_rows_as_it_finds_them(tmp_path, capsys):
     lines = (tmp_path / "large" / "discarded.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1351 and json.loads(lines[1])["reasons"] == ["inconsistent_content"]
     assert per_row["fix"] < 128, per_row
+
+
+# Five KB of text, made anew for each row so that every row held shows.
+_TEXT = "Revenue rose 5% in 2023. " * 200
+
+
+def _write_rows(tmp_path, n):
+    write_jsonl(tmp_path / "rows.jsonl", ({"id": i, "text": f"{i} {_TEXT}"} for i in range(n)))
+
+
+def _score_detection(tmp_path, n):
+    class Replies:
+        def get(self, rid, default=""):
+            return f"{rid} {_TEXT}"
+
+    gold = ((str(i), parse(f"{i} {_TEXT}", Form.TARGET_OUTPUT).document) for i in range(n))
+    evaluate_corpus(gold, Replies())
+
+
+def _score_editing(tmp_path, n):
+    class Discard:
+        def append(self, result):
+            pass
+
+    rows = ({"id": i, "edited": f"{i} {_TEXT}", "reference": f"{i} {_TEXT}"} for i in range(n))
+    score_corpus(rows, lambda fact, reference: JudgeVerdict(VerdictLabel.SUPPORTED), Discard())
+
+
+@pytest.mark.parametrize("loop", [_write_rows, _score_detection, _score_editing])
+def test_a_batched_loop_holds_one_batch_at_a_time(tmp_path, loop):
+    # From one batch to ten, the peak may not grow by a quarter of a
+    # batch's text: the previous batch, and its last row, are dropped
+    # before the next one is drawn.
+    peaks = []
+    for n in (64, 640):
+        tracemalloc.start()
+        try:
+            loop(tmp_path, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * len(_TEXT) // 4, peaks
 
 
 def _records(path, rows):
