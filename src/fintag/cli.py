@@ -59,7 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="INI config file")
     p.add_argument("--exemplars", help="exemplar pool JSONL for llm mode")
     p.add_argument("--max-retries", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=4, help="worker parallelism for llm mode")
+    p.add_argument("--jobs", type=_at_least_one, default=4,
+                   help="threads that call the model in llm mode; cache hits replay in "
+                        "the stage's own thread")
     p.add_argument("--no-ground-filter", action="store_true")
     p.set_defaults(handler=_cmd_insert)
 
@@ -123,6 +125,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval_edit)
 
     return parser
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # --- config ----------------------------------------------------------------
@@ -229,7 +241,7 @@ def _cmd_insert(args) -> int:
     stats = IngestStats()
     kept = skips = failures = 0
     with ExitStack() as held:
-        source, run = args.input, map
+        source = args.input
         if llm:
             # A pool lacking a weighted kind fails here, before any model call.
             exemplars = load_exemplars(args.exemplars, config.type_weights) if args.exemplars else None
@@ -240,22 +252,36 @@ def _cmd_insert(args) -> int:
             # Every id is checked before the first model call is paid for.
             for _ in ingest(source, args.source):
                 pass
-            from concurrent.futures import ThreadPoolExecutor
-
             from .llm_client import LlmClient
 
             clients = [held.enter_context(closing(LlmClient(profile))) for profile in profiles]
-            pool = ThreadPoolExecutor(max_workers=max(1, args.jobs))
-            # Shut down before the clients close, none of which may close
-            # during a call: a unit that raises ends the stage, and the
-            # units still queued are never called.
-            held.callback(pool.shutdown, cancel_futures=True)
-            run = partial(_in_order, pool)
+            replays = [_Replayed(c) if c.profile.cache_path else None for c in clients]
+            pool = None
 
-        def insert_one(item):
+            def submit(item):
+                """Run `item` in the pool, which starts at the first unit that
+                must call the model."""
+                nonlocal pool
+                if pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    pool = ThreadPoolExecutor(max_workers=args.jobs)
+                    # Shut down before the clients close, none of which may
+                    # close during a call: a unit that raises ends the
+                    # stage, and the units still queued are never called.
+                    held.callback(pool.shutdown, cancel_futures=True)
+                return pool.submit(insert_one, item)
+
+        def insert_one(item, replay_only=False):
             """(record, site skips) for one grounded QA record; the record is
-            None when the model's replies never pass the gate."""
+            None when the model's replies never pass the gate. With
+            `replay_only`, a model call that the replay cache cannot answer
+            raises `_Miss` before any transport call."""
             i, qa = item
+            if llm:
+                client = (replays if replay_only else clients)[i % len(clients)]
+                if client is None:  # no cache to replay from
+                    raise _Miss
             plan = plan_errors(qa.response, config, seed=args.seed + i)
             if not llm:
                 result = insert_rule_based(
@@ -263,7 +289,7 @@ def _cmd_insert(args) -> int:
                 )
                 return result.record, len(result.skipped)
             try:
-                record = insert_llm(qa.response, qa.reference, plan, clients[i % len(clients)],
+                record = insert_llm(qa.response, qa.reference, plan, client,
                                     max_retries=args.max_retries, exemplar_pool=exemplars,
                                     record_id=qa.id)
             except InsertionFailure:
@@ -275,7 +301,10 @@ def _cmd_insert(args) -> int:
             nonlocal kept, skips, failures
             grounded = (qa for _, _, qa in ingest(source, args.source, stats)
                         if args.no_ground_filter or filter_grounded(qa))
-            for record, skipped in run(insert_one, enumerate(grounded)):
+            units = enumerate(grounded)
+            done = (_in_order(partial(insert_one, replay_only=True), submit, units) if llm
+                    else map(insert_one, units))
+            for record, skipped in done:
                 kept += 1
                 skips += skipped
                 if record is None:
@@ -318,20 +347,57 @@ def _print_skips(stage: str, stats) -> None:
         print(f"{stage}: skipped {stats.skipped - len(stats.reasons)} more (not shown)", file=sys.stderr)
 
 
-def _in_order(pool, fn, items, burst: int = 128):
-    """`fn(item)` for each item, run in `pool` and yielded in input order.
-    Items are submitted a burst at a time, the next burst while the last
-    one's results are read, so at most two bursts are held. A window of
-    four items in flight, refilled one item per result read, cost a warm
-    `insert --mode llm` replay about 25% more CPU."""
-    from itertools import islice
+class _Miss(Exception):
+    """A unit run against the replay cache only needs a model call."""
 
-    items = iter(items)
-    ahead = [pool.submit(fn, item) for item in islice(items, burst)]
-    while ahead:
-        current, ahead = ahead, [pool.submit(fn, item) for item in islice(items, burst)]
-        for future in current:
-            yield future.result()
+
+class _Replayed:
+    """The replay-only side of a client: `call` answers from its cache, or
+    raises `_Miss` where the client would call the model."""
+
+    def __init__(self, client) -> None:
+        self.name, self._replay = client.name, client.replay
+
+    def call(self, request):
+        reply = self._replay(request)
+        if reply is None:
+            raise _Miss
+        return reply
+
+
+def _in_order(inline, submit, items, burst: int = 128):
+    """`inline(item)` for each item, yielded in input order. Each item runs
+    first in this thread; one at which `inline` raises `_Miss` is handed
+    whole to `submit`, which returns the future of running it again. Results
+    behind a future wait for it: items are drawn until two bursts are held,
+    then a burst is read before the next is drawn, so a pool has a burst of
+    work queued while its results are read. An item's error surfaces in its
+    turn, after those of the futures ahead of it, and no item is drawn
+    after it."""
+    from collections import deque
+
+    held = deque()  # (future, None) or (None, result), in input order
+    for item in items:
+        try:
+            result = inline(item)
+        except _Miss:
+            held.append((submit(item), None))
+        except Exception:
+            for future, _ in held:
+                if future is not None:
+                    future.result()
+            raise
+        else:
+            if not held:
+                yield result
+                continue
+            held.append((None, result))
+        if len(held) == 2 * burst:
+            for _ in range(burst):
+                future, result = held.popleft()
+                yield result if future is None else future.result()
+    for future, result in held:
+        yield result if future is None else future.result()
 
 
 def _cmd_validate(args) -> int:

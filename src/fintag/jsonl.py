@@ -18,6 +18,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -174,7 +175,7 @@ def _encodes_as_utf8(obj: dict) -> bool:
     return True
 
 
-_staged = None  # (temp, target) of each file written inside `outputs_together`
+_staged = None  # (commit, discard) of each output written inside `outputs_together`
 _temps = itertools.count()  # two outputs of one stage may name one path
 
 
@@ -182,20 +183,22 @@ _temps = itertools.count()  # two outputs of one stage may name one path
 def outputs_together():
     """A block inside which each file `open_output` writes replaces its
     path only when the whole block ends without raising; when it raises,
-    every one is removed. A stage with several outputs thus writes all of
-    them or none, also when one output is its own input.
+    every one is removed. What it writes to standard output is held in an
+    unnamed temporary file and copied out only then, too. A stage with
+    several outputs thus writes all of them or none, also when one output
+    is its own input.
     """
     global _staged
     _staged = staged = []
     try:
         yield
         while staged:
-            os.replace(*staged[0])
+            staged[0][0]()
             del staged[0]
     finally:
         _staged = None
-        for temp, _ in staged:  # the block raised, or a rename did
-            os.unlink(temp)
+        for _, discard in staged:  # the block raised, or a commit did
+            discard()
 
 
 @contextmanager
@@ -207,10 +210,19 @@ def open_output(path: str | Path):
     its bytes, and a stage may write the file it reads. A path that names
     something other than a regular file (a FIFO, /dev/stdout) is written
     in place. When `path` is None the block gets standard output, which it
-    leaves open.
+    leaves open; inside `outputs_together`, a temporary file copied to
+    standard output when that block ends without raising.
     """
     if path is None:
-        yield sys.stdout
+        if _staged is None:
+            yield sys.stdout
+            return
+        import tempfile
+
+        # No newline translation, so the copy gives the bytes a direct write would.
+        fh = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        _staged.append((partial(_copy_out, fh), fh.close))
+        yield fh
         return
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
@@ -236,7 +248,16 @@ def open_output(path: str | Path):
     if _staged is None:
         os.replace(temp, target)
     else:
-        _staged.append((temp, target))
+        _staged.append((partial(os.replace, temp, target), partial(os.unlink, temp)))
+
+
+def _copy_out(fh) -> None:
+    """Copy the text of `fh`, a staged standard output, to standard output."""
+    import shutil
+
+    with fh:
+        fh.seek(0)
+        shutil.copyfileobj(fh, sys.stdout, 1 << 16)
 
 
 def batches(items: Iterable) -> Iterator[list]:

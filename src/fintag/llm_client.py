@@ -202,6 +202,15 @@ class LlmClient:
         assert last_error is not None
         raise last_error
 
+    def replay(self, request: CompletionRequest) -> CompletionReply | None:
+        """The cached reply to `request`, or None when the cache holds
+        none: the hit half of `cached_complete`, which never calls the
+        model."""
+        if not self.profile.cache_path:
+            raise ValueError("profile has no cache_path configured")
+        key = self._cache_key(request)
+        return self._replay(key, bytes.fromhex(key))[0]
+
     def cached_complete(self, request: CompletionRequest) -> CompletionReply:
         """Cache-through completion keyed on the full request identity; a
         hit performs no network operations. A miss on a key that another
@@ -212,12 +221,7 @@ class LlmClient:
         key = self._cache_key(request)
         digest = bytes.fromhex(key)
         while True:
-            with self._cache_lock:
-                span, fd = self._lookup(digest)
-            # Read back outside the lock: a read hands the GIL to the other
-            # threads, which would only wait on the lock; read under it, a
-            # `--jobs 2` replay took 30% more wall time.
-            hit = self._read_back(fd, span, key) if span is not None else None
+            hit, span = self._replay(key, digest)
             if hit is not None:
                 return hit
             with self._cache_lock:
@@ -252,6 +256,16 @@ class LlmClient:
             separators=(",", ":"),
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+    def _replay(self, key: str, digest: bytes) -> tuple[CompletionReply | None, int | None]:
+        """The cached reply of `key`, or None, and the span it was looked
+        up at (None for a key with no line)."""
+        with self._cache_lock:
+            span, fd = self._lookup(digest)
+        # Read back outside the lock: a read hands the GIL to the other
+        # threads, which would only wait on the lock; read under it, a
+        # `--jobs 2` replay took 30% more wall time.
+        return (self._read_back(fd, span, key) if span is not None else None), span
 
     def _lookup(self, digest: bytes) -> tuple[int | None, int | None]:
         """The indexed span of `digest`, and the descriptor to read it from

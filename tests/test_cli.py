@@ -69,19 +69,29 @@ def test_cli_import_leaves_http_stack_unloaded():
 _STDLIB_WATCHED = ("logging", "fractions")
 
 _LOADED_PROBE = (
-    "import json, sys\n"
+    "import json, sys, threading\n"
+    "started = []\n"
+    "start = threading.Thread.start\n"
+    "threading.Thread.start = lambda thread: (started.append(thread.name), start(thread))[1]\n"
     "from fintag.cli import main\n"
     "rc = main(sys.argv[1:])\n"
-    f"watched = ('fintag',) + {_STDLIB_WATCHED!r}\n"
+    f"watched = ('fintag', 'concurrent') + {_STDLIB_WATCHED!r}\n"
+    "print(json.dumps(started))\n"
     "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in watched)))\n"
     "sys.exit(rc)\n"
 )
 
 
+def _stage_probe(tmp_path, *argv):
+    """The fintag modules, `concurrent`'s and the watched standard ones, a
+    CLI stage process has loaded when it ends, and the names of the threads
+    it started."""
+    *_, started, loaded = _run_probe(_LOADED_PROBE, *argv, cwd=tmp_path).splitlines()
+    return set(json.loads(loaded)), json.loads(started)
+
+
 def _stage_modules(tmp_path, *argv):
-    """The fintag modules, and the watched standard ones, a CLI stage
-    process has loaded when it ends."""
-    return set(json.loads(_run_probe(_LOADED_PROBE, *argv, cwd=tmp_path).splitlines()[-1]))
+    return _stage_probe(tmp_path, *argv)[0]
 
 
 def test_package_import_loads_no_submodule():
@@ -939,6 +949,17 @@ def test_insert_llm_mode_counts_every_line_it_reads(tmp_path, capsys, stub_endpo
     assert fails_gate or counts["failures"] == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_insert_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=2)
+    out = tmp_path / "records.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out), "--jobs", jobs]) == 2
+    reason = "invalid int value: 'two'" if jobs == "two" else f"must be at least 1, got {jobs}"
+    assert capsys.readouterr().err.endswith(f"error: argument --jobs: {reason}\n")
+    assert not out.exists()
+
+
 def test_insert_llm_mode_calls_no_queued_unit_after_one_raises(tmp_path, capsys, stub_endpoint):
     # Every call is refused, so the first unit to finish raises. The units
     # submitted by then (two bursts of 128) are cancelled, not called.
@@ -957,22 +978,188 @@ def test_insert_llm_mode_calls_no_queued_unit_after_one_raises(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fintag.ini", "qa.jsonl"]
 
 
+def _drawn_items(n, drawn):
+    for i in range(n):
+        drawn.append(i)
+        yield i
+
+
+def _square_inline_unless(pooled):
+    from fintag.cli import _Miss
+
+    def inline(i):
+        if i in pooled:
+            raise _Miss
+        return i * i
+
+    return inline
+
+
+def test_a_failed_stage_writes_nothing_to_stdout(tmp_path, capsys, monkeypatch, stub_endpoint):
+    # Every judge call is refused, so the stage fails after its first record.
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(temp))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    config = tmp_path / "fintag.ini"
+    config.write_text(f"[client:alpha]\nendpoint = {stub_endpoint}\nmodel = stub-a\n", encoding="utf-8")
+    _StubEndpoint.status = 401
+    assert dispatch(["eval-edit", "--input", str(_edit_rows(tmp_path / "rows.jsonl")), "--judge", "llm",
+                     "--config", str(config), "--profile", "alpha"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "fintag: error: the llm judge failed on all 3 units\n"
+    assert captured.out == ""
+    assert _StubEndpoint.calls == 3
+    assert list(temp.iterdir()) == []
+
+
 def test_pool_results_come_in_input_order_two_bursts_at_most():
     from concurrent.futures import ThreadPoolExecutor
 
     from fintag.cli import _in_order
 
     drawn = []
-
-    def items():
-        for i in range(10):
-            drawn.append(i)
-            yield i
-
+    # Even items need the pool; odd ones are done in this thread, and wait
+    # behind the futures ahead of them.
     with ThreadPoolExecutor(max_workers=3) as pool:
-        results = _in_order(pool, lambda i: i * i, items(), burst=3)
+        results = _in_order(_square_inline_unless(range(0, 10, 2)),
+                            lambda i: pool.submit(lambda: i * i), _drawn_items(10, drawn), burst=3)
         assert next(results) == 0 and len(drawn) == 6
         assert list(results) == [i * i for i in range(1, 10)]
+
+
+def test_in_order_yields_inline_results_as_drawn_while_no_future_is_ahead():
+    from fintag.cli import _in_order
+
+    def submit(item):
+        raise AssertionError("no item needs the pool")
+
+    drawn = []
+    results = _in_order(_square_inline_unless(()), submit, _drawn_items(10, drawn), burst=3)
+    assert next(results) == 0 and drawn == [0]
+    assert next(results) == 1 and drawn == [0, 1]
+    assert list(results) == [i * i for i in range(2, 10)]
+
+
+def test_in_order_raises_the_first_error_in_input_order_and_draws_no_more():
+    from concurrent.futures import ThreadPoolExecutor
+
+    from fintag.cli import _Miss, _in_order
+
+    def inline(i):
+        if i == 2:
+            raise _Miss
+        if i == 4:
+            raise ValueError("inline error")
+        return i
+
+    def pooled(i):
+        raise KeyError("pool error")
+
+    drawn = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        results = _in_order(inline, lambda i: pool.submit(pooled, i), _drawn_items(10, drawn))
+        assert next(results) == 0
+        assert next(results) == 1
+        with pytest.raises(KeyError, match="pool error"):
+            next(results)
+    assert drawn == [0, 1, 2, 3, 4]
+
+
+def _llm_insert_config(path, endpoint, cache):
+    path.write_text("[inserter]\nclean_probability = 0.0\n"  # every unit calls the model
+                    f"[client:alpha]\nendpoint = {endpoint}\nmodel = stub-a\ncache_path = {cache}\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_warm_cache_insert_starts_no_pool(tmp_path, stub_endpoint):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=6, seed=6)
+    config = _llm_insert_config(tmp_path / "fintag.ini", stub_endpoint, tmp_path / "cache.jsonl")
+    argv = ["insert", "--input", str(qa), "--mode", "llm", "--config", config, "--jobs", "2",
+            "--no-ground-filter"]
+    # Cold, the model is called from the pool's threads.
+    loaded, started = _stage_probe(tmp_path, *argv, "--output", str(tmp_path / "cold.jsonl"))
+    assert _StubEndpoint.calls == 6
+    assert "concurrent.futures" in loaded
+    assert 1 <= len(started) <= 2 and all(name.startswith("ThreadPoolExecutor") for name in started)
+    loaded, started = _stage_probe(tmp_path, *argv, "--output", str(tmp_path / "warm.jsonl"))
+    assert _StubEndpoint.calls == 6
+    assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+    assert "fintag.llm_client" in loaded
+    assert not {m for m in loaded if m.startswith("concurrent")}
+    assert started == []
+
+
+def _cache_keys(lines):
+    return sorted(json.loads(line)["key"] for line in lines)
+
+
+def test_partly_warm_cache_calls_each_miss_once_at_any_jobs(tmp_path, capsys, stub_endpoint):
+    from fintag.corpus import ingest
+    from fintag.insertion import InserterConfig, InsertionFailure, insert_llm, plan_errors
+    from fintag.llm_client import ClientProfile, LlmClient
+    from fintag.records import write_records
+
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=12, seed=6)
+    cache = tmp_path / "cache.jsonl"
+    config = _llm_insert_config(tmp_path / "fintag.ini", stub_endpoint, cache)
+    argv = ["insert", "--input", str(qa), "--mode", "llm", "--config", config, "--seed", "3",
+            "--max-retries", "1", "--no-ground-filter"]
+    # Two cold runs at --jobs 1, so each cache holds its lines in unit
+    # order: unit k's first reply passes the gate at good[k]; its two
+    # replies fail it at bad[2k] and bad[2k + 1].
+    caches = {}
+    for fails_gate in (False, True):
+        _StubEndpoint.fails_gate = fails_gate
+        assert dispatch([*argv, "--jobs", "1", "--output", str(tmp_path / "warm.jsonl")]) == 0
+        caches[fails_gate] = cache.read_text(encoding="utf-8").splitlines()
+        cache.unlink()
+    good, bad = caches[False], caches[True]
+    assert (len(good), len(bad)) == (12, 24)
+    # By k % 4, unit k: 0, misses its first reply, calls and passes; 1,
+    # fails its first, a hit, and misses its second, so it reruns from the
+    # start and passes; 2, passes on a hit; 3, fails twice on hits.
+    partial, missing = "", []
+    for k in range(12):
+        first, second = bad[2 * k], bad[2 * k + 1]
+        kept, lost = {0: ([], [first]), 1: ([first], [second]), 2: ([good[k]], []),
+                      3: ([first, second], [])}[k % 4]
+        partial += "".join(line + "\n" for line in kept)
+        missing += lost
+    _StubEndpoint.fails_gate = False
+    capsys.readouterr()
+
+    serial_cache = tmp_path / "serial-cache.jsonl"
+    serial_cache.write_text(partial, encoding="utf-8")
+    client = LlmClient(ClientProfile("alpha", stub_endpoint, "stub-a", cache_path=str(serial_cache)))
+    records = []
+    for i, (_, _, row) in enumerate(ingest(qa, "all")):
+        plan = plan_errors(row.response, InserterConfig(clean_probability=0.0), seed=3 + i)
+        try:
+            records.append(insert_llm(row.response, row.reference, plan, client, max_retries=1,
+                                      record_id=row.id))
+        except InsertionFailure:
+            pass
+    client.close()
+    assert len(records) == 9
+    write_records(tmp_path / "serial.jsonl", records)
+    serial = (tmp_path / "serial.jsonl").read_text(encoding="utf-8").splitlines()
+    _StubEndpoint.calls = 0
+
+    for jobs in ("1", "2", "8"):
+        cache.write_text(partial, encoding="utf-8")
+        out = tmp_path / f"jobs-{jobs}.jsonl"
+        assert dispatch([*argv, "--jobs", jobs, "--output", str(out)]) == 0
+        assert _insert_counts(capsys.readouterr().err)["failures"] == 3
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == serial
+        assert _StubEndpoint.calls == len(missing)
+        _StubEndpoint.calls = 0
+        written = cache.read_text(encoding="utf-8")
+        assert written.startswith(partial)
+        assert _cache_keys(written[len(partial):].splitlines()) == _cache_keys(missing)
 
 
 def _readme_ini() -> str:

@@ -198,6 +198,8 @@ class TestCache:
         client = LlmClient(_profile(), SequenceTransport([(200, _reply_body("x"))]))
         with pytest.raises(ValueError):
             client.cached_complete(_request())
+        with pytest.raises(ValueError):
+            client.replay(_request())
 
     def test_call_goes_through_the_cache_only_with_a_cache_path(self, tmp_path):
         transport = SequenceTransport([(200, _reply_body("x"))])
@@ -413,10 +415,14 @@ def test_the_indexed_cache_answers_every_key_as_a_whole_file_load(tmp_path_facto
     appended = []
     for key, request in zip(keys, requests):
         calls = transport.calls
+        replayed = client.replay(request)  # never calls the model
+        assert transport.calls == calls
         reply = client.cached_complete(request)
         if key in expected:
             assert (reply.text, reply.model, reply.latency, transport.calls) == (*expected[key], 0.0, calls)
+            assert replayed == reply
         else:
+            assert replayed is None
             assert (reply.text, transport.calls) == ("fresh", calls + 1)
             entry = {"key": key, "reply": {"text": "fresh", "model": "unit-model"}}
             appended.append(json.dumps(entry).encode("utf-8") + b"\n")
