@@ -996,7 +996,8 @@ def _square_inline_unless(pooled):
 
 
 def test_a_failed_stage_writes_nothing_to_stdout(tmp_path, capsys, monkeypatch, stub_endpoint):
-    # Every judge call is refused, so the stage fails after its first record.
+    # Every judge call is refused, so the stage fails once it has written
+    # its records, which stdout would hold but for staging.
     temp = tmp_path / "tmp"
     temp.mkdir()
     monkeypatch.setenv("TMPDIR", str(temp))
