@@ -204,25 +204,30 @@ class LlmClient:
 
     def replay(self, request: CompletionRequest) -> CompletionReply | None:
         """The cached reply to `request`, or None when the cache holds
-        none: the hit half of `cached_complete`, which never calls the
-        model."""
-        if not self.profile.cache_path:
-            raise ValueError("profile has no cache_path configured")
-        key = self._cache_key(request)
-        return self._replay(key, bytes.fromhex(key))[0]
+        none; never calls the model. This is the hit half of
+        `cached_complete` and runs as a call of it, so a profile of
+        `cached_complete` counts every lookup of the cache."""
+        return self.cached_complete(request, replay_only=True)
 
-    def cached_complete(self, request: CompletionRequest) -> CompletionReply:
+    def cached_complete(self, request: CompletionRequest,
+                        replay_only: bool = False) -> CompletionReply | None:
         """Cache-through completion keyed on the full request identity; a
         hit performs no network operations. A miss on a key that another
         thread is already calling waits for that call and replays its
-        reply, or makes its own call when that one raised."""
+        reply, or makes its own call when that one raised. With
+        `replay_only`, a miss returns None instead."""
         if not self.profile.cache_path:
             raise ValueError("profile has no cache_path configured")
         key = self._cache_key(request)
         digest = bytes.fromhex(key)
         while True:
-            hit, span = self._replay(key, digest)
-            if hit is not None:
+            with self._cache_lock:
+                span, fd = self._lookup(digest)
+            # Read back outside the lock: a read hands the GIL to the other
+            # threads, which would only wait on the lock; read under it, a
+            # `--jobs 2` replay took 30% more wall time.
+            hit = self._read_back(fd, span, key) if span is not None else None
+            if hit is not None or replay_only:
                 return hit
             with self._cache_lock:
                 if self._index.get(digest) != span:
@@ -256,16 +261,6 @@ class LlmClient:
             separators=(",", ":"),
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def _replay(self, key: str, digest: bytes) -> tuple[CompletionReply | None, int | None]:
-        """The cached reply of `key`, or None, and the span it was looked
-        up at (None for a key with no line)."""
-        with self._cache_lock:
-            span, fd = self._lookup(digest)
-        # Read back outside the lock: a read hands the GIL to the other
-        # threads, which would only wait on the lock; read under it, a
-        # `--jobs 2` replay took 30% more wall time.
-        return (self._read_back(fd, span, key) if span is not None else None), span
 
     def _lookup(self, digest: bytes) -> tuple[int | None, int | None]:
         """The indexed span of `digest`, and the descriptor to read it from

@@ -201,6 +201,24 @@ class TestCache:
         with pytest.raises(ValueError):
             client.replay(_request())
 
+    def test_replay_runs_as_a_call_of_cached_complete(self, tmp_path, monkeypatch):
+        # A profile that wraps `cached_complete` on the class sees every
+        # lookup of the cache, also those that `replay` makes.
+        seen = []
+        real = LlmClient.cached_complete
+
+        def counted(self, request, *args, **kwargs):
+            seen.append(request.seed_tag)
+            return real(self, request, *args, **kwargs)
+
+        monkeypatch.setattr(LlmClient, "cached_complete", counted)
+        transport = SequenceTransport([(200, _reply_body("x"))])
+        client = LlmClient(_profile(cache_path=str(tmp_path / "cache.jsonl")), transport)
+        assert client.replay(_request(seed_tag="a")) is None
+        assert client.call(_request(seed_tag="a")).text == "x"
+        assert client.replay(_request(seed_tag="a")).text == "x"
+        assert (seen, transport.calls) == (["a", "a", "a"], 1)
+
     def test_call_goes_through_the_cache_only_with_a_cache_path(self, tmp_path):
         transport = SequenceTransport([(200, _reply_body("x"))])
         cached = LlmClient(_profile(cache_path=str(tmp_path / "cache.jsonl")), transport)
