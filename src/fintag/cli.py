@@ -249,9 +249,6 @@ def _cmd_insert(args) -> int:
             if not profiles:
                 raise ValueError("llm mode needs at least one [client:...] config section")
             source = held.enter_context(rereadable(args.input))
-            # Every id is checked before the first model call is paid for.
-            for _ in ingest(source, args.source):
-                pass
             from .llm_client import LlmClient
 
             clients = [held.enter_context(closing(LlmClient(profile))) for profile in profiles]
@@ -263,6 +260,11 @@ def _cmd_insert(args) -> int:
                 must call the model."""
                 nonlocal pool
                 if pool is None:
+                    # Every id is checked before the first model call is
+                    # paid for; replayed units cost none, and a repeat
+                    # among them stops the streaming pass itself.
+                    for _ in ingest(source, args.source):
+                        pass
                     from concurrent.futures import ThreadPoolExecutor
 
                     pool = ThreadPoolExecutor(max_workers=args.jobs)

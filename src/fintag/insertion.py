@@ -604,6 +604,16 @@ def load_exemplars(path: str | Path, kinds: Iterable[ErrorType] = ()) -> tuple:
     return tuple(pool)
 
 
+def _by_kind(pool: Iterable[Exemplar]) -> dict[ErrorType, list[Exemplar]]:
+    grouped: dict[ErrorType, list[Exemplar]] = {}
+    for ex in pool:
+        grouped.setdefault(ex.kind, []).append(ex)
+    return grouped
+
+
+_DEFAULT_POOL = _by_kind(DEFAULT_EXEMPLARS)
+
+
 def build_insertion_prompt(
     passage: str,
     context: str,
@@ -616,12 +626,11 @@ def build_insertion_prompt(
     Contains the definition and exactly one seed-chosen exemplar for every
     planned kind; deterministic given its inputs.
     """
-    pool: dict[ErrorType, list[Exemplar]] = {}
-    for ex in exemplar_pool if exemplar_pool is not None else DEFAULT_EXEMPLARS:
-        pool.setdefault(ex.kind, []).append(ex)
+    pool = _DEFAULT_POOL if exemplar_pool is None else _by_kind(exemplar_pool)
     rng = random.Random(f"prompt:{seed}")
     # Enum order, not display order: replay cache keys hash this prompt.
-    planned = [t for t in ErrorType if t in set(plan.kinds)]
+    kinds = set(plan.kinds)
+    planned = [t for t in ErrorType if t in kinds]
     blocks = []
     for kind in planned:
         candidates = pool.get(kind)

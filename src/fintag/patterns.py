@@ -153,19 +153,6 @@ def _canonical_number(core: str) -> str:
     return f"{whole}.{fraction}" if fraction else whole
 
 
-def normalize_number(token: str) -> str | None:
-    """Canonical value string for a number token, or None if `token`,
-    stripped, is not one `NUMBER_TOKEN_RE` match (as "1e5" or "-3" are not).
-
-    "$19.50" and "19.5" normalize identically; thousands separators and
-    currency/percent sigils are ignored, and Unicode digits read as their
-    ASCII values. Values are exact at any length: no rounding to 28
-    significant digits, as `Decimal.normalize` did.
-    """
-    m = NUMBER_TOKEN_RE.fullmatch(token.strip())
-    return None if m is None else _canonical_number(m.group(2))
-
-
 def number_cores(text: str) -> set[str]:
     """The distinct number cores of `text`, as spelled. Sigils and percent
     signs never change a value, so they are not read."""

@@ -132,7 +132,8 @@ def check(record: TaggedRecord, parse_warnings: Iterable[ParseWarning] = ()) -> 
 
     # Reconstruction is only meaningful for structurally valid markup.
     if not any(i.kind is IssueKind.INVALID_FORMAT for i in issues):
-        if squash_ws(derive_original(record.doc)) != squash_ws(record.original):
+        derived = derive_original(record.doc)
+        if derived != record.original and squash_ws(derived) != squash_ws(record.original):
             issues.append(
                 QualityIssue(
                     IssueKind.INCONSISTENT_CONTENT,

@@ -65,8 +65,9 @@ def test_cli_import_leaves_http_stack_unloaded():
 
 
 # Standard modules that no build or evaluation stage but `insert --mode llm`
-# and `split` needs: each costs a stage process several milliseconds to import.
-_STDLIB_WATCHED = ("logging", "fractions")
+# and `split` needs: each costs a stage process several milliseconds to
+# import, and hashlib's OpenSSL about 3.5 MB of memory.
+_STDLIB_WATCHED = ("logging", "fractions", "hashlib")
 
 _LOADED_PROBE = (
     "import json, sys, threading\n"
@@ -144,10 +145,11 @@ def _stage_argv(tmp_path, stage):
          ("insertion", "quality", "corpus", "edit_eval", "llm_client", "patterns", *_STDLIB_WATCHED)),
         ("eval-edit", "edit_eval",
          ("insertion", "quality", "corpus", "detect_eval", "llm_client", *_STDLIB_WATCHED)),
-        ("fix", "quality", ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client")),
+        ("fix", "quality",
+         ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("split", "partition",
-         ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy", "logging")),
+         ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy", "logging", "hashlib")),
         ("pairs", "corpus", ("insertion", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("report", "corpus",
          ("insertion", "quality", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
@@ -1091,6 +1093,62 @@ def test_warm_cache_insert_starts_no_pool(tmp_path, stub_endpoint):
     assert "fintag.llm_client" in loaded
     assert not {m for m in loaded if m.startswith("concurrent")}
     assert started == []
+
+
+def _warm_insert(tmp_path, endpoint, n=6):
+    """Argv of an llm-mode insert over `n` QA rows, whose replay cache a
+    cold run has just filled, and the rows."""
+    qa = tmp_path / "qa.jsonl"
+    rows = _qa_file(qa, n=n, seed=6)
+    config = _llm_insert_config(tmp_path / "fintag.ini", endpoint, tmp_path / "cache.jsonl")
+    argv = ["insert", "--input", str(qa), "--mode", "llm", "--config", config, "--jobs", "2",
+            "--no-ground-filter"]
+    assert dispatch([*argv, "--output", str(tmp_path / "cold.jsonl")]) == 0
+    assert _StubEndpoint.calls == n
+    return argv, rows
+
+
+def test_warm_cache_insert_reads_its_input_once(tmp_path, capsys, stub_endpoint, monkeypatch):
+    from fintag import corpus
+
+    argv, _ = _warm_insert(tmp_path, stub_endpoint)
+    read, ingest = [], corpus.ingest
+    monkeypatch.setattr(corpus, "ingest", lambda *args, **kw: read.append(args) or ingest(*args, **kw))
+    assert dispatch([*argv, "--output", str(tmp_path / "warm.jsonl")]) == 0
+    capsys.readouterr()
+    assert len(read) == 1  # no id pass: no unit calls the model
+    assert _StubEndpoint.calls == 6
+    assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+
+
+def test_warm_cache_insert_refuses_a_repeated_id(tmp_path, capsys, stub_endpoint):
+    argv, rows = _warm_insert(tmp_path, stub_endpoint)
+    qa = tmp_path / "qa.jsonl"
+    write_qa_records(qa, rows + [rows[0]])  # every unit, the repeat too, replays
+    capsys.readouterr()
+    out = tmp_path / "warm.jsonl"
+    assert dispatch([*argv, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"fintag: error: {qa}:7: duplicate id 'qa0' (first at line 1)\n"
+    assert _StubEndpoint.calls == 6
+    assert not out.exists()
+
+
+def test_a_cache_written_under_one_hash_seed_replays_under_another(tmp_path, stub_endpoint):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=6, seed=6)
+    cache = tmp_path / "cache.jsonl"
+    config = _llm_insert_config(tmp_path / "fintag.ini", stub_endpoint, cache)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"records-{hash_seed}.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "fintag.cli", "insert", "--input", str(qa), "--output", str(out),
+             "--mode", "llm", "--config", config, "--no-ground-filter"],
+            env=_checkout_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
+        )
+        outputs.append((out.read_bytes(), cache.read_bytes()))
+        assert _StubEndpoint.calls == 6  # the second run misses no key
+    assert outputs[0] == outputs[1]
 
 
 def _cache_keys(lines):

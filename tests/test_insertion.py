@@ -466,6 +466,46 @@ class TestInsertionPrompt:
         prompt = build_insertion_prompt("p", "c", _plan(ErrorType.TEMPORAL), pool, seed=0)
         assert rows[0]["tagged"] in prompt
 
+    # Replay cache keys hash the prompt, so a changed byte makes every
+    # cached reply miss. Each plan's prompt sha256, default pool first.
+    PINNED = (
+        {
+            "temporal": "03f45fbe23f6bd163eb0f3458a616a73456d3331160f29ead85c7d070a06dada",
+            "numerical": "b1711ca3106f3a8a56a7c3f8a5e008e53cd71556beabdedb464c8d5891cc0419",
+            "entity": "c096eb85283400d5b3f30a3776636a71a070767692f66b335d34ee9fec2bcaaa",
+            "relation": "1b4dcd27e2d487d542e74c3c201b754530111424933a4dec1503d08785c95e20",
+            "contradictory": "a780c063a6bb4666c1a4b9cabd93124d990c694be6929c39818f2143710845c2",
+            "unverifiable": "5be976f529d08cd3f57f2bf51b56a51ced385c5af493e5eb48c9cc0f6cc0da53",
+            "unverifiable,numerical,temporal": "3bcbe27e3e51e0b20c3dd52a6d917262eea843b3c5948d553aaccce759317607",
+        },
+        {
+            "temporal": "21fc660eb896443f8bc3343c5ed8c2d604244c135fc80b7989e6f3a661c24772",
+            "numerical": "56b58f0ac589b7ddde9adb93e4595fe39763c037c17f0cb5db34cba2e3a9d9aa",
+            "entity": "ddcb5142464a0f67d91402a8e44eba8c230984ee35584a95d745154c05770e7b",
+            "relation": "4da730342a6e63c6efaffdda9226aff66f8dd1b6a0107c95cba1984805f56a2e",
+            "contradictory": "99e1b7ec84fa633de92af93e867fb64eadcc1e9d934ba5d6ca81cb9f6b284389",
+            "unverifiable": "ee20101cb69d1cd2e4ec2d5017349e745ec77c0e39be617fbb8384b6b7b7ad40",
+            "unverifiable,numerical,temporal": "b1e852fc2fc758a37fca846971c1cd756fd0fa07373daa832874a0eb74e56e27",
+        },
+    )
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_prompt_bytes_are_pinned(self, custom):
+        import hashlib
+
+        from fintag.insertion import DEFAULT_EXEMPLARS
+
+        pool = tuple(reversed(DEFAULT_EXEMPLARS)) if custom else None
+        plans = [_plan(kind) for kind in ErrorType]
+        plans.append(_plan(ErrorType.UNVERIFIABLE, ErrorType.NUMERICAL, ErrorType.TEMPORAL))
+        digests = {}
+        for plan in plans:
+            prompt = build_insertion_prompt("Revenue rose 5% to $12.4 million in 2019.",
+                                            "Context: revenue of $12.4 million.", plan, pool, seed=7)
+            label = ",".join(kind.value for kind in plan.kinds)
+            digests[label] = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        assert digests == self.PINNED[custom]
+
 
 class StubClient:
     name = "stub"

@@ -263,6 +263,12 @@ class TestCache:
         assert transport.calls == 4
         client.close()
 
+    def test_cache_key_bytes_are_pinned(self):
+        # Every replay cache written so far is keyed on these bytes.
+        client = LlmClient(_profile(), SequenceTransport([]))
+        request = CompletionRequest(system="sys", user="héllo", seed_tag="s0")
+        assert client._cache_key(request) == "50b19908d9703f2bfc12c3c612bf1a0243d02384a6254ebc9edc64e96caf5f89"
+
 
 class _Gate:
     """A transport that holds its first call until `release` is set, then

@@ -25,7 +25,6 @@ from fintag.patterns import (
     QUARTER_ORDINALS,
     extract_numbers,
     is_numeric_span,
-    normalize_number,
     numbers_within,
 )
 
@@ -76,8 +75,9 @@ def test_prose_scan_finds_each_number_whole(core, sigil, percent, tail):
 
 
 def _decimal_normalize(token: str) -> str | None:
-    """The `Decimal` normalizer `normalize_number` replaced, kept as the
-    oracle for values of at most 28 significant digits."""
+    """The `Decimal` normalizer of one number token that `extract_numbers`'
+    values replaced, kept as the oracle for values of at most 28
+    significant digits."""
     core = token.strip().strip("$€£%").replace(",", "")
     if not core:
         return None
@@ -107,18 +107,19 @@ def _significant_digits(core: str) -> int:
 @given(core=st.from_regex(_NUM_CORE, fullmatch=True).filter(lambda c: _significant_digits(c) <= 28))
 def test_normalizer_agrees_with_decimal_up_to_28_digits(core):
     # from_regex draws `\d` from every Unicode decimal digit, not only ASCII.
-    assert normalize_number(core) == _decimal_normalize(core)
     assert extract_numbers(core) == {_decimal_normalize(core)}
+    # Sigils and percent signs never change a value.
+    assert extract_numbers(f"${core}%") == {_decimal_normalize(core)}
 
 
 def test_unicode_digits_normalize_to_ascii():
-    assert normalize_number("٣٠.٥٠") == "30.5"  # Arabic-Indic "30.50"
+    assert extract_numbers("٣٠.٥٠") == {"30.5"}  # Arabic-Indic "30.50"
     assert extract_numbers("२,०००") == {"2000"}  # Devanagari "2,000"
 
 
 def test_values_past_28_significant_digits_stay_exact():
     # Decimal.normalize rounded this to 12345678901234567890123456790.
-    assert normalize_number("$12,345,678,901,234,567,890,123,456,789") == "12345678901234567890123456789"
+    assert extract_numbers("$12,345,678,901,234,567,890,123,456,789") == {"12345678901234567890123456789"}
     assert extract_numbers("0.12345678901234567890123456789") == {"0.12345678901234567890123456789"}
 
 
@@ -166,7 +167,7 @@ def test_grounding_check_reads_values_not_spellings(response, reference, grounde
 
 @pytest.mark.parametrize("token", ["", "$", "abc", "1e5", "-3", "1,2,3"])
 def test_normalize_number_rejects_what_is_not_one_number_token(token):
-    assert normalize_number(token) is None
+    assert NUMBER_TOKEN_RE.fullmatch(token) is None
 
 
 _PROSE_NUMBER = st.builds(

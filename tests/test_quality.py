@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     IDENTICAL_TEXT_ORIGINAL,
@@ -19,7 +21,7 @@ from conftest import (
     make_context,
     make_passage,
 )
-from fintag.markup import Text, derive_erroneous, derive_original, parse, serialize
+from fintag.markup import Edit, TaggedDocument, Text, derive_erroneous, derive_original, parse, serialize
 from fintag.quality import (
     IssueKind,
     QualityTally,
@@ -179,6 +181,40 @@ class TestCheck:
             "Revenue  rose\nin 2020.", "Revenue rose in 2020."
         )
         assert check(record, warnings) == []
+
+
+_WORDS = st.lists(st.text("ab$1,.%Z", min_size=1, max_size=5), min_size=1, max_size=8)
+_SPACES = st.text(" \t\n", min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), words=_WORDS, at=st.integers(0, 7))
+def test_reconstruction_compares_everything_but_whitespace(data, words, at):
+    def spaced(words, lead="", tail=""):
+        gaps = data.draw(st.lists(_SPACES, min_size=len(words) - 1, max_size=len(words) - 1))
+        return lead + "".join(g + w for g, w in zip(["", *gaps], words)) + tail
+
+    def ends():
+        return data.draw(st.sampled_from(["", " ", "\n "]))
+
+    at %= len(words)
+    before, edited, after = words[:at], words[at], words[at + 1:]
+    segments = (
+        Text(spaced(before, ends(), data.draw(_SPACES)) if before else ends()),
+        Edit(ErrorType.ENTITY, edited, edited + "Z"),
+        Text(data.draw(_SPACES) + spaced(after, tail=ends()) if after else ends()),
+    )
+    doc = TaggedDocument(segments)
+    original = spaced(words, ends(), ends())
+    assert derive_original(doc).split() == original.split()  # whitespace apart, equal
+
+    def inconsistent(original):
+        issues = check(TaggedRecord("r1", original, doc, "test"))
+        return [i for i in issues if i.kind is IssueKind.INCONSISTENT_CONTENT]
+
+    assert inconsistent(original) == []
+    where = data.draw(st.sampled_from([i for i, ch in enumerate(original) if not ch.isspace()]))
+    assert len(inconsistent(original[:where] + "#" + original[where + 1:])) == 1
 
 
 class TestFix:
