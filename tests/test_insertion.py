@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
 from collections import Counter
@@ -37,8 +39,9 @@ from fintag.markup import (
     derive_original,
     serialize,
 )
-from fintag.patterns import NUMBER_TOKEN_RE, YEAR_RE
+from fintag.patterns import MONTH_NAMES, NUMBER_TOKEN_RE, QUARTER_ORDINALS, YEAR_RE
 from fintag.quality import check
+from fintag.records import record_to_json
 from fintag.taxonomy import KINDS, ErrorType
 
 
@@ -406,6 +409,106 @@ def test_numerical_edits_swap_whole_number_tokens(passage, count, seed):
         if isinstance(seg, Edit):
             assert NUMBER_TOKEN_RE.fullmatch(seg.original_text), seg
             assert NUMBER_TOKEN_RE.fullmatch(seg.error_text), seg
+
+
+# --- the rule inserter's bytes, pinned ---------------------------------------
+#
+# Each digest is a sha256 over one JSON line per call. A change to the
+# inserter that moves an rng draw, a case rule or a joining space changes a
+# digest; one that only rewrites the code keeps them all.
+
+
+def _sha256_lines(rows) -> str:
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(json.dumps(row, ensure_ascii=False).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def _conftest_corpus(seed: int, n: int = 400) -> list:
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(n):
+        passage = make_passage(rng)
+        corpus.append((passage, make_context(rng, passage)))
+    return corpus
+
+
+def _planned(config: InserterConfig, seed: int) -> list:
+    return [(p, c, plan_errors(p, config, seed=i)) for i, (p, c) in enumerate(_conftest_corpus(seed))]
+
+
+def _all_kind_plans(seed: int) -> list:
+    """Every kind in a shuffled order, with up to three repeated; a third of
+    the passages end in a line break, which rules out a statement at the
+    end."""
+    rng = random.Random(seed)
+    cases = []
+    for passage, context in _conftest_corpus(seed):
+        kinds = list(ErrorType) + rng.choices(list(ErrorType), k=rng.randint(0, 3))
+        rng.shuffle(kinds)
+        if rng.random() < 1 / 3:
+            passage += "\n"
+        cases.append((passage, context, InsertionPlan(False, len(kinds), tuple(kinds), 0)))
+    return cases
+
+
+def _rule_rows(cases) -> list:
+    """The record as `insert` writes it, the applied kinds, and each skip's
+    kind and reason, for every (passage, context, plan)."""
+    rows = []
+    for i, (passage, context, plan) in enumerate(cases):
+        result = insert_rule_based(passage, context, plan, seed=i, record_id=f"r{i}")
+        rows.append(record_to_json(result.record) | {
+            "applied": [kind.value for kind in result.applied],
+            "skipped": [[skip.kind.value, skip.reason] for skip in result.skipped],
+        })
+    return rows
+
+
+@pytest.mark.parametrize(
+    "cases, pinned",
+    [
+        (lambda: _planned(InserterConfig(), 1),
+         "7f48b424eba9b13d96d2287ac3acaf53afa4d5b8117f40049e4e675ad4fb8746"),
+        (lambda: _planned(InserterConfig(clean_probability=0, tokens_per_error=10), 2),
+         "0a5f20c4ae2b3b651c75b6d7314acc5148e7490e3da68c029520353578d3544c"),
+        (lambda: _all_kind_plans(3),
+         "9fe9ae55d5591b9db8fd77a5ba3106310c9cf58bdd174bca567360ebf0f84247"),
+    ],
+    ids=["default-config", "dense-config", "all-kinds"],
+)
+def test_rule_insertion_bytes_are_pinned(cases, pinned):
+    assert _sha256_lines(_rule_rows(cases())) == pinned
+
+
+def _date_span(rng: random.Random) -> str:
+    """Date words as prose spells them: months and ordinal quarters in any
+    case (and with a long s), Q digits, years in and out of the grammar, days
+    and filler words."""
+    def cased(word: str) -> str:
+        return rng.choice((str.lower, str.title, str.upper))(word)
+
+    pieces = (
+        lambda: cased(rng.choice(MONTH_NAMES)),
+        lambda: cased(rng.choice(QUARTER_ORDINALS)) + rng.choice((" quarter", "")),
+        lambda: rng.choice("Qq") + rng.choice("012345"),
+        lambda: str(rng.randint(1790, 2110)),
+        lambda: str(rng.randint(1, 31)) + rng.choice(("", ",")),
+        lambda: rng.choice(("ſeptember", "ſecond", "fiscal", "year", "of", "the", "FY", "ended", "due")),
+    )
+    return " ".join(rng.choice(pieces)() for _ in range(rng.randint(1, 4)))
+
+
+def test_perturb_temporal_bytes_are_pinned():
+    spans = random.Random(23)
+    rows = []
+    for i in range(20_000):
+        span = _date_span(spans)
+        rng = random.Random(i)
+        # The draw after the move pins how many draws the move took.
+        rows.append([span, insertion._perturb_temporal(span, rng), rng.random()])
+    assert _sha256_lines(rows) == "ea3ddeb71b1528fe916d12d4d0551e0dbd4500cb2f3c220c7f76e0e80e26de5e"
 
 
 class TestInsertionPrompt:
