@@ -355,13 +355,14 @@ class _Miss(Exception):
 
 class _Replayed:
     """The replay-only side of a client: `call` answers from its cache, or
-    raises `_Miss` where the client would call the model."""
+    raises `_Miss` where the client would call the model. Each lookup is a
+    call of `cached_complete`, so a profile of it counts every lookup."""
 
     def __init__(self, client) -> None:
-        self.name, self._replay = client.name, client.replay
+        self.name, self._client = client.name, client
 
     def call(self, request):
-        reply = self._replay(request)
+        reply = self._client.cached_complete(request, replay_only=True)
         if reply is None:
             raise _Miss
         return reply

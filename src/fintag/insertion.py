@@ -122,8 +122,6 @@ def plan_errors(passage: str, config: InserterConfig | None = None, seed: int = 
 
 # --- rule-based insertion -------------------------------------------------
 
-_MONTH_TITLES = tuple(m.title() for m in MONTH_NAMES)
-
 # A run of capitalized words. The word boundary is checked behind the first
 # capital, not before it, so the engine can skip ahead to each capital.
 _CAP_SPAN_RE = re.compile(r"[A-Z](?<!\w.)[A-Za-z&'-]*(?:\s+[A-Z][A-Za-z&'-]*)+\b")
@@ -160,8 +158,9 @@ _SPECULATIVE_SENTENCES = (
 )
 
 
-def _overlaps(start: int, end: int, claimed: list) -> bool:
-    return any(not (end <= s or start >= e) for s, e in claimed)
+def _overlaps(start: int, end: int, placed: list) -> bool:
+    """Whether passage[start:end] overlaps an edit among `placed`."""
+    return any(edit and start < e and s < end for s, edit, _, e, _ in placed)
 
 
 def _format_like(value: float, decimals: int, grouped: bool) -> str:
@@ -202,40 +201,28 @@ def _shift_year(year: str, rng: random.Random) -> str:
 
 
 def _perturb_temporal(span: str, rng: random.Random) -> str | None:
-    """Shift a year by +/-1..5 or substitute the month/quarter."""
-    moves = []
-    year_m = YEAR_RE.search(span)
-    month_m = MONTH_RE.search(span)
-    ordinal_m = ORDINAL_QUARTER_RE.search(span)
-    quarter_m = QUARTER_NUM_RE.search(span)
-    if year_m:
-        moves.append("year")
-    if month_m:
-        moves.append("month")
-    if ordinal_m or quarter_m:
-        moves.append("quarter")
+    """Shift a year by +/-1..5, or swap the month or the quarter for another
+    one, title-cased when the old one starts with a capital."""
+    moves = []  # (start, end, the words to swap in; None for a year)
+    if year := YEAR_RE.search(span):
+        moves.append((*year.span(), None))
+    if month := MONTH_RE.search(span):
+        moves.append((*month.span(), MONTH_NAMES))
+    if quarter := ORDINAL_QUARTER_RE.search(span):  # an ordinal wins over a Q digit
+        moves.append((*quarter.span(), QUARTER_ORDINALS))
+    elif quarter := QUARTER_NUM_RE.search(span):
+        moves.append((quarter.end() - 1, quarter.end(), "1234"))  # the quarter's digit
     if not moves:
         return None
-    move = rng.choice(moves)
-    if move == "year":
-        return span[: year_m.start()] + _shift_year(year_m.group(), rng) + span[year_m.end():]
-    if move == "month":
-        original = month_m.group()
-        replacement = rng.choice(
-            [m for m in _MONTH_TITLES if m.lower() != original.lower()]
-        )
-        if original[0].islower():
-            replacement = replacement.lower()
-        return span[: month_m.start()] + replacement + span[month_m.end():]
-    if ordinal_m:
-        original = ordinal_m.group()
-        replacement = rng.choice([o for o in QUARTER_ORDINALS if o != original.lower()])
-        if original[0].isupper():
-            replacement = replacement.title()
-        return span[: ordinal_m.start()] + replacement + span[ordinal_m.end():]
-    at = quarter_m.end() - 1  # the quarter's digit
-    replacement = rng.choice([d for d in "1234" if d != span[at]])
-    return span[:at] + replacement + span[at + 1:]
+    start, end, words = rng.choice(moves)
+    old = span[start:end]
+    if words is None:
+        new = _shift_year(old, rng)
+    else:
+        new = rng.choice([w for w in words if w != old.lower()])
+        if old[0].isupper():
+            new = new.title()
+    return span[:start] + new + span[end:]
 
 
 def _temporal_sites(text: str) -> list:
@@ -375,27 +362,25 @@ def insert_rule_based(
     """
     rng = random.Random(f"insert:{seed}:{passage}")
     rid = record_id if record_id is not None else f"rule-{seed}"
-    if plan.clean or not plan.kinds:
-        doc = TaggedDocument((Text(passage),), Form.TAGGED_PASSAGE)
-        record = TaggedRecord(rid, passage, doc, "rule-based", seed)
-        return InsertionResult(record, plan, (), ())
-
-    claimed: list = []
-    edits: list = []  # (start, end, kind, error_text)
-    statements: list = []  # (point, seq, is_end, kind, content)
+    # One (point, order, seq, end, segments) per placed error, woven in by
+    # sorting. An edit is (start, 1, 0, end, (Edit,)); a statement is
+    # (point, 0, n, point, pieces), placed n-th, so at one point statements
+    # come first, in the order they were placed. Edits never overlap, so no
+    # two share a start, and n is unique: no two keys tie, and sorting never
+    # compares the segments.
+    placed: list = []
     applied: list = []
     skipped: list = []
 
     sites = _Sites(passage, context)
 
     def place_edit(kind: ErrorType, candidates: list, perturb) -> str | None:
-        free = [site for site in candidates if not _overlaps(site[0], site[1], claimed)]
+        free = [site for site in candidates if not _overlaps(site[0], site[1], placed)]
         rng.shuffle(free)
         for start, end, span in free:
             error = perturb(span)
             if error is not None and error != span:
-                claimed.append((start, end))
-                edits.append((start, end, kind, error))
+                placed.append((start, 1, 0, end, (Edit(kind, span, error),)))
                 return None
         return "no applicable site"
 
@@ -406,38 +391,52 @@ def insert_rule_based(
         elif kind is ErrorType.TEMPORAL:
             reason = place_edit(kind, sites.temporal, lambda s: _perturb_temporal(s, rng))
         elif kind is ErrorType.ENTITY:
-            reason = _place_entity(sites, claimed, edits, rng)
+            reason = _place_entity(sites, placed, rng)
         elif kind is ErrorType.RELATION:
             reason = place_edit(kind, sites.relation, flip_relation_word)
         elif kind is ErrorType.CONTRADICTORY:
-            reason = _place_contradictory(sites, claimed, statements, rng)
+            reason = _place_contradictory(sites, placed, rng)
         else:
-            reason = _place_unverifiable(sites, statements, rng)
+            reason = _place_unverifiable(sites, placed, rng)
         if reason is None:
             applied.append(kind)
         else:
             skipped.append(InsertionSkip(kind, reason))
 
-    segments = _build_segments(passage, edits, statements)
+    segments: list = []
+    cursor = 0
+    for point, _, _, end, pieces in sorted(placed):
+        segments.append(Text(passage[cursor:point]))
+        segments.extend(pieces)
+        cursor = end
+    segments.append(Text(passage[cursor:]))
     doc = TaggedDocument(tuple(segments), Form.TAGGED_PASSAGE)
     record = TaggedRecord(rid, passage, doc, "rule-based", seed)
     return InsertionResult(record, plan, tuple(applied), tuple(skipped))
 
 
-def _place_entity(sites, claimed, edits, rng) -> str | None:
-    free = [site for site in sites.entity if not _overlaps(site[0], site[1], claimed)]
+def _place_statement(placed: list, point: int, is_end: bool, kind: ErrorType, content: str) -> None:
+    """Place a statement at a sentence start, or at the passage end, with
+    the single space that joins it to the passage: before it at the end,
+    after it elsewhere. `derive_original` folds that space away, which is
+    what makes the reconstruction exact."""
+    statement = Statement(kind, content)
+    pieces = (Text(" "), statement) if is_end else (statement, Text(" "))
+    placed.append((point, 0, len(placed), point, pieces))
+
+
+def _place_entity(sites, placed, rng) -> str | None:
+    free = [site for site in sites.entity if not _overlaps(site[0], site[1], placed)]
     if not free:
         return "no capitalized multi-word span"
     start, end, span = rng.choice(free)
     harvested = [cand for cand in sites.context_entities if cand.lower() != span.lower()]
     pool = harvested or [e for e in FALLBACK_ENTITIES if e.lower() != span.lower()]
-    replacement = rng.choice(pool)
-    claimed.append((start, end))
-    edits.append((start, end, ErrorType.ENTITY, replacement))
+    placed.append((start, 1, 0, end, (Edit(ErrorType.ENTITY, span, rng.choice(pool)),)))
     return None
 
 
-def _place_contradictory(sites, claimed, statements, rng) -> str | None:
+def _place_contradictory(sites, placed, rng) -> str | None:
     passage, sents, mid_points = sites.passage, sites.sentences, sites.mid_points
     candidates = []
     for idx, (s, e) in enumerate(sents):
@@ -450,7 +449,7 @@ def _place_contradictory(sites, claimed, statements, rng) -> str | None:
             if not sites.end_ok:
                 continue
             point, is_end = len(passage), True
-        has_edit = _overlaps(s, e, claimed)
+        has_edit = _overlaps(s, e, placed)
         candidates.append((idx, s, e, point, is_end, has_edit))
     if not candidates:
         return "no sentence with an insertable boundary"
@@ -461,12 +460,12 @@ def _place_contradictory(sites, claimed, statements, rng) -> str | None:
     for _, s, e, point, is_end, _ in sorted(order, key=lambda c: rng.random()):
         flipped = _flip_sentence(passage[s:e], rng)
         if flipped is not None:
-            statements.append((point, len(statements), is_end, ErrorType.CONTRADICTORY, flipped))
+            _place_statement(placed, point, is_end, ErrorType.CONTRADICTORY, flipped)
             return None
     return "no flippable sentence"
 
 
-def _place_unverifiable(sites, statements, rng) -> str | None:
+def _place_unverifiable(sites, placed, rng) -> str | None:
     content = rng.choice(_SPECULATIVE_SENTENCES)
     if sites.end_ok:
         point, is_end = len(sites.passage), True
@@ -474,42 +473,8 @@ def _place_unverifiable(sites, statements, rng) -> str | None:
         point, is_end = rng.choice(sites.mid_points), False
     else:
         return "no insertable boundary"
-    statements.append((point, len(statements), is_end, ErrorType.UNVERIFIABLE, content))
+    _place_statement(placed, point, is_end, ErrorType.UNVERIFIABLE, content)
     return None
-
-
-def _build_segments(passage: str, edits: list, statements: list) -> list:
-    """Weave edits and statement insertions back into the passage text.
-
-    Statement insertions sit at sentence starts (or the passage end) and
-    contribute the single space that `derive_original` later folds away,
-    which is what makes the reconstruction exact.
-    """
-    items = sorted(
-        [(start, 1, 0, ("edit", start, end, kind, error)) for start, end, kind, error in edits]
-        + [(point, 0, seq, ("stmt", point, is_end, kind, content))
-           for point, seq, is_end, kind, content in statements]
-    )
-    segments: list = []
-    cursor = 0
-    for _, _, _, item in items:
-        if item[0] == "edit":
-            _, start, end, kind, error = item
-            segments.append(Text(passage[cursor:start]))
-            segments.append(Edit(kind, passage[start:end], error))
-            cursor = end
-        else:
-            _, point, is_end, kind, content = item
-            segments.append(Text(passage[cursor:point]))
-            if is_end:
-                segments.append(Text(" "))
-                segments.append(Statement(kind, content))
-            else:
-                segments.append(Statement(kind, content))
-                segments.append(Text(" "))
-            cursor = point
-    segments.append(Text(passage[cursor:]))
-    return segments
 
 
 # --- few-shot prompting and the LLM inserter ------------------------------

@@ -252,12 +252,19 @@ def open_output(path: str | Path):
 
 
 def _copy_out(fh) -> None:
-    """Copy the text of `fh`, a staged standard output, to standard output."""
+    """Copy `fh`, a staged standard output, to standard output: its UTF-8
+    bytes, as every output file holds them, whatever the locale's encoding.
+    A standard output with no binary buffer gets the text."""
     import shutil
 
     with fh:
         fh.seek(0)
-        shutil.copyfileobj(fh, sys.stdout, 1 << 16)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:
+            shutil.copyfileobj(fh, sys.stdout, 1 << 16)
+            return
+        sys.stdout.flush()  # what was printed before goes first
+        shutil.copyfileobj(fh.buffer, out, 1 << 16)
 
 
 def batches(items: Iterable) -> Iterator[list]:

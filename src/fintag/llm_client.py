@@ -202,13 +202,6 @@ class LlmClient:
         assert last_error is not None
         raise last_error
 
-    def replay(self, request: CompletionRequest) -> CompletionReply | None:
-        """The cached reply to `request`, or None when the cache holds
-        none; never calls the model. This is the hit half of
-        `cached_complete` and runs as a call of it, so a profile of
-        `cached_complete` counts every lookup of the cache."""
-        return self.cached_complete(request, replay_only=True)
-
     def cached_complete(self, request: CompletionRequest,
                         replay_only: bool = False) -> CompletionReply | None:
         """Cache-through completion keyed on the full request identity; a

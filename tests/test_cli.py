@@ -53,7 +53,7 @@ def _run_probe(probe, *argv, cwd=None):
     """Stdout of `python -c probe argv...` in a fresh process that imports
     this checkout's fintag."""
     out = subprocess.run([sys.executable, "-c", probe, *argv], env=_checkout_env(), cwd=cwd,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, encoding="utf-8", check=True)
     return out.stdout
 
 
@@ -277,6 +277,27 @@ def test_derive_raw_golden_forms(tmp_path, capsys):
     assert capsys.readouterr().out.rstrip("\n") == WORKED_TARGET
 
 
+@pytest.mark.parametrize("io_encoding", ["latin-1", "cp1252"])
+def test_stdout_holds_the_bytes_of_the_output_file_whatever_the_io_encoding(tmp_path, io_encoding):
+    # "€" has no latin-1 byte, and cp1252 spells it 0x80; the output file
+    # holds its UTF-8 bytes, and so must stdout.
+    tagged = "Revenue was <numerical><delete>€5</delete><mark>€7</mark></numerical> million, up 10%."
+    raw = tmp_path / "tagged.txt"
+    raw.write_text(tagged + "\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    row = {"id": "a", "original": "Revenue was €5 million, up 10%.", "tagged": tagged}
+    records.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    for argv in (["derive", "--input", str(raw), "--form", "erroneous", "--raw"],
+                 ["derive", "--input", str(records), "--form", "erroneous"]):
+        stage = [sys.executable, "-m", "fintag.cli", *argv]
+        subprocess.run([*stage, "--output", str(out)], env=_checkout_env(), capture_output=True, check=True)
+        shown = subprocess.run(stage, env=_checkout_env(PYTHONIOENCODING=io_encoding), capture_output=True)
+        assert (shown.returncode, shown.stderr) == (0, b"")
+        assert shown.stdout == out.read_bytes()
+        assert "€7".encode("utf-8") in shown.stdout
+
+
 def test_insert_fix_pairs_report_pipeline(tmp_path, capsys):
     qa = tmp_path / "qa.jsonl"
     _qa_file(qa, n=40, seed=1)
@@ -299,9 +320,9 @@ def test_insert_fix_pairs_report_pipeline(tmp_path, capsys):
     assert total["passages"] == 40
     assert total["hallucinated_pct"] + total["non_hallucinated_pct"] == 100.0
     # every record survived the gate (rule-based inserts are always valid)
-    fixed_lines = [l for l in fixed.read_text().splitlines() if '"_meta"' not in l]
+    fixed_lines = [l for l in fixed.read_text(encoding="utf-8").splitlines() if '"_meta"' not in l]
     assert len(fixed_lines) == 40
-    meta = json.loads(fixed.read_text().splitlines()[0])["_meta"]
+    meta = json.loads(fixed.read_text(encoding="utf-8").splitlines()[0])["_meta"]
     assert meta["tool"] == "fintag" and "version" in meta
 
 

@@ -112,7 +112,7 @@ class TestContainmentJudge:
         for seed in range(7):
             env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
             out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                 text=True, check=True)
+                                 encoding="utf-8", check=True)
             assert out.stdout.strip() == "'rose' contradicts 'fell' in the reference", seed
 
     def test_never_abstains(self):

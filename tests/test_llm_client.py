@@ -199,11 +199,13 @@ class TestCache:
         with pytest.raises(ValueError):
             client.cached_complete(_request())
         with pytest.raises(ValueError):
-            client.replay(_request())
+            client.cached_complete(_request(), replay_only=True)
 
     def test_replay_runs_as_a_call_of_cached_complete(self, tmp_path, monkeypatch):
         # A profile that wraps `cached_complete` on the class sees every
-        # lookup of the cache, also those that `replay` makes.
+        # lookup of the cache, also those of `insert`'s replay-only units.
+        from fintag.cli import _Miss, _Replayed
+
         seen = []
         real = LlmClient.cached_complete
 
@@ -214,9 +216,11 @@ class TestCache:
         monkeypatch.setattr(LlmClient, "cached_complete", counted)
         transport = SequenceTransport([(200, _reply_body("x"))])
         client = LlmClient(_profile(cache_path=str(tmp_path / "cache.jsonl")), transport)
-        assert client.replay(_request(seed_tag="a")) is None
+        replayed = _Replayed(client)
+        with pytest.raises(_Miss):
+            replayed.call(_request(seed_tag="a"))
         assert client.call(_request(seed_tag="a")).text == "x"
-        assert client.replay(_request(seed_tag="a")).text == "x"
+        assert replayed.call(_request(seed_tag="a")).text == "x"
         assert (seen, transport.calls) == (["a", "a", "a"], 1)
 
     def test_call_goes_through_the_cache_only_with_a_cache_path(self, tmp_path):
@@ -439,7 +443,7 @@ def test_the_indexed_cache_answers_every_key_as_a_whole_file_load(tmp_path_facto
     appended = []
     for key, request in zip(keys, requests):
         calls = transport.calls
-        replayed = client.replay(request)  # never calls the model
+        replayed = client.cached_complete(request, replay_only=True)  # never calls the model
         assert transport.calls == calls
         reply = client.cached_complete(request)
         if key in expected:

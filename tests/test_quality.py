@@ -4,6 +4,8 @@ fix/discard behavior."""
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from conftest import (
 )
 from fintag.markup import Edit, TaggedDocument, Text, derive_erroneous, derive_original, parse, serialize
 from fintag.quality import (
+    CONFIDENCE_THRESHOLD,
     IssueKind,
     QualityTally,
     TaggedRecord,
@@ -32,7 +35,7 @@ from fintag.quality import (
     read_records,
     write_records,
 )
-from fintag.taxonomy import ErrorType
+from fintag.taxonomy import KINDS, ErrorType
 
 
 def _record(tagged: str, original: str, rid: str = "r1", provenance: str = "test"):
@@ -274,6 +277,51 @@ class TestSweep:
             outcome = fix(result.record)
             assert outcome.fixed and outcome.applied == ()
             assert outcome.record.doc == result.record.doc
+
+
+_EDITABLE = [row.kind for row in KINDS if row.editable]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16),
+       kinds=st.lists(st.sampled_from(list(ErrorType)), min_size=1, max_size=6))
+def test_fix_repairs_exactly_the_injected_fixable_defects(data, seed, kinds):
+    from fintag.insertion import InsertionPlan, insert_rule_based
+
+    rng = random.Random(seed)
+    passage = make_passage(rng)
+    plan = InsertionPlan(False, len(kinds), tuple(kinds), seed)
+    built = insert_rule_based(passage, make_context(rng, passage), plan, seed=seed).record
+    # Into each edit, maybe inject a fixable defect: its error set to its
+    # original (IdenticalText), or, when its spans classify confidently, a
+    # wrong label (IncorrectType).
+    segments = list(built.doc.segments)
+    injected = Counter()
+    for idx, seg in enumerate(segments):
+        if not isinstance(seg, Edit):
+            continue
+        guessed, confidence = classify_span_type(seg.original_text, seg.error_text)
+        defects = [None, IssueKind.IDENTICAL_TEXT]
+        if confidence >= CONFIDENCE_THRESHOLD:
+            defects.append(IssueKind.INCORRECT_TYPE)
+        defect = data.draw(st.sampled_from(defects))
+        if defect is IssueKind.IDENTICAL_TEXT:
+            segments[idx] = replace(seg, error_text=seg.original_text)
+        elif defect is IssueKind.INCORRECT_TYPE:
+            wrong = data.draw(st.sampled_from([k for k in _EDITABLE if k is not guessed]))
+            segments[idx] = replace(seg, kind=wrong)
+        if defect is not None:
+            injected[defect] += 1
+    record = replace(built, doc=TaggedDocument(tuple(segments), built.doc.form))
+
+    outcome = fix(record)
+    assert outcome.fixed
+    assert check(outcome.record) == []
+    again = fix(outcome.record)
+    assert (again.record, again.applied) == (outcome.record, ())
+    assert derive_original(outcome.record.doc) == passage
+    assert Counter(issue.kind for issue in outcome.issues) == injected
+    assert Counter(issue.kind for issue in outcome.applied) == injected
 
 
 def test_quality_tally_shapes():
