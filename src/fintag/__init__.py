@@ -21,6 +21,44 @@ class FintagError(Exception):
     exit code 1."""
 
 
+class Validated:
+    """Mixin, placed before the `NamedTuple` base, of the value types whose
+    constructor checks or canonicalizes their fields (`TaggedDocument`,
+    `InsertionPlan`, `InserterConfig`, `FactScore`, `ClientProfile`), so
+    that `_replace` and `_make` build through that constructor too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Tally:
+    """Base of the package's mutable counters (`IngestStats`, `KindCounts`,
+    `BinaryCounts`, `DetectionReport`): a repr and an equality over the
+    `__slots__` of the class and its bases, in that order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name for klass in reversed(cls.__mro__) for name in klass.__dict__.get("__slots__", ())
+        )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    __hash__ = None
+
+
 # Home submodule -> the public names it exports through the package.
 _EXPORTS = {
     "taxonomy": ("ErrorType",),

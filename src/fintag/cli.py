@@ -154,11 +154,10 @@ def _section_kwargs(path: str, section, cls, derived: str, extra: dict | None = 
     """`cls`'s keyword arguments from one INI section. A key names a field of
     `cls` other than `derived`, coerced by its default's type (text when the
     default is not a number), or a key of `extra`, which maps it to a type."""
-    from dataclasses import fields
-
+    defaults = cls._field_defaults
     types = {
-        f.name: type(f.default) if isinstance(f.default, (int, float)) else str
-        for f in fields(cls) if f.name != derived
+        name: type(default) if isinstance(default := defaults.get(name), (int, float)) else str
+        for name in cls._fields if name != derived
     } | (extra or {})
     kwargs = {}
     for key, value in section.items():
@@ -202,9 +201,7 @@ def _client_profiles(cp, path: str | None) -> list:
 
 
 def _config_echo(config) -> dict:
-    from dataclasses import asdict
-
-    return asdict(config) | {"type_weights": {k.value: w for k, w in config.type_weights.items()}}
+    return config._asdict() | {"type_weights": {k.value: w for k, w in config.type_weights.items()}}
 
 
 def _meta(command: str, **extra) -> dict:

@@ -5,10 +5,10 @@ and report error-type distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
+from . import Tally
 from .jsonl import read_jsonl, rereadable, row_at, unique_ids, write_jsonl
 from .markup import derive_erroneous, label_of, serialize, to_target_output
 from .partition import split  # noqa: F401  (corpus.split stays importable)
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QARecord:
+class QARecord(NamedTuple):
     """One retrieval-augmented QA example: evidence, question, response."""
 
     id: str
@@ -41,11 +40,15 @@ class QARecord:
         return "\n\n".join(self.documents)
 
 
-@dataclass
-class IngestStats:
-    kept: int = 0
-    skipped: int = 0
-    reasons: list = field(default_factory=list)  # of the first five skips, which `insert` prints
+class IngestStats(Tally):
+    """Lines kept and skipped, and the reasons for the first five skips,
+    which `insert` prints."""
+
+    __slots__ = ("kept", "skipped", "reasons")
+
+    def __init__(self, kept: int = 0, skipped: int = 0, reasons: list | None = None) -> None:
+        self.kept, self.skipped = kept, skipped
+        self.reasons = [] if reasons is None else reasons
 
     @property
     def read(self) -> int:
@@ -137,8 +140,7 @@ def filter_grounded(record: QARecord) -> bool:
     return numbers_within(record.response, record.reference)
 
 
-@dataclass(frozen=True)
-class TrainingPair:
+class TrainingPair(NamedTuple):
     """Aligned input/output: structured prompt and tagged target output."""
 
     id: str
@@ -171,8 +173,7 @@ def write_pairs(path: str | Path, pairs: Iterable[TrainingPair], meta: dict | No
     )
 
 
-@dataclass(frozen=True)
-class SourceDistribution:
+class SourceDistribution(NamedTuple):
     passages: int
     tags: int
     hallucinated_pct: float
@@ -180,8 +181,7 @@ class SourceDistribution:
     kind_pct: dict
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     sources: dict
     total: SourceDistribution
 

@@ -11,10 +11,10 @@ the gold kind, keeping per-kind columns independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import Tally
 from .jsonl import batches, read_jsonl, row_at, unique_ids
 from .markup import (
     Form,
@@ -41,8 +41,7 @@ def parse_prediction(raw: str, extra_statement_tags: tuple = ()) -> tuple[Tagged
     return doc, warnings
 
 
-@dataclass(frozen=True)
-class MatchSet:
+class MatchSet(NamedTuple):
     """One-to-one span alignment between a gold and a predicted document."""
 
     pairs: tuple  # (gold TagSpan, pred TagSpan, type_equal)
@@ -121,11 +120,11 @@ def _rate(numer: int, denom: int) -> float:
     return 100.0 * numer / denom if denom else 0.0
 
 
-@dataclass
-class KindCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+class KindCounts(Tally):
+    __slots__ = ("tp", "fp", "fn")
+
+    def __init__(self, tp: int = 0, fp: int = 0, fn: int = 0) -> None:
+        self.tp, self.fp, self.fn = tp, fp, fn
 
     @property
     def precision(self) -> float:
@@ -141,18 +140,27 @@ class KindCounts:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-@dataclass
 class BinaryCounts(KindCounts):
-    tn: int = 0
+    __slots__ = ("tn",)
+
+    def __init__(self, tp: int = 0, fp: int = 0, fn: int = 0, tn: int = 0) -> None:
+        super().__init__(tp, fp, fn)
+        self.tn = tn
 
 
-@dataclass
-class DetectionReport:
-    per_kind: dict
-    overall: KindCounts
-    binary: BinaryCounts
-    unparseable: int = 0
-    labels: tuple = DEFAULT_LABELS
+class DetectionReport(Tally):
+    __slots__ = ("per_kind", "overall", "binary", "unparseable", "labels")
+
+    def __init__(
+        self,
+        per_kind: dict,
+        overall: KindCounts,
+        binary: BinaryCounts,
+        unparseable: int = 0,
+        labels: tuple = DEFAULT_LABELS,
+    ) -> None:
+        self.per_kind, self.overall, self.binary = per_kind, overall, binary
+        self.unparseable, self.labels = unparseable, labels
 
     @classmethod
     def empty(cls, labels: tuple = DEFAULT_LABELS) -> DetectionReport:

@@ -10,13 +10,13 @@ deflate scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import fsum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import Validated
 from .jsonl import batches, read_jsonl
 from .markup import Form, derive_original, parse
 from .patterns import (
@@ -35,8 +35,7 @@ class VerdictLabel(Enum):
     ABSTAIN = "abstain"
 
 
-@dataclass(frozen=True)
-class JudgeVerdict:
+class JudgeVerdict(NamedTuple):
     label: VerdictLabel
     rationale: str | None = None
 
@@ -44,21 +43,26 @@ class JudgeVerdict:
 Judge = Callable[[str, str], JudgeVerdict]
 
 
-@dataclass(frozen=True)
-class FactScore:
-    """Units of a passage by verdict; `failed` counts the abstentions that
-    came from a judge exception."""
-
+class _FactScoreFields(NamedTuple):
     supported: int
     total: int
     abstained: int
     failed: int = 0
 
-    def __post_init__(self) -> None:
+
+class FactScore(Validated, _FactScoreFields):
+    """Units of a passage by verdict; `failed` counts the abstentions that
+    came from a judge exception."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.supported + self.abstained > self.total:
             raise ValueError("supported + abstained cannot exceed total")
         if self.failed > self.abstained:
             raise ValueError("failed cannot exceed abstained")
+        return self
 
     @property
     def score(self) -> float:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from . import FintagError
+from . import FintagError, Validated
 from .jsonl import read_jsonl
 from .markup import Edit, Form, Statement, TaggedDocument, Text, parse
 from .patterns import (
@@ -47,50 +46,62 @@ from .taxonomy import KINDS, ErrorType
 DEFAULT_CLEAN_PROBABILITY = 0.325
 
 
-@dataclass(frozen=True)
-class InserterConfig:
+class _ConfigFields(NamedTuple):
     clean_probability: float = DEFAULT_CLEAN_PROBABILITY
-    type_weights: dict = field(
-        default_factory=lambda: {row.kind: row.default_weight for row in KINDS}
-    )
+    type_weights: dict | None = None
     tokens_per_error: int = 60
     max_errors: int = 6
 
-    def __post_init__(self) -> None:
+
+class InserterConfig(Validated, _ConfigFields):
+    """Planning settings. `type_weights` maps each kind to its sampling
+    weight; when it is not given (or None), each config gets a fresh dict
+    of every kind's default weight."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.type_weights is None:
+            weights = {row.kind: row.default_weight for row in KINDS}
+            self = super().__new__(cls, self.clean_probability, weights, *self[2:])
         if not 0.0 <= self.clean_probability <= 1.0:
             raise ValueError("clean_probability must be in [0, 1]")
         if not self.type_weights or any(w <= 0 for w in self.type_weights.values()):
             raise ValueError("type weights must be positive")
         if self.tokens_per_error < 1 or self.max_errors < 1:
             raise ValueError("tokens_per_error and max_errors must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class InsertionPlan:
-    """How many errors of which kinds one passage receives. Each kind is
-    coerced to an ErrorType, so an unknown kind raises ValueError."""
-
+class _PlanFields(NamedTuple):
     clean: bool
     count: int
     kinds: tuple
     seed: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kinds", tuple(ErrorType(k) for k in self.kinds))
-        if self.clean and (self.count != 0 or self.kinds):
+
+class InsertionPlan(Validated, _PlanFields):
+    """How many errors of which kinds one passage receives. Each kind is
+    coerced to an ErrorType, so an unknown kind raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, clean: bool, count: int, kinds: tuple, seed: int):
+        kinds = tuple(ErrorType(k) for k in kinds)
+        if clean and (count != 0 or kinds):
             raise ValueError("a clean plan carries no errors")
-        if self.count != len(self.kinds):
+        if count != len(kinds):
             raise ValueError("count must equal the number of planned kinds")
+        return tuple.__new__(cls, (clean, count, kinds, seed))
 
 
-@dataclass(frozen=True)
-class InsertionSkip:
+class InsertionSkip(NamedTuple):
     kind: ErrorType
     reason: str
 
 
-@dataclass(frozen=True)
-class InsertionResult:
+class InsertionResult(NamedTuple):
     record: TaggedRecord
     plan: InsertionPlan
     applied: tuple
@@ -480,8 +491,7 @@ def _place_unverifiable(sites, placed, rng) -> str | None:
 # --- few-shot prompting and the LLM inserter ------------------------------
 
 
-@dataclass(frozen=True)
-class Exemplar:
+class Exemplar(NamedTuple):
     kind: ErrorType
     passage: str
     tagged: str

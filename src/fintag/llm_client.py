@@ -19,11 +19,11 @@ import os
 import threading
 import time
 import weakref
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
-from . import FintagError
+from . import FintagError, Validated
 from .jsonl import read_jsonl
 
 MAX_ATTEMPTS = 5
@@ -47,8 +47,7 @@ class ClientError(FintagError):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class ClientProfile:
+class _ProfileFields(NamedTuple):
     name: str
     endpoint: str
     model: str
@@ -58,22 +57,26 @@ class ClientProfile:
     cache_path: str | None = None
     api_key_env: str = DEFAULT_API_KEY_ENV
 
-    def __post_init__(self) -> None:
+
+class ClientProfile(Validated, _ProfileFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(NamedTuple):
     system: str
     user: str
     seed_tag: str = ""
 
 
-@dataclass(frozen=True)
-class CompletionReply:
+class CompletionReply(NamedTuple):
     text: str  # recorded verbatim, never trimmed
     model: str
     latency: float  # measured on a live call; 0.0 when replayed from the cache

@@ -28,9 +28,10 @@ the AST.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
+from . import Validated
 from .taxonomy import KINDS, ErrorType
 
 _CHILD_NAMES = ("delete", "mark")
@@ -49,13 +50,11 @@ def label_of(kind: ErrorType | str) -> str:
     return kind.value if isinstance(kind, ErrorType) else kind
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(NamedTuple):
     content: str
 
 
-@dataclass(frozen=True)
-class Edit:
+class Edit(NamedTuple):
     """An editable error: the original span and the erroneous span."""
 
     kind: ErrorType
@@ -63,8 +62,7 @@ class Edit:
     error_text: str
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """A wholly inserted erroneous sentence (no correction span)."""
 
     kind: ErrorType | str
@@ -74,8 +72,12 @@ class Statement:
 Segment = Text | Edit | Statement
 
 
-@dataclass(frozen=True)
-class TaggedDocument:
+class _DocumentFields(NamedTuple):
+    segments: tuple
+    form: Form = Form.TAGGED_PASSAGE
+
+
+class TaggedDocument(Validated, _DocumentFields):
     """Flat segment list plus the form its serialization follows.
 
     Construction canonicalizes the segment list: empty text segments are
@@ -83,12 +85,11 @@ class TaggedDocument:
     documents serialize identically and ``parse(serialize(d)) == d``.
     """
 
-    segments: tuple
-    form: Form = Form.TAGGED_PASSAGE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, segments: tuple, form: Form = Form.TAGGED_PASSAGE):
         merged: list = []
-        for seg in self.segments:
+        for seg in segments:
             if isinstance(seg, Text):
                 if not seg.content:
                     continue
@@ -96,7 +97,7 @@ class TaggedDocument:
                     merged[-1] = Text(merged[-1].content + seg.content)
                     continue
             merged.append(seg)
-        object.__setattr__(self, "segments", tuple(merged))
+        return tuple.__new__(cls, (tuple(merged), form))
 
     @property
     def has_tags(self) -> bool:
@@ -107,8 +108,7 @@ class TaggedDocument:
         return [s.kind for s in self.segments if not isinstance(s, Text)]
 
 
-@dataclass(frozen=True)
-class TagSpan:
+class TagSpan(NamedTuple):
     """One tag located by character offsets into the erroneous rendering."""
 
     kind: ErrorType | str
@@ -137,8 +137,7 @@ class ParseError(ValueError):
         self.tag = tag
 
 
-@dataclass(frozen=True)
-class ParseWarning:
+class ParseWarning(NamedTuple):
     """Lenient-mode diagnostic.
 
     A warning with a `kind` demoted a construct to literal text (category
@@ -157,13 +156,9 @@ class ParseWarning:
         return "order" if self.kind is None else "demoted"
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     document: TaggedDocument
     warnings: tuple
-
-    def __iter__(self):
-        return iter((self.document, self.warnings))
 
 
 # Anything shaped like a simple tag; classification into known/unknown

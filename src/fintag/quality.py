@@ -16,9 +16,8 @@ Defect classes:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .markup import (
     Edit,
@@ -50,8 +49,7 @@ class IssueKind(Enum):
 _FIXABLE = frozenset({IssueKind.INCORRECT_TYPE, IssueKind.IDENTICAL_TEXT})
 
 
-@dataclass(frozen=True)
-class QualityIssue:
+class QualityIssue(NamedTuple):
     kind: IssueKind
     segment_index: int | None
     detail: str
@@ -61,8 +59,7 @@ class QualityIssue:
         return self.kind in _FIXABLE
 
 
-@dataclass(frozen=True)
-class FixOutcome:
+class FixOutcome(NamedTuple):
     """Result of `fix`: a repaired record, or the reasons it was discarded.
 
     `issues` holds everything `check` found on the input, fixable or not,
@@ -210,9 +207,9 @@ def fix(
             new_segments.append(Text(seg.original_text))
         else:
             guessed, _ = classify_span_type(seg.original_text, seg.error_text)
-            new_segments.append(replace(seg, kind=guessed))
+            new_segments.append(seg._replace(kind=guessed))
 
-    fixed = replace(record, doc=TaggedDocument(tuple(new_segments), record.doc.form))
+    fixed = record._replace(doc=TaggedDocument(tuple(new_segments), record.doc.form))
     residue = check(fixed)
     if residue:  # repairs must converge; bail out rather than loop
         return FixOutcome(None, (), tuple(residue), issues)

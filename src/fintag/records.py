@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .jsonl import read_jsonl, write_jsonl
 from .markup import Form, TaggedDocument, parse, serialize
 
 
-@dataclass(frozen=True)
-class TaggedRecord:
+class TaggedRecord(NamedTuple):
     """One corrupted passage: the clean source plus its tagged document."""
 
     id: str

@@ -19,8 +19,8 @@ Two orders are kept, each written once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class ErrorType(Enum):
@@ -38,8 +38,7 @@ class ErrorType(Enum):
         return _ROW_OF[self]
 
 
-@dataclass(frozen=True)
-class KindRow:
+class KindRow(NamedTuple):
     """One kind of the taxonomy. An editable kind's tag wraps a
     ``<delete>``/``<mark>`` pair; any other kind's tag wraps a whole
     inserted statement. `default_weight` is the kind's target share of

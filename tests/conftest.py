@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 
 from fintag.corpus import TrainingPair
+from fintag.insertion import InserterConfig
 from fintag.jsonl import read_jsonl, write_jsonl
 from fintag.markup import TagSpan, label_of
 
@@ -142,6 +143,17 @@ def make_passage(rng: random.Random) -> str:
         parts.append("\n" if rng.random() < 0.1 else " ")
         parts.append(sent)
     return "".join(parts)
+
+
+def make_long_passage(rng: random.Random) -> str:
+    """Paragraphs of `make_passage`, separated by blank lines, until the
+    passage is long enough that every plan of an `InserterConfig()` that is
+    not clean has `max_errors` errors."""
+    config = InserterConfig()
+    paragraphs = [make_passage(rng)]
+    while len(" ".join(paragraphs).split()) < config.tokens_per_error * (config.max_errors + 0.5):
+        paragraphs.append(make_passage(rng))
+    return "\n\n".join(paragraphs)
 
 
 def make_context(rng: random.Random, passage: str) -> str:

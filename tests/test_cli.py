@@ -66,8 +66,10 @@ def test_cli_import_leaves_http_stack_unloaded():
 
 # Standard modules that no build or evaluation stage but `insert --mode llm`
 # and `split` needs: each costs a stage process several milliseconds to
-# import, and hashlib's OpenSSL about 3.5 MB of memory.
-_STDLIB_WATCHED = ("logging", "fractions", "hashlib")
+# import, and hashlib's OpenSSL about 3.5 MB of memory. No stage needs
+# `dataclasses`, which loads `inspect`, `ast`, `dis` and `tokenize`: the
+# package's value types are NamedTuples.
+_STDLIB_WATCHED = ("logging", "fractions", "hashlib", "dataclasses")
 
 _LOADED_PROBE = (
     "import json, sys, threading\n"
@@ -149,7 +151,8 @@ def _stage_argv(tmp_path, stage):
          ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("split", "partition",
-         ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy", "logging", "hashlib")),
+         ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy", "logging", "hashlib",
+          "dataclasses")),
         ("pairs", "corpus", ("insertion", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("report", "corpus",
          ("insertion", "quality", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),

@@ -18,6 +18,7 @@ from conftest import (
     INVALID_FORMAT_TAGGED,
     WORKED_ORIGINAL,
     make_context,
+    make_long_passage,
     make_passage,
 )
 from fintag import insertion
@@ -39,7 +40,7 @@ from fintag.markup import (
     derive_original,
     serialize,
 )
-from fintag.patterns import MONTH_NAMES, NUMBER_TOKEN_RE, QUARTER_ORDINALS, YEAR_RE
+from fintag.patterns import MONTH_NAMES, NUMBER_TOKEN_RE, QUARTER_ORDINALS, YEAR_RE, numbers_within
 from fintag.quality import check
 from fintag.records import record_to_json
 from fintag.taxonomy import KINDS, ErrorType
@@ -71,6 +72,12 @@ class TestPlanErrors:
             assert plan_errors(long_passage, config, seed=seed).count == 6
         medium = " ".join(["tok"] * 150)
         assert plan_errors(medium, config, seed=1).count == 2
+
+    def test_long_passage_plan_reaches_max_errors(self):
+        config = InserterConfig(clean_probability=0.0)
+        for seed in range(20):
+            passage = make_long_passage(random.Random(seed))
+            assert plan_errors(passage, config, seed=seed).count == config.max_errors
 
     def test_clean_plan_shape(self):
         config = InserterConfig(clean_probability=1.0)
@@ -374,6 +381,22 @@ def test_rule_insertion_reconstructs_punctuated_prose(passage, kinds, seed):
     result = insert_rule_based(passage, passage, _plan(*kinds, seed=seed), seed=seed)
     assert derive_original(result.record.doc) == passage
     assert check(result.record) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    passage=st.one_of(_PROSE, st.integers(0, 2**16).map(lambda n: make_long_passage(random.Random(n)))),
+    kinds=_KINDS,
+    seed=st.integers(0, 2**16),
+)
+def test_every_number_missing_from_the_reference_lies_inside_a_tag(passage, kinds, seed):
+    # The lookup a detector could learn from this corpus: a reference that
+    # holds the passage grounds every number the inserter did not write.
+    doc = insert_rule_based(passage, passage, _plan(*kinds, seed=seed), seed=seed).record.doc
+    erroneous, spans = derive_erroneous(doc)
+    for m in NUMBER_TOKEN_RE.finditer(erroneous):
+        if not numbers_within(m.group(2), passage):
+            assert any(s.start <= m.start(2) and m.end(2) <= s.end for s in spans), (erroneous, m.group())
 
 
 @settings(max_examples=150, deadline=None)

@@ -50,6 +50,45 @@ def test_stage_errors_share_one_base():
     assert issubclass(InsertionFailure, fintag.FintagError)
 
 
+def test_no_module_imports_dataclasses():
+    # The value types are NamedTuples and the tallies slotted classes:
+    # `dataclasses` and what it loads (`inspect`, `ast`, ...) would cost
+    # every stage process its import.
+    package = Path(fintag.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                importers.add(path.name)
+    assert importers == set()
+
+
+def test_replace_builds_through_the_checking_constructor():
+    from fintag.edit_eval import FactScore
+    from fintag.insertion import InserterConfig, InsertionPlan
+    from fintag.llm_client import ClientProfile
+    from fintag.markup import TaggedDocument, Text
+    from fintag.taxonomy import ErrorType
+
+    doc = TaggedDocument((Text("a"),))._replace(segments=(Text("a"), Text(""), Text("b")))
+    assert doc == TaggedDocument((Text("ab"),)) == ((Text("ab"),), doc.form)
+    plan = InsertionPlan(False, 1, ("numerical",), 0)._replace(kinds=("entity",))
+    assert plan.kinds == (ErrorType.ENTITY,)
+    with pytest.raises(ValueError, match="failed cannot exceed abstained"):
+        FactScore(1, 2, 0)._replace(failed=1)
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        ClientProfile("n", "e", "m")._replace(timeout=0)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        InserterConfig()._replace(max_errors=0)
+    assert InserterConfig().type_weights is not InserterConfig().type_weights
+
+
 def test_only_the_jsonl_module_spells_the_meta_key():
     # The JSONL envelope (blank lines, the `_meta` header) lives in one
     # module; any other module that names the key is handling it itself.

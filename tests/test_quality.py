@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +20,10 @@ from conftest import (
     INVALID_FORMAT_ORIGINAL,
     INVALID_FORMAT_TAGGED,
     make_context,
+    make_long_passage,
     make_passage,
 )
-from fintag.markup import Edit, TaggedDocument, Text, derive_erroneous, derive_original, parse, serialize
+from fintag.markup import Edit, Statement, TaggedDocument, Text, derive_erroneous, derive_original, parse, serialize
 from fintag.quality import (
     CONFIDENCE_THRESHOLD,
     IssueKind,
@@ -284,43 +284,75 @@ _EDITABLE = [row.kind for row in KINDS if row.editable]
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**16),
-       kinds=st.lists(st.sampled_from(list(ErrorType)), min_size=1, max_size=6))
-def test_fix_repairs_exactly_the_injected_fixable_defects(data, seed, kinds):
+       kinds=st.lists(st.sampled_from(list(ErrorType)), min_size=1, max_size=6),
+       unfixable=st.sampled_from([None, IssueKind.INVALID_FORMAT, IssueKind.INCONSISTENT_CONTENT]))
+def test_fix_and_tally_account_for_exactly_the_injected_defects(data, seed, kinds, unfixable):
     from fintag.insertion import InsertionPlan, insert_rule_based
 
     rng = random.Random(seed)
-    passage = make_passage(rng)
+    passage = make_long_passage(rng)
     plan = InsertionPlan(False, len(kinds), tuple(kinds), seed)
     built = insert_rule_based(passage, make_context(rng, passage), plan, seed=seed).record
     # Into each edit, maybe inject a fixable defect: its error set to its
     # original (IdenticalText), or, when its spans classify confidently, a
-    # wrong label (IncorrectType).
+    # wrong label (IncorrectType). When the record draws InvalidFormat, any
+    # segment may instead get a defect of that class: an empty mark, an
+    # empty statement, or a tag token in plain text. Each segment gets at
+    # most one defect, so each is found once.
     segments = list(built.doc.segments)
     injected = Counter()
     for idx, seg in enumerate(segments):
-        if not isinstance(seg, Edit):
-            continue
-        guessed, confidence = classify_span_type(seg.original_text, seg.error_text)
-        defects = [None, IssueKind.IDENTICAL_TEXT]
-        if confidence >= CONFIDENCE_THRESHOLD:
-            defects.append(IssueKind.INCORRECT_TYPE)
+        defects = [None]
+        if isinstance(seg, Edit):
+            guessed, confidence = classify_span_type(seg.original_text, seg.error_text)
+            defects.append(IssueKind.IDENTICAL_TEXT)
+            if confidence >= CONFIDENCE_THRESHOLD:
+                defects.append(IssueKind.INCORRECT_TYPE)
+        if unfixable is IssueKind.INVALID_FORMAT:
+            defects.append(unfixable)
         defect = data.draw(st.sampled_from(defects))
         if defect is IssueKind.IDENTICAL_TEXT:
-            segments[idx] = replace(seg, error_text=seg.original_text)
+            segments[idx] = seg._replace(error_text=seg.original_text)
         elif defect is IssueKind.INCORRECT_TYPE:
             wrong = data.draw(st.sampled_from([k for k in _EDITABLE if k is not guessed]))
-            segments[idx] = replace(seg, kind=wrong)
+            segments[idx] = seg._replace(kind=wrong)
+        elif defect is IssueKind.INVALID_FORMAT:
+            if isinstance(seg, Edit):
+                segments[idx] = seg._replace(error_text="")
+            elif isinstance(seg, Statement):
+                segments[idx] = seg._replace(content="")
+            else:
+                at = data.draw(st.integers(0, len(seg.content)))
+                tag = data.draw(st.sampled_from(["<numerical>", "</entity>", "<mark>", "</delete>"]))
+                segments[idx] = Text(seg.content[:at] + tag + seg.content[at:])
         if defect is not None:
             injected[defect] += 1
-    record = replace(built, doc=TaggedDocument(tuple(segments), built.doc.form))
+    # InconsistentContent: a word character that the original lacks, put
+    # into the plain text at a drawn point.
+    if unfixable is IssueKind.INCONSISTENT_CONTENT:
+        idx = data.draw(st.sampled_from([i for i, seg in enumerate(segments) if isinstance(seg, Text)]))
+        at = data.draw(st.integers(0, len(segments[idx].content)))
+        segments[idx] = Text(segments[idx].content[:at] + "Z" + segments[idx].content[at:])
+        injected[unfixable] += 1
+    record = built._replace(doc=TaggedDocument(tuple(segments), built.doc.form))
 
     outcome = fix(record)
-    assert outcome.fixed
+    tally = QualityTally()
+    tally.add(record.provenance, outcome.issues, discarded=not outcome.fixed)
+    unfixed = Counter({kind: n for kind, n in injected.items()
+                       if kind in (IssueKind.INVALID_FORMAT, IssueKind.INCONSISTENT_CONTENT)})
+    assert outcome.fixed is not bool(unfixed)
+    assert Counter(issue.kind for issue in outcome.issues) == injected
+    assert tally.to_json() == {record.provenance: {
+        "records": 1, "discarded": int(bool(unfixed)), **{kind.value: injected[kind] for kind in IssueKind}}}
+    if unfixed:
+        assert outcome.applied == ()
+        assert Counter(issue.kind for issue in outcome.reasons) == unfixed
+        return
     assert check(outcome.record) == []
     again = fix(outcome.record)
     assert (again.record, again.applied) == (outcome.record, ())
     assert derive_original(outcome.record.doc) == passage
-    assert Counter(issue.kind for issue in outcome.issues) == injected
     assert Counter(issue.kind for issue in outcome.applied) == injected
 
 
