@@ -265,9 +265,10 @@ def _cmd_insert(args) -> int:
                     from concurrent.futures import ThreadPoolExecutor
 
                     pool = ThreadPoolExecutor(max_workers=args.jobs)
-                    # Shut down before the clients close, none of which may
-                    # close during a call: a unit that raises ends the
-                    # stage, and the units still queued are never called.
+                    # Shut down before the clients close, or a running
+                    # unit's later hit would open a closed client's cache
+                    # file again: a unit that raises ends the stage, and
+                    # the units still queued are never called.
                     held.callback(pool.shutdown, cancel_futures=True)
                 return pool.submit(insert_one, item)
 

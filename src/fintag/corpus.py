@@ -13,7 +13,7 @@ from .jsonl import read_jsonl, rereadable, row_at, unique_ids, write_jsonl
 from .markup import derive_erroneous, label_of, serialize, to_target_output
 from .partition import split  # noqa: F401  (corpus.split stays importable)
 from .patterns import numbers_within
-from .prompts import build_detection_prompt, passage_of_prompt
+from .prompts import build_detection_prompt
 from .records import TaggedRecord
 from .taxonomy import KINDS
 
@@ -21,7 +21,6 @@ __all__ = [
     "QARecord", "IngestStats", "TrainingPair", "DistributionReport",
     "SourceDistribution", "ingest", "join_qa", "qa_at", "filter_grounded",
     "split", "emit_training_pair", "distribution_report", "write_pairs",
-    "passage_of_prompt",
 ]
 
 

@@ -205,7 +205,12 @@ Unsupported."""
 def llm_judge(client) -> Judge:
     """Wrap a chat-completion client as a judge callable; with a cached
     profile its calls replay from the cache."""
+    import re
+
     from .llm_client import CompletionRequest
+
+    # "supported" right after "not" or "n't" is a denial, not a verdict.
+    negated = re.compile(r"(?:\bnot|n['’]t)\s+supported\b")
 
     def judge(fact: str, reference: str) -> JudgeVerdict:
         reply = client.call(
@@ -216,11 +221,10 @@ def llm_judge(client) -> Judge:
             )
         )
         text = reply.text.strip().lower()
-        if text.startswith("supported") or " supported" in f" {text}":
-            if "unsupported" not in text:
-                return JudgeVerdict(VerdictLabel.SUPPORTED, reply.text.strip())
-        if "unsupported" in text:
+        if "unsupported" in text or negated.search(text):
             return JudgeVerdict(VerdictLabel.UNSUPPORTED, reply.text.strip())
+        if " supported" in f" {text}":
+            return JudgeVerdict(VerdictLabel.SUPPORTED, reply.text.strip())
         return JudgeVerdict(VerdictLabel.ABSTAIN, reply.text.strip())
 
     return judge

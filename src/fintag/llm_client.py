@@ -7,8 +7,10 @@ client keeps an index of each cached key to the span of its line, not the
 replies: a hit reads its line back from the file, so a cache file may only
 be appended to while a run uses it, and a line read back that no longer
 carries the key is a miss. Concurrent misses on one key share one call.
-API keys come only from the environment variable named in the profile
-(never from config files).
+The index, the descriptor and the misses being called are used only under
+one lock, so `close()` may be called while calls run. API keys come only
+from the environment variable named in the profile (never from config
+files).
 """
 
 from __future__ import annotations
@@ -106,11 +108,10 @@ def _parse_reply_text(body: str) -> str:
         raise ClientError(ClientErrorKind.BAD_REPLY, "reply is not JSON") from exc
     if isinstance(obj, dict):
         choices = obj.get("choices")
-        if isinstance(choices, list) and choices:
-            message = choices[0].get("message", {})
-            content = message.get("content")
-            if isinstance(content, str):
-                return content
+        if isinstance(choices, list) and choices and isinstance(choices[0], dict):
+            message = choices[0].get("message")
+            if isinstance(message, dict) and isinstance(message.get("content"), str):
+                return message["content"]
             content = choices[0].get("text")
             if isinstance(content, str):
                 return content
@@ -145,9 +146,9 @@ class LlmClient:
 
     def close(self) -> None:
         """Close the cache file's descriptor; a later hit opens it again.
-        Must not be called while any call of this client is running: a hit
-        reads the descriptor outside the lock. A client that is never
-        closed closes it when it is collected."""
+        It may be called while calls of this client run: the descriptor is
+        used only under the cache lock. A client that is never closed
+        closes it when it is collected."""
         with self._cache_lock:
             if self._closer is not None:
                 self._closer()
@@ -218,16 +219,9 @@ class LlmClient:
         digest = bytes.fromhex(key)
         while True:
             with self._cache_lock:
-                span, fd = self._lookup(digest)
-            # Read back outside the lock: a read hands the GIL to the other
-            # threads, which would only wait on the lock; read under it, a
-            # `--jobs 2` replay took 30% more wall time.
-            hit = self._read_back(fd, span, key) if span is not None else None
-            if hit is not None or replay_only:
-                return hit
-            with self._cache_lock:
-                if self._index.get(digest) != span:
-                    continue  # a call of another thread indexed a line meanwhile
+                hit = self._hit(digest, key)
+                if hit is not None or replay_only:
+                    return hit
                 flight = self._flights.get(digest)
                 if flight is None:
                     flight = self._flights[digest] = threading.Event()
@@ -258,23 +252,19 @@ class LlmClient:
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def _lookup(self, digest: bytes) -> tuple[int | None, int | None]:
-        """The indexed span of `digest`, and the descriptor to read it from
-        (both None for a key with no line); called with the lock held."""
+    def _hit(self, digest: bytes, key: str) -> CompletionReply | None:
+        """The cached reply of `key`, or None when no indexed line holds it
+        (a line rewritten since it was indexed reads as a miss); called with
+        the lock held."""
         if self._index is None:
             self._index = self._load_index()
         span = self._index.get(digest)
-        if span is not None and self._fd is None:
+        if span is None:
+            return None
+        if self._fd is None:
             self._fd = os.open(self.profile.cache_path, os.O_RDONLY)
             self._closer = weakref.finalize(self, os.close, self._fd)
-        return span, self._fd
-
-    @staticmethod
-    def _read_back(fd: int, span: int, key: str) -> CompletionReply | None:
-        """The reply of the line at `span`, or None when that line no
-        longer holds `key`'s reply (the file was rewritten since it was
-        indexed)."""
-        line = os.pread(fd, span & 0xFFFFFFFF, span >> 32)
+        line = os.pread(self._fd, span & 0xFFFFFFFF, span >> 32)
         try:
             entry = json.loads(line.decode("utf-8"))
             found, text, model = entry["key"], entry["reply"]["text"], entry["reply"]["model"]

@@ -762,6 +762,7 @@ class _StubEndpoint(BaseHTTPRequestHandler):
     calls = 0
     fails_gate = False  # reply with a passage that does not reconstruct the prompt's
     status = 200  # any other status is answered with an empty body
+    body = None  # when set, the JSON value sent as every reply's body
 
     def do_POST(self):
         from fintag.insertion import InsertionPlan, insert_rule_based
@@ -785,7 +786,8 @@ class _StubEndpoint(BaseHTTPRequestHandler):
         )
         if self.fails_gate:
             tagged = "An unrelated passage."
-        body = json.dumps({"choices": [{"message": {"content": tagged}}]}).encode()
+        reply = {"choices": [{"message": {"content": tagged}}]} if self.body is None else self.body
+        body = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -803,6 +805,7 @@ def stub_endpoint():
     _StubEndpoint.calls = 0
     _StubEndpoint.fails_gate = False
     _StubEndpoint.status = 200
+    _StubEndpoint.body = None
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     server.shutdown()
     server.server_close()
@@ -1001,6 +1004,20 @@ def test_insert_llm_mode_calls_no_queued_unit_after_one_raises(tmp_path, capsys,
                      "--sources-out", str(tmp_path / "sources.json")]) == 1
     assert capsys.readouterr().err == "fintag: error: auth: HTTP 401\n"
     assert 0 < _StubEndpoint.calls < 128
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fintag.ini", "qa.jsonl"]
+
+
+def test_insert_llm_mode_fails_on_a_malformed_reply_body(tmp_path, capsys, stub_endpoint):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=4, seed=6)
+    config = tmp_path / "fintag.ini"
+    config.write_text("[inserter]\nclean_probability = 0.0\n"  # every unit calls the model
+                      f"[client:alpha]\nendpoint = {stub_endpoint}\nmodel = stub-a\n", encoding="utf-8")
+    _StubEndpoint.body = {"choices": [{"message": None}]}
+    out = tmp_path / "llm.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(out), "--mode", "llm",
+                     "--config", str(config), "--jobs", "2", "--no-ground-filter"]) == 1
+    assert capsys.readouterr().err == "fintag: error: bad_reply: no completion text in reply\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fintag.ini", "qa.jsonl"]
 
 

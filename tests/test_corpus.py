@@ -25,13 +25,13 @@ from fintag.corpus import (
     emit_training_pair,
     filter_grounded,
     ingest,
-    passage_of_prompt,
     join_qa,
     split,
     write_pairs,
 )
 from fintag.insertion import InserterConfig, insert_rule_based, plan_errors
 from fintag.markup import Form, label_of, parse
+from fintag.prompts import passage_of_prompt
 from fintag.records import TaggedRecord
 
 

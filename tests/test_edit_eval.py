@@ -465,6 +465,10 @@ def test_llm_judge_parses_verdicts():
     assert llm_judge(StubClient("Supported"))("f", "r").label is VerdictLabel.SUPPORTED
     assert llm_judge(StubClient("Unsupported."))("f", "r").label is VerdictLabel.UNSUPPORTED
     assert llm_judge(StubClient("cannot say"))("f", "r").label is VerdictLabel.ABSTAIN
+    # "supported" right after "not" or "n't" is a denial.
+    for denial in ("Not supported.", "The statement is not supported by the reference.",
+                   "No, it is not supported", "It isn't supported.", "It isn’t\nsupported"):
+        assert llm_judge(StubClient(denial))("f", "r").label is VerdictLabel.UNSUPPORTED, denial
 
 
 def test_llm_judge_replays_from_cache(tmp_path):

@@ -172,8 +172,8 @@ def _read_cache(path):
     client = LlmClient(ClientProfile("p", "", "", cache_path=str(path)))
     replies = []
     for digest in client._load_index():
-        span, fd = client._lookup(digest)
-        replies.append(client._read_back(fd, span, digest.hex()))
+        with client._cache_lock:
+            replies.append(client._hit(digest, digest.hex()))
     client.close()
     assert all(r is not None and isinstance(r.text, str) and isinstance(r.model, str)
                for r in replies)

@@ -94,11 +94,15 @@ class TestComplete:
         assert transport.calls == 1
 
     def test_bad_reply_shape(self):
-        transport = SequenceTransport([(200, json.dumps({"weird": True}))])
-        client = LlmClient(_profile(), transport, sleeper=lambda s: None)
-        with pytest.raises(ClientError) as err:
-            client.complete(_request())
-        assert err.value.kind is ClientErrorKind.BAD_REPLY
+        # A choice or a message that is no object is a bad reply too.
+        for body in ({"weird": True}, {"choices": ["x"]}, {"choices": [None]},
+                     {"choices": [{"message": "hi"}]}, {"choices": [{"message": None}]}):
+            transport = SequenceTransport([(200, json.dumps(body))])
+            client = LlmClient(_profile(), transport, sleeper=lambda s: None)
+            with pytest.raises(ClientError) as err:
+                client.complete(_request())
+            assert err.value.kind is ClientErrorKind.BAD_REPLY, body
+            assert transport.calls == 1
 
     def test_api_key_header_from_environment(self, monkeypatch):
         seen = {}
@@ -520,6 +524,60 @@ def test_close_leaves_no_descriptor_open(tmp_path):
     gc.collect()
     assert open_descriptors() == before
     assert transport.calls == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count descriptors")
+def test_close_may_run_while_hits_replay(tmp_path):
+    # Four threads replay hits, switching often, while a fifth closes the
+    # client over and over: no hit meets a closed descriptor, every hit
+    # replays its key's reply, and the last close leaves none open.
+    def echo(profile, payload, headers):
+        return 200, _reply_body(f"reply to {payload['messages'][1]['content']}")
+
+    profile = _profile(cache_path=str(tmp_path / "cache.jsonl"))
+    warm = LlmClient(profile, echo, sleeper=lambda s: None)
+    for k in range(20):
+        warm.cached_complete(_request(user=f"u{k}"))
+    warm.close()
+    transport = SequenceTransport([(200, _reply_body("called"))])
+    client = LlmClient(profile, transport, sleeper=lambda s: None)
+    gc.collect()  # clients of earlier tests close their descriptors now, not below
+    before = len(os.listdir("/proc/self/fd"))
+    failures, replayed, done = [], [], threading.Event()
+
+    def reader(n):
+        try:
+            for i in range(500):
+                user = f"u{(n + i) % 20}"
+                if client.cached_complete(_request(user=user)).text == f"reply to {user}":
+                    replayed.append(user)
+        except Exception as exc:
+            failures.append(exc)
+
+    def closer():
+        while not done.is_set():
+            client.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=reader, args=(n,)) for n in range(4)]
+        closing = threading.Thread(target=closer)
+        for thread in [*readers, closing]:
+            thread.start()
+        for thread in readers:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    closing.join(10)
+    assert not closing.is_alive()
+    client.close()
+    assert failures == []
+    assert len(replayed) == 2000
+    assert transport.calls == 0
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_in_flight_never_exceeds_limit():
