@@ -15,7 +15,6 @@ files).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -28,11 +27,28 @@ from typing import NamedTuple
 from . import FintagError, Validated
 from .jsonl import read_jsonl
 
+# The interpreter's builtin SHA-256 gives the same digests as `hashlib`'s,
+# which loads OpenSSL's libcrypto: about 3.5 MB more peak memory for every
+# llm-mode stage, against a few milliseconds of slower hashing per run. The
+# builtin module is `_sha2` from Python 3.12 and `_sha256` before; a build
+# without either falls back to `hashlib`.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 MAX_ATTEMPTS = 5
 BACKOFF_BASE = 1.0
 BACKOFF_FACTOR = 2.0
 
 DEFAULT_API_KEY_ENV = "FRED_API_KEY"
+
+# One encoder for every cache key; `json.dumps` with `separators` builds a
+# new encoder per call.
+_KEY_ENCODE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 class ClientErrorKind(Enum):
@@ -238,19 +254,15 @@ class LlmClient:
         return reply
 
     def _cache_key(self, request: CompletionRequest) -> str:
-        material = json.dumps(
-            [
-                self.profile.endpoint,
-                self.profile.model,
-                self.profile.temperature,
-                request.system,
-                request.user,
-                request.seed_tag,
-            ],
-            ensure_ascii=False,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        material = _KEY_ENCODE([
+            self.profile.endpoint,
+            self.profile.model,
+            self.profile.temperature,
+            request.system,
+            request.user,
+            request.seed_tag,
+        ])
+        return sha256(material.encode("utf-8")).hexdigest()
 
     def _hit(self, digest: bytes, key: str) -> CompletionReply | None:
         """The cached reply of `key`, or None when no indexed line holds it

@@ -22,7 +22,9 @@ between the two children of an editable tag is insignificant and dropped.
 
 Lenient parsing never fails: any construct that cannot be parsed is demoted
 to literal text and reported as a warning, so every input byte survives in
-the AST.
+the AST. Well-formed tags are matched whole, each by one regex match; any
+other text goes through the lenient token walk, which gives the same
+result for well-formed tags.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ from .taxonomy import KINDS, ErrorType
 
 _CHILD_NAMES = ("delete", "mark")
 
-# Tag names of the grammar, and those that open an editable tag; built once.
+# Tag names of the grammar, and those that open an editable or a statement
+# tag; built once.
 _GRAMMAR_NAMES = frozenset([t.value for t in ErrorType] + list(_CHILD_NAMES))
 _EDITABLE_NAMES = frozenset(row.kind.value for row in KINDS if row.editable)
+_STATEMENT_NAMES = frozenset(row.kind.value for row in KINDS if not row.editable)
 
 
 class Form(Enum):
@@ -208,6 +212,94 @@ def parse(
     every input byte. Strict mode runs the same parse and raises ParseError
     from the first demotion.
     """
+    result = None if extra_statement_tags else _parse_whole(text, form)
+    if result is None:
+        result = _parse_tokens(text, form, extra_statement_tags)
+    if strict:
+        for w in result.warnings:
+            if w.kind is not None:
+                raise ParseError(w.kind, w.offset, w.tag, w.message)
+    return result
+
+
+# One match per well-formed tag of the grammar, or per lone tag token. The
+# groups are an editable tag's name, its delete and mark text when delete
+# comes first, its mark and delete text when mark does, a statement tag's
+# name and content, and a lone token's "/" and name. Content holds no "<",
+# so a whole match holds no token of its own; `\s` is what `str.strip`
+# strips, as between the tokens of `_parse_tokens`.
+_WHOLE_TAG_RE = re.compile(
+    rf"""<(?:
+        ({"|".join(sorted(_EDITABLE_NAMES))})>\s*(?:
+            <delete>([^<]*)</delete>\s*<mark>([^<]*)</mark>
+            | <mark>([^<]*)</mark>\s*<delete>([^<]*)</delete>
+        )\s*</\1>
+        | ({"|".join(sorted(_STATEMENT_NAMES))})>([^<]*)</\6>
+        | (/?)([A-Za-z]+)>
+    )""",
+    re.VERBOSE,
+)
+
+
+def _parse_whole(text: str, form: Form) -> ParseResult | None:
+    """The parse of a text whose every grammar token lies in a well-formed
+    tag, or None for any other text. It gives what `_parse_tokens` gives,
+    matching each tag whole instead of walking its tokens."""
+    segments: list = []
+    warnings: list = []
+    pos = 0
+    for m in _WHOLE_TAG_RE.finditer(text):
+        edit, delete1, mark1, mark2, delete2, statement, content, closing, name = m.groups()
+        if name is not None:
+            if name in _GRAMMAR_NAMES:
+                return None
+            warnings.append(_unknown_tag(f"<{closing}{name}>", m.start()))
+            continue
+        segments.append(Text(text[pos:m.start()]))
+        pos = m.end()
+        if statement is not None:
+            segments.append(Statement(ErrorType(statement), content))
+            continue
+        if delete1 is not None:
+            seg = _edit(edit, delete1, mark1, "delete", form, m.start(), warnings)
+        else:
+            seg = _edit(edit, delete2, mark2, "mark", form, m.start(), warnings)
+        segments.append(seg)
+    segments.append(Text(text[pos:]))
+    return ParseResult(TaggedDocument(tuple(segments), form), tuple(warnings))
+
+
+def _unknown_tag(raw: str, offset: int) -> ParseWarning:
+    return ParseWarning(f"unknown tag {raw} kept as text", offset, raw, ParseErrorKind.UNKNOWN_TAG)
+
+
+def _edit(name, delete, mark, first, form, offset, warnings) -> Edit:
+    """The Edit of editable tag `name` at `offset` whose children hold
+    `delete` and `mark` and came `first`-child first; a non-canonical order
+    for `form` adds an order warning."""
+    if form is Form.TAGGED_PASSAGE:
+        original, error = delete, mark
+        canonical_first = "delete"
+    else:
+        original, error = mark, delete
+        canonical_first = "mark"
+    if first != canonical_first:
+        warnings.append(
+            ParseWarning(
+                f"<{name}> children in {first}-first order; "
+                f"canonical for this form is {canonical_first}-first",
+                offset,
+                f"<{name}>",
+                kind=None,
+            )
+        )
+    return Edit(ErrorType(name), original, error)
+
+
+def _parse_tokens(text: str, form: Form, extra_statement_tags: tuple) -> ParseResult:
+    """The lenient token walk: every tag token in order, each construct
+    that breaks the grammar demoted to literal text with a warning. It
+    parses any text, and is the reference that `_parse_whole` agrees with."""
     known = _GRAMMAR_NAMES.union(extra_statement_tags) if extra_statement_tags else _GRAMMAR_NAMES
 
     toks = [_Tok(*m.span(), *m.groups()) for m in _TAG_CANDIDATE_RE.finditer(text)]
@@ -233,7 +325,8 @@ def parse(
         if tok is None:
             break
         if tok.name not in known:
-            demote(tok, ParseErrorKind.UNKNOWN_TAG, f"unknown tag {tok.raw} kept as text")
+            warnings.append(_unknown_tag(tok.raw, tok.start))
+            buf.append(tok.raw)
         elif tok.closing:
             demote(tok, ParseErrorKind.STRAY_CHILD, f"stray closer {tok.raw} kept as text")
         elif tok.name in _CHILD_NAMES:
@@ -254,10 +347,6 @@ def parse(
         pos = tok.end
         i += 1
     flush()
-    if strict:
-        for w in warnings:
-            if w.kind is not None:
-                raise ParseError(w.kind, w.offset, w.tag, w.message)
     return ParseResult(TaggedDocument(tuple(segments), form), tuple(warnings))
 
 
@@ -315,23 +404,9 @@ def _parse_edit(text, toks, i, form, known):
                     ParseErrorKind.MISSING_DELETE_MARK_PAIR,
                     f"{opener.raw} lacks a delete/mark pair",
                 )
-            if form is Form.TAGGED_PASSAGE:
-                original, error = children["delete"], children["mark"]
-                canonical_first = "delete"
-            else:
-                original, error = children["mark"], children["delete"]
-                canonical_first = "mark"
-            if order[0] != canonical_first:
-                inner_warnings.append(
-                    ParseWarning(
-                        f"<{opener.name}> children in {order[0]}-first order; "
-                        f"canonical for this form is {canonical_first}-first",
-                        opener.start,
-                        opener.raw,
-                        kind=None,
-                    )
-                )
-            return Edit(ErrorType(opener.name), original, error), j + 1, t.end, inner_warnings
+            edit = _edit(opener.name, children["delete"], children["mark"], order[0], form,
+                         opener.start, inner_warnings)
+            return edit, j + 1, t.end, inner_warnings
         if t.closing or t.name not in _CHILD_NAMES:
             if t.name not in known:
                 kind = ParseErrorKind.UNKNOWN_TAG

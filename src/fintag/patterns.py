@@ -96,7 +96,9 @@ TEMPORAL_SPAN_RE = re.compile(
 )
 
 # Prose scanner for the date sites the rule-based inserter perturbs; a
-# narrower, word-bounded cousin of TEMPORAL_SPAN_RE.
+# narrower, word-bounded cousin of TEMPORAL_SPAN_RE. A bare year after a
+# currency sign, "." or ",", or before "." or "," and a digit ("$2019",
+# "1800.0", "2019.5 million") is part of a number, so it is no site.
 TEMPORAL_SITE_RE = _word_scanner(
     rf"""
         (?:{_MONTH_ALT})\s+{_DAY},?\s+{_YEAR}
@@ -105,7 +107,7 @@ TEMPORAL_SITE_RE = _word_scanner(
         | {_FY}\s?{_YEAR}
         | {_QUARTER_NUM}\s+{_YEAR}
         | {_ORDINAL_QUARTER}\s+quarter(?:\s+of\s+{_YEAR})?
-        | {_YEAR}
+        | (?<![.,$€£]){_YEAR}(?![.,]\d)
     """,
     (*MONTH_NAMES, _FISCAL, _FY, _QUARTER_PREFIX, *QUARTER_ORDINALS, *_CENTURIES),
     re.IGNORECASE | re.VERBOSE,

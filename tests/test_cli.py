@@ -64,12 +64,13 @@ def test_cli_import_leaves_http_stack_unloaded():
     assert _run_probe(probe).strip() == "False"
 
 
-# Standard modules that no build or evaluation stage but `insert --mode llm`
-# and `split` needs: each costs a stage process several milliseconds to
-# import, and hashlib's OpenSSL about 3.5 MB of memory. No stage needs
+# Standard modules that no build or evaluation stage but `split` needs:
+# each costs a stage process several milliseconds to import. No stage needs
+# `hashlib`, whose `_hashlib` loads OpenSSL, about 3.5 MB of memory: cache
+# keys are hashed by the interpreter's builtin SHA-256. No stage needs
 # `dataclasses`, which loads `inspect`, `ast`, `dis` and `tokenize`: the
 # package's value types are NamedTuples.
-_STDLIB_WATCHED = ("logging", "fractions", "hashlib", "dataclasses")
+_STDLIB_WATCHED = ("logging", "fractions", "hashlib", "_hashlib", "dataclasses")
 
 _LOADED_PROBE = (
     "import json, sys, threading\n"
@@ -152,7 +153,7 @@ def _stage_argv(tmp_path, stage):
         ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("split", "partition",
          ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy", "logging", "hashlib",
-          "dataclasses")),
+          "_hashlib", "dataclasses")),
         ("pairs", "corpus", ("insertion", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("report", "corpus",
          ("insertion", "quality", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
@@ -1133,6 +1134,7 @@ def test_warm_cache_insert_starts_no_pool(tmp_path, stub_endpoint):
     assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
     assert "fintag.llm_client" in loaded
     assert not {m for m in loaded if m.startswith("concurrent")}
+    assert not loaded & {"hashlib", "_hashlib"}  # no OpenSSL to hash cache keys
     assert started == []
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -318,7 +318,7 @@ class TestDerivedProperties:
 
 _TAGS = [f"<{c}{n}>" for n in [t.value for t in ErrorType] + ["delete", "mark", "x"] for c in ("", "/")]
 _PIECE = st.text(st.sampled_from("ab <>/\n\t\u2003é2,."), max_size=4)
-_GAP = st.text(st.sampled_from(" \n\t\u2003"), max_size=2)
+_GAP = st.text(st.sampled_from(" \n\t\u2003\x1c\x85"), max_size=2)
 # A well-formed editable tag, children in either order, with whitespace
 # around them: rare to hit by concatenating single tags.
 _EDIT_MARKUP = st.builds(
@@ -331,7 +331,15 @@ _EDIT_MARKUP = st.builds(
     st.tuples(_PIECE.map("<delete>{}</delete>".format), _PIECE.map("<mark>{}</mark>".format)),
     st.booleans(),
 )
-_MARKUP = st.lists(st.sampled_from(_TAGS) | _PIECE | _EDIT_MARKUP, max_size=24).map("".join)
+# A well-formed statement tag, likewise rare by concatenation.
+_STATEMENT_MARKUP = st.builds(
+    lambda kind, content: f"<{kind.value}>{content}</{kind.value}>",
+    st.sampled_from(_STATEMENT_TYPES),
+    _PIECE,
+)
+_MARKUP = st.lists(
+    st.sampled_from(_TAGS) | _PIECE | _EDIT_MARKUP | _STATEMENT_MARKUP, max_size=24
+).map("".join)
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,6 +403,28 @@ def test_strict_raises_exactly_from_the_first_lenient_demotion(text, form, extra
     else:
         assert not demoted
         assert strict == lenient
+
+
+_EDIT_GAPS = "<temporal>{}<delete>a</delete>{}<mark>b</mark>{}</temporal>"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_SOUP, form=st.sampled_from(list(Form)))
+@example(text=_EDIT_GAPS.format("\x1c", "", ""), form=Form.TAGGED_PASSAGE)
+@example(text=_EDIT_GAPS.format("", "\x85", ""), form=Form.TARGET_OUTPUT)
+@example(text=_EDIT_GAPS.format("", "", "\u2003"), form=Form.TAGGED_PASSAGE)
+@example(text=_EDIT_GAPS.format("", "\u200b", ""), form=Form.TAGGED_PASSAGE)  # not whitespace
+@example(text="<unverifiable>a < b</unverifiable>", form=Form.TAGGED_PASSAGE)
+@example(text="<contradictory>a <x> b</contradictory>", form=Form.TAGGED_PASSAGE)
+@example(text="<entity><delete>a<b</delete><mark>c</mark></entity>", form=Form.TARGET_OUTPUT)
+@example(text="<entity><mark>b</mark><mark>c</mark></entity>", form=Form.TAGGED_PASSAGE)
+@example(text="<entity><delete>a</delete><mark>b</mark></temporal>", form=Form.TAGGED_PASSAGE)
+@example(text="<x><unverifiable>a</unverifiable></x> <mark>", form=Form.TARGET_OUTPUT)
+@example(text="<X><numerical><mark>1</mark><delete>2</delete></numerical>", form=Form.TAGGED_PASSAGE)
+def test_whole_tag_match_gives_what_the_token_walk_gives(text, form):
+    # The token walk is the reference: matching well-formed tags whole, and
+    # falling back to the walk for anything else, must give what it gives.
+    assert parse(text, form) == markup._parse_tokens(text, form, ())
 
 
 def test_fava_extra_statement_tags_are_known_only_when_passed():
