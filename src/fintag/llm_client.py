@@ -112,6 +112,12 @@ def _default_transport(profile: ClientProfile, payload: dict, headers: dict) -> 
         )
     except requests.Timeout as exc:
         raise ClientError(ClientErrorKind.TIMEOUT, str(exc)) from exc
+    except ValueError as exc:
+        # A malformed URL, header or proxy (`MissingSchema`, `InvalidURL`,
+        # ...): a fault of the request that no retry mends.
+        raise ValueError(
+            f"client profile {profile.name!r}: endpoint {profile.endpoint!r} rejected: {exc}"
+        ) from exc
     except requests.RequestException as exc:
         raise ClientError(ClientErrorKind.TRANSPORT, str(exc)) from exc
     return response.status_code, response.text

@@ -22,9 +22,9 @@ between the two children of an editable tag is insignificant and dropped.
 
 Lenient parsing never fails: any construct that cannot be parsed is demoted
 to literal text and reported as a warning, so every input byte survives in
-the AST. Well-formed tags are matched whole, each by one regex match; any
-other text goes through the lenient token walk, which gives the same
-result for well-formed tags.
+the AST. Well-formed tags are matched whole under either label set, each
+by one regex match; only text that is not well formed goes through the
+lenient token walk, which gives the same result for well-formed tags.
 """
 
 from __future__ import annotations
@@ -38,11 +38,13 @@ from .taxonomy import KINDS, ErrorType
 
 _CHILD_NAMES = ("delete", "mark")
 
-# Tag names of the grammar, and those that open an editable or a statement
-# tag; built once.
+# Tag names of the grammar, those that open an editable tag, those that
+# open no statement tag under any label set, and each kind's name to its
+# kind (an extra label, such as FAVA's invented, is its own kind).
 _GRAMMAR_NAMES = frozenset([t.value for t in ErrorType] + list(_CHILD_NAMES))
 _EDITABLE_NAMES = frozenset(row.kind.value for row in KINDS if row.editable)
-_STATEMENT_NAMES = frozenset(row.kind.value for row in KINDS if not row.editable)
+_NON_STATEMENT_NAMES = _EDITABLE_NAMES.union(_CHILD_NAMES)
+_KIND_OF = {t.value: t for t in ErrorType}
 
 
 class Form(Enum):
@@ -165,24 +167,9 @@ class ParseResult(NamedTuple):
     warnings: tuple
 
 
-# Anything shaped like a simple tag; classification into known/unknown
-# happens against the active tag set. Bare "<" or "<3.5>" is plain text.
+# Anything shaped like a simple tag (groups: "/" or "", and the name), told
+# known or unknown by the active tag set. Bare "<" or "<3.5>" is text.
 _TAG_CANDIDATE_RE = re.compile(r"<(/?)([A-Za-z]+)>")
-
-
-class _Tok:
-    """A tag token of `_TAG_CANDIDATE_RE`: its offsets, "/" for a closer or
-    "" for an opener, and its name. A slotted class, because a frozen
-    dataclass costs several times as much to build, once per token."""
-
-    __slots__ = ("start", "end", "closing", "name")
-
-    def __init__(self, start: int, end: int, closing: str, name: str):
-        self.start, self.end, self.closing, self.name = start, end, closing, name
-
-    @property
-    def raw(self) -> str:
-        return f"<{self.closing}{self.name}>"
 
 
 class _Demote(Exception):
@@ -210,11 +197,15 @@ def parse(
     Parsing never fails: violating constructs are demoted to literal text and
     reported as warnings that name their ParseErrorKind, so the AST preserves
     every input byte. Strict mode runs the same parse and raises ParseError
-    from the first demotion.
+    from the first demotion. Well-formed tags are matched whole, under the
+    grammar's names and `extra_statement_tags` alike; only text that is not
+    well formed is walked token by token.
     """
-    result = None if extra_statement_tags else _parse_whole(text, form)
+    known = _GRAMMAR_NAMES.union(extra_statement_tags)
+    statements = known - _NON_STATEMENT_NAMES
+    result = _parse_whole(text, form, known, statements)
     if result is None:
-        result = _parse_tokens(text, form, extra_statement_tags)
+        result = _parse_tokens(text, form, known)
     if strict:
         for w in result.warnings:
             if w.kind is not None:
@@ -222,43 +213,51 @@ def parse(
     return result
 
 
-# One match per well-formed tag of the grammar, or per lone tag token. The
-# groups are an editable tag's name, its delete and mark text when delete
-# comes first, its mark and delete text when mark does, a statement tag's
-# name and content, and a lone token's "/" and name. Content holds no "<",
-# so a whole match holds no token of its own; `\s` is what `str.strip`
-# strips, as between the tokens of `_parse_tokens`.
+# One match per well-formed editable tag, per lowercase tag around plain
+# content, or per lone tag token. The groups are an editable tag's name,
+# its delete and mark text when delete comes first, its mark and delete
+# text when mark does, the other tag's name (looked up, not spelled out)
+# and content, and a lone token's "/" and name. Content holds no "<", so a
+# whole match holds no token of its own; `\s` is what `str.strip` strips,
+# as between the walk's tokens. Editable names, which no label set adds,
+# are spelled out: a generic name there runs slower.
 _WHOLE_TAG_RE = re.compile(
     rf"""<(?:
         ({"|".join(sorted(_EDITABLE_NAMES))})>\s*(?:
             <delete>([^<]*)</delete>\s*<mark>([^<]*)</mark>
             | <mark>([^<]*)</mark>\s*<delete>([^<]*)</delete>
         )\s*</\1>
-        | ({"|".join(sorted(_STATEMENT_NAMES))})>([^<]*)</\6>
+        | ([a-z]+)>([^<]*)</\6>
         | (/?)([A-Za-z]+)>
     )""",
     re.VERBOSE,
 )
 
 
-def _parse_whole(text: str, form: Form) -> ParseResult | None:
-    """The parse of a text whose every grammar token lies in a well-formed
-    tag, or None for any other text. It gives what `_parse_tokens` gives,
-    matching each tag whole instead of walking its tokens."""
+def _parse_whole(text: str, form: Form, known, statements) -> ParseResult | None:
+    """The parse of a text whose every token of a `known` name lies in a
+    well-formed tag, or None for any other text: what `_parse_tokens`
+    gives, with each tag matched whole instead of walked token by token."""
     segments: list = []
     warnings: list = []
     pos = 0
     for m in _WHOLE_TAG_RE.finditer(text):
         edit, delete1, mark1, mark2, delete2, statement, content, closing, name = m.groups()
         if name is not None:
-            if name in _GRAMMAR_NAMES:
+            if name in known:
                 return None
-            warnings.append(_unknown_tag(f"<{closing}{name}>", m.start()))
+            warnings.append(_unknown_tag(m[0], m.start()))
+            continue
+        if statement is not None and statement not in statements:
+            if statement in known:
+                return None
+            warnings.append(_unknown_tag(f"<{statement}>", m.start()))
+            warnings.append(_unknown_tag(f"</{statement}>", m.end(7)))
             continue
         segments.append(Text(text[pos:m.start()]))
         pos = m.end()
         if statement is not None:
-            segments.append(Statement(ErrorType(statement), content))
+            segments.append(Statement(_KIND_OF.get(statement, statement), content))
             continue
         if delete1 is not None:
             seg = _edit(edit, delete1, mark1, "delete", form, m.start(), warnings)
@@ -293,16 +292,14 @@ def _edit(name, delete, mark, first, form, offset, warnings) -> Edit:
                 kind=None,
             )
         )
-    return Edit(ErrorType(name), original, error)
+    return Edit(_KIND_OF[name], original, error)
 
 
-def _parse_tokens(text: str, form: Form, extra_statement_tags: tuple) -> ParseResult:
+def _parse_tokens(text: str, form: Form, known) -> ParseResult:
     """The lenient token walk: every tag token in order, each construct
     that breaks the grammar demoted to literal text with a warning. It
     parses any text, and is the reference that `_parse_whole` agrees with."""
-    known = _GRAMMAR_NAMES.union(extra_statement_tags) if extra_statement_tags else _GRAMMAR_NAMES
-
-    toks = [_Tok(*m.span(), *m.groups()) for m in _TAG_CANDIDATE_RE.finditer(text)]
+    toks = list(_TAG_CANDIDATE_RE.finditer(text))
 
     segments: list = []
     warnings: list = []
@@ -313,27 +310,28 @@ def _parse_tokens(text: str, form: Form, extra_statement_tags: tuple) -> ParseRe
             segments.append(Text("".join(buf)))
             buf.clear()
 
-    def demote(tok: _Tok, kind: ParseErrorKind, message: str) -> None:
-        warnings.append(ParseWarning(message, tok.start, tok.raw, kind))
-        buf.append(text[tok.start:tok.end])
+    def demote(tok, kind: ParseErrorKind, message: str) -> None:
+        warnings.append(ParseWarning(message, tok.start(), tok[0], kind))
+        buf.append(tok[0])
 
     i = 0
     pos = 0
     while True:
         tok = toks[i] if i < len(toks) else None
-        buf.append(text[pos:tok.start] if tok else text[pos:])
+        buf.append(text[pos:tok.start()] if tok else text[pos:])
         if tok is None:
             break
-        if tok.name not in known:
-            warnings.append(_unknown_tag(tok.raw, tok.start))
-            buf.append(tok.raw)
-        elif tok.closing:
-            demote(tok, ParseErrorKind.STRAY_CHILD, f"stray closer {tok.raw} kept as text")
-        elif tok.name in _CHILD_NAMES:
-            demote(tok, ParseErrorKind.STRAY_CHILD, f"orphan {tok.raw} kept as text")
+        closing, name = tok.groups()
+        if name not in known:
+            warnings.append(_unknown_tag(tok[0], tok.start()))
+            buf.append(tok[0])
+        elif closing:
+            demote(tok, ParseErrorKind.STRAY_CHILD, f"stray closer {tok[0]} kept as text")
+        elif name in _CHILD_NAMES:
+            demote(tok, ParseErrorKind.STRAY_CHILD, f"orphan {tok[0]} kept as text")
         else:
             try:
-                if tok.name in _EDITABLE_NAMES:
+                if name in _EDITABLE_NAMES:
                     seg, i, pos, extra = _parse_edit(text, toks, i, form, known)
                 else:
                     seg, i, pos, extra = _parse_statement(text, toks, i, known)
@@ -344,7 +342,7 @@ def _parse_tokens(text: str, form: Form, extra_statement_tags: tuple) -> ParseRe
                 segments.append(seg)
                 warnings.extend(extra)
                 continue
-        pos = tok.end
+        pos = tok.end()
         i += 1
     flush()
     return ParseResult(TaggedDocument(tuple(segments), form), tuple(warnings))
@@ -356,11 +354,11 @@ def _scan_to_closer(toks, j, opener, known, warnings):
     Every token on the way stays literal text, with a warning."""
     while j < len(toks):
         t = toks[j]
-        if t.closing and t.name == opener.name:
+        if t[1] and t[2] == opener[2]:
             return j
-        kind = ParseErrorKind.ILLEGAL_NESTING if t.name in known else ParseErrorKind.UNKNOWN_TAG
+        kind = ParseErrorKind.ILLEGAL_NESTING if t[2] in known else ParseErrorKind.UNKNOWN_TAG
         warnings.append(
-            ParseWarning(f"{t.raw} inside <{opener.name}> kept as literal text", t.start, t.raw, kind)
+            ParseWarning(f"{t[0]} inside <{opener[2]}> kept as literal text", t.start(), t[0], kind)
         )
         j += 1
     return None
@@ -371,16 +369,10 @@ def _parse_statement(text, toks, i, known):
     inner_warnings = []
     j = _scan_to_closer(toks, i + 1, opener, known, inner_warnings)
     if j is None:
-        raise _Demote(ParseErrorKind.UNCLOSED_TAG, f"unclosed {opener.raw} kept as text")
-    content = text[opener.end:toks[j].start]
-    return Statement(_statement_kind(opener.name), content), j + 1, toks[j].end, inner_warnings
-
-
-def _statement_kind(name: str):
-    try:
-        return ErrorType(name)
-    except ValueError:
-        return name  # compatibility label (e.g. FAVA's invented/subjective)
+        raise _Demote(ParseErrorKind.UNCLOSED_TAG, f"unclosed {opener[0]} kept as text")
+    content = text[opener.end():toks[j].start()]
+    name = opener[2]
+    return Statement(_KIND_OF.get(name, name), content), j + 1, toks[j].end(), inner_warnings
 
 
 def _parse_edit(text, toks, i, form, known):
@@ -389,43 +381,44 @@ def _parse_edit(text, toks, i, form, known):
     children: dict[str, str] = {}
     order: list[str] = []
     j = i + 1
-    pos = opener.end
+    pos = opener.end()
     while True:
         if j >= len(toks):
-            raise _Demote(ParseErrorKind.UNCLOSED_TAG, f"unclosed {opener.raw} kept as text")
+            raise _Demote(ParseErrorKind.UNCLOSED_TAG, f"unclosed {opener[0]} kept as text")
         t = toks[j]
-        if text[pos:t.start].strip():
+        closing, name = t.groups()
+        if text[pos:t.start()].strip():
             raise _Demote(
-                ParseErrorKind.STRAY_CHILD, f"text inside {opener.raw} outside its children"
+                ParseErrorKind.STRAY_CHILD, f"text inside {opener[0]} outside its children"
             )
-        if t.closing and t.name == opener.name:
+        if closing and name == opener[2]:
             if set(children) != set(_CHILD_NAMES):
                 raise _Demote(
                     ParseErrorKind.MISSING_DELETE_MARK_PAIR,
-                    f"{opener.raw} lacks a delete/mark pair",
+                    f"{opener[0]} lacks a delete/mark pair",
                 )
-            edit = _edit(opener.name, children["delete"], children["mark"], order[0], form,
-                         opener.start, inner_warnings)
-            return edit, j + 1, t.end, inner_warnings
-        if t.closing or t.name not in _CHILD_NAMES:
-            if t.name not in known:
+            edit = _edit(opener[2], children["delete"], children["mark"], order[0], form,
+                         opener.start(), inner_warnings)
+            return edit, j + 1, t.end(), inner_warnings
+        if closing or name not in _CHILD_NAMES:
+            if name not in known:
                 kind = ParseErrorKind.UNKNOWN_TAG
-            elif t.closing:
+            elif closing:
                 kind = ParseErrorKind.STRAY_CHILD  # a mismatched closer
             else:
                 kind = ParseErrorKind.ILLEGAL_NESTING
-            raise _Demote(kind, f"unexpected {t.raw} inside {opener.raw}")
-        if t.name in children:
+            raise _Demote(kind, f"unexpected {t[0]} inside {opener[0]}")
+        if name in children:
             raise _Demote(
                 ParseErrorKind.MISSING_DELETE_MARK_PAIR,
-                f"duplicate <{t.name}> inside {opener.raw}",
+                f"duplicate <{name}> inside {opener[0]}",
             )
         k = _scan_to_closer(toks, j + 1, t, known, inner_warnings)
         if k is None:
-            raise _Demote(ParseErrorKind.UNCLOSED_TAG, f"unclosed {t.raw} inside {opener.raw}")
-        children[t.name] = text[t.end:toks[k].start]
-        order.append(t.name)
-        pos = toks[k].end
+            raise _Demote(ParseErrorKind.UNCLOSED_TAG, f"unclosed {t[0]} inside {opener[0]}")
+        children[name] = text[t.end():toks[k].start()]
+        order.append(name)
+        pos = toks[k].end()
         j = k + 1
 
 

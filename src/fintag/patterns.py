@@ -96,19 +96,20 @@ TEMPORAL_SPAN_RE = re.compile(
 )
 
 # Prose scanner for the date sites the rule-based inserter perturbs; a
-# narrower, word-bounded cousin of TEMPORAL_SPAN_RE. A bare year after a
-# currency sign, "." or ",", or before "." or "," and a digit ("$2019",
-# "1800.0", "2019.5 million") is part of a number, so it is no site.
+# narrower, word-bounded cousin of TEMPORAL_SPAN_RE. No site ends before
+# "." or "," and a digit: a year there is the integer part of a number
+# ("fiscal 2019.5", "2019,500"). A bare year after a currency sign, "." or
+# "," ("$2019", "1800.0") is part of a number too, so it is no site.
 TEMPORAL_SITE_RE = _word_scanner(
-    rf"""
+    rf"""(?:
         (?:{_MONTH_ALT})\s+{_DAY},?\s+{_YEAR}
         | (?:{_MONTH_ALT})\s+{_YEAR}
         | {_FISCAL}(?:\s+year)?\s+{_YEAR}
         | {_FY}\s?{_YEAR}
         | {_QUARTER_NUM}\s+{_YEAR}
         | {_ORDINAL_QUARTER}\s+quarter(?:\s+of\s+{_YEAR})?
-        | (?<![.,$€£]){_YEAR}(?![.,]\d)
-    """,
+        | (?<![.,$€£]){_YEAR}
+    )(?![.,]\d)""",
     (*MONTH_NAMES, _FISCAL, _FY, _QUARTER_PREFIX, *QUARTER_ORDINALS, *_CENTURIES),
     re.IGNORECASE | re.VERBOSE,
 )

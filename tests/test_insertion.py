@@ -354,6 +354,13 @@ _DATE = st.one_of(
     st.builds("{} quarter of {}".format, st.sampled_from(["first", "fourth"]), _YEARS),
     st.builds("{}-{}".format, _YEARS, _YEARS),
     _YEARS.map(str),
+    # A decimal or grouped tail glued to a date's year makes it a number.
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["fiscal ", "FY", "Q3 ", "March 28, ", "first quarter of "]),
+        _YEARS,
+        st.sampled_from([".5", ",500", ".25"]),
+    ),
 )
 _WORD = st.sampled_from(
     ["revenue", "was", "in", "rose", "fell", "higher", "up", "from", "Harbor Financial",
@@ -390,6 +397,7 @@ def test_rule_insertion_reconstructs_punctuated_prose(passage, kinds, seed):
     seed=st.integers(0, 2**16),
 )
 @example(passage="Revenue 1800.0.", kinds=[ErrorType.TEMPORAL], seed=0)  # a decimal is no year
+@example(passage="Revenue in fiscal 2019.5 rose.", kinds=[ErrorType.TEMPORAL], seed=0)
 def test_every_number_missing_from_the_reference_lies_inside_a_tag(passage, kinds, seed):
     # The lookup a detector could learn from this corpus: a reference that
     # holds the passage grounds every number the inserter did not write.

@@ -613,3 +613,14 @@ def test_default_transport_maps_refused_connection_to_transport_error():
     with pytest.raises(ClientError) as info:
         client.complete(_request())
     assert info.value.kind is ClientErrorKind.TRANSPORT
+
+
+def test_default_transport_fails_at_once_on_an_endpoint_the_http_stack_rejects():
+    # An empty or malformed endpoint is a fault of the request, not of the
+    # network: no attempt is retried, so nothing sleeps.
+    for endpoint in ("", "unit.test/v1/chat", "http://"):
+        slept = []
+        client = LlmClient(_profile(endpoint=endpoint), sleeper=slept.append)
+        with pytest.raises(ValueError, match=f"'test': endpoint {endpoint!r} rejected"):
+            client.complete(_request())
+        assert slept == []

@@ -409,22 +409,40 @@ _EDIT_GAPS = "<temporal>{}<delete>a</delete>{}<mark>b</mark>{}</temporal>"
 
 
 @settings(max_examples=500, deadline=None)
-@given(text=_SOUP, form=st.sampled_from(list(Form)))
-@example(text=_EDIT_GAPS.format("\x1c", "", ""), form=Form.TAGGED_PASSAGE)
-@example(text=_EDIT_GAPS.format("", "\x85", ""), form=Form.TARGET_OUTPUT)
-@example(text=_EDIT_GAPS.format("", "", "\u2003"), form=Form.TAGGED_PASSAGE)
-@example(text=_EDIT_GAPS.format("", "\u200b", ""), form=Form.TAGGED_PASSAGE)  # not whitespace
-@example(text="<unverifiable>a < b</unverifiable>", form=Form.TAGGED_PASSAGE)
-@example(text="<contradictory>a <x> b</contradictory>", form=Form.TAGGED_PASSAGE)
-@example(text="<entity><delete>a<b</delete><mark>c</mark></entity>", form=Form.TARGET_OUTPUT)
-@example(text="<entity><mark>b</mark><mark>c</mark></entity>", form=Form.TAGGED_PASSAGE)
-@example(text="<entity><delete>a</delete><mark>b</mark></temporal>", form=Form.TAGGED_PASSAGE)
-@example(text="<x><unverifiable>a</unverifiable></x> <mark>", form=Form.TARGET_OUTPUT)
-@example(text="<X><numerical><mark>1</mark><delete>2</delete></numerical>", form=Form.TAGGED_PASSAGE)
-def test_whole_tag_match_gives_what_the_token_walk_gives(text, form):
+@given(
+    text=_SOUP,
+    form=st.sampled_from(list(Form)),
+    extra=st.sampled_from([(), FAVA_EXTRA_STATEMENT_TAGS]),
+)
+@example(text=_EDIT_GAPS.format("\x1c", "", ""), form=Form.TAGGED_PASSAGE, extra=())
+@example(text=_EDIT_GAPS.format("", "\x85", ""), form=Form.TARGET_OUTPUT, extra=())
+@example(text=_EDIT_GAPS.format("", "", "\u2003"), form=Form.TAGGED_PASSAGE, extra=())
+@example(text=_EDIT_GAPS.format("", "\u200b", ""), form=Form.TAGGED_PASSAGE, extra=())  # not whitespace
+@example(text="<unverifiable>a < b</unverifiable>", form=Form.TAGGED_PASSAGE, extra=())
+@example(text="<contradictory>a <x> b</contradictory>", form=Form.TAGGED_PASSAGE, extra=())
+@example(text="<entity><delete>a<b</delete><mark>c</mark></entity>", form=Form.TARGET_OUTPUT, extra=())
+@example(text="<entity><mark>b</mark><mark>c</mark></entity>", form=Form.TAGGED_PASSAGE, extra=())
+@example(text="<entity><delete>a</delete><mark>b</mark></temporal>", form=Form.TAGGED_PASSAGE, extra=())
+@example(text="<x><unverifiable>a</unverifiable></x> <mark>", form=Form.TARGET_OUTPUT, extra=())
+@example(text="<X><numerical><mark>1</mark><delete>2</delete></numerical>", form=Form.TAGGED_PASSAGE, extra=())
+@example(text="<invented>x</invented>", form=Form.TARGET_OUTPUT, extra=())
+@example(text="<invented>x</invented>", form=Form.TARGET_OUTPUT, extra=FAVA_EXTRA_STATEMENT_TAGS)
+@example(text="a <foo>x</foo> b", form=Form.TAGGED_PASSAGE, extra=FAVA_EXTRA_STATEMENT_TAGS)
+@example(text="<mark>x</mark>", form=Form.TARGET_OUTPUT, extra=())
+@example(text="<numerical>x</numerical>", form=Form.TAGGED_PASSAGE, extra=FAVA_EXTRA_STATEMENT_TAGS)
+@example(
+    text="<unverifiable><delete>a</delete><mark>b</mark></unverifiable>",
+    form=Form.TAGGED_PASSAGE,
+    extra=FAVA_EXTRA_STATEMENT_TAGS,
+)
+@example(text="<Invented>x</Invented>", form=Form.TARGET_OUTPUT, extra=FAVA_EXTRA_STATEMENT_TAGS)
+@example(text="<entity>x</entity><mark>y</mark>", form=Form.TAGGED_PASSAGE, extra=("entity", "mark"))
+def test_whole_tag_match_gives_what_the_token_walk_gives(text, form, extra):
     # The token walk is the reference: matching well-formed tags whole, and
-    # falling back to the walk for anything else, must give what it gives.
-    assert parse(text, form) == markup._parse_tokens(text, form, ())
+    # falling back to the walk for anything else, must give what it gives,
+    # under either label set.
+    known = markup._GRAMMAR_NAMES.union(extra)
+    assert parse(text, form, extra_statement_tags=extra) == markup._parse_tokens(text, form, known)
 
 
 def test_fava_extra_statement_tags_are_known_only_when_passed():

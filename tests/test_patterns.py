@@ -233,8 +233,8 @@ _ORACLES = {
             | fy\s?{_ORACLE_YEAR}
             | q[1-4]\s+{_ORACLE_YEAR}
             | {_ORACLE_ORDINAL}\s+quarter(?:\s+of\s+{_ORACLE_YEAR})?
-            | (?<![.,$€£]){_ORACLE_YEAR}(?![.,]\d)
-        )\b""",
+            | (?<![.,$€£]){_ORACLE_YEAR}
+        )(?![.,]\d)\b""",
         re.IGNORECASE | re.VERBOSE,
     ),
     "DAY_OF_MONTH_RE": re.compile(rf"\b(?:{_MONTH_ALT})\s+({_DAY})\b", re.IGNORECASE),
@@ -281,6 +281,7 @@ def _scanner(name):
 @settings(max_examples=200, deadline=None)
 @given(text=_SCANNER_TEXT)
 @example(text="$1999, 1999.5 and 2024,1 or 1,2024 in 2019.")  # years inside numbers
+@example(text="fiscal 2019.5, FY2019.5, Q3 2019,500, March 28, 2019.5 and first quarter of 2019.5")
 def test_guarded_scanner_finds_what_the_word_bounded_oracle_finds(name, text):
     def found(pattern):
         return [(m.span(), m.groups()) for m in pattern.finditer(text)]
