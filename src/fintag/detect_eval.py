@@ -18,6 +18,7 @@ from . import Tally
 from .jsonl import batches, read_jsonl, row_at, unique_ids
 from .markup import (
     Form,
+    ParseResult,
     TaggedDocument,
     TagSpan,
     Text,
@@ -26,19 +27,16 @@ from .markup import (
     parse,
 )
 from .prompts import strip_reply_envelope
-from .taxonomy import DEFAULT_LABELS, FAVA_EXTRA_STATEMENT_TAGS
+from .taxonomy import DEFAULT_LABELS
 
 
-def parse_prediction(raw: str, extra_statement_tags: tuple = ()) -> tuple[TaggedDocument, tuple]:
-    """Lenient parse of a raw model reply in target-output form.
+def parse_prediction(raw: str, labels: tuple = DEFAULT_LABELS) -> ParseResult:
+    """Lenient parse of a raw model reply in target-output form, under the
+    label set `labels` (see `parse`).
 
     Never fails: the worst case is an all-text document plus warnings.
     """
-    payload = strip_reply_envelope(raw)
-    doc, warnings = parse(
-        payload, Form.TARGET_OUTPUT, extra_statement_tags=extra_statement_tags
-    )
-    return doc, warnings
+    return parse(strip_reply_envelope(raw), Form.TARGET_OUTPUT, labels=labels)
 
 
 class MatchSet(NamedTuple):
@@ -120,6 +118,10 @@ def _rate(numer: int, denom: int) -> float:
     return 100.0 * numer / denom if denom else 0.0
 
 
+def _f1(precision: float, recall: float) -> float:
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
 class KindCounts(Tally):
     __slots__ = ("tp", "fp", "fn")
 
@@ -136,8 +138,7 @@ class KindCounts(Tally):
 
     @property
     def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
+        return _f1(self.precision, self.recall)
 
 
 class BinaryCounts(KindCounts):
@@ -176,8 +177,7 @@ class DetectionReport(Tally):
         labels = self.labels
         precision = sum(self.per_kind[l].precision for l in labels) / len(labels)
         recall = sum(self.per_kind[l].recall for l in labels) / len(labels)
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        return precision, recall, f1
+        return precision, recall, _f1(precision, recall)
 
     def to_json(self) -> dict:
         def counts(c):
@@ -286,14 +286,13 @@ def evaluate_corpus(
     parse structure count toward `unparseable` but are still scored on
     whatever survived.
     """
-    extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
     report = DetectionReport.empty(labels)
     # Gold rows are read, their replies fetched, then both scored into the
     # running totals, a batch at a time.
     for batch in batches(gold_docs.items() if isinstance(gold_docs, dict) else gold_docs):
         replies = [raw_predictions.get(rid, "") for rid, _ in batch]
         for (_, gold), raw in zip(batch, replies):
-            pred, warnings = parse_prediction(raw, extra_statement_tags=extra)
+            pred, warnings = parse_prediction(raw, labels)
             score(align(gold, pred, mode), gold, pred, labels, into=report)
             report.unparseable += any(w.category == "demoted" for w in warnings)
         del batch, replies, gold, raw, pred, warnings  # before the next batch is drawn
@@ -305,21 +304,19 @@ def f1_from_pr(precision: float, recall: float) -> float:
     (the convention used in reported result tables)."""
     if not (0 <= precision <= 100 and 0 <= recall <= 100):
         raise ValueError("precision and recall must be percentages in [0, 100]")
-    if precision + recall == 0:
-        return 0.0
-    return round(2 * precision * recall / (precision + recall), 1)
+    return round(_f1(precision, recall), 1)
 
 
 def read_gold_documents(
     path: str | Path, labels: tuple = DEFAULT_LABELS
 ) -> Iterator[tuple[str, TaggedDocument]]:
     """Yield `(id, document)` for each row of a training-pair JSONL, in
-    file order, parsing its target in target-output form. A repeated id
-    raises `ValueError` naming both lines (see `unique_ids`)."""
-    extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
+    file order, parsing its target in target-output form under the label
+    set `labels` (see `parse`). A repeated id raises `ValueError` naming
+    both lines (see `unique_ids`)."""
     rows = read_jsonl(path, fields={"id": (str, int), "target": str})
     for _, rid, target in unique_ids(path, ((n, obj["id"], obj["target"]) for n, obj, _ in rows)):
-        yield rid, parse(target, Form.TARGET_OUTPUT, extra_statement_tags=extra).document
+        yield rid, parse(target, Form.TARGET_OUTPUT, labels=labels).document
 
 
 def read_predictions(path: str | Path) -> dict:

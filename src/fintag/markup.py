@@ -22,7 +22,7 @@ between the two children of an editable tag is insignificant and dropped.
 
 Lenient parsing never fails: any construct that cannot be parsed is demoted
 to literal text and reported as a warning, so every input byte survives in
-the AST. Well-formed tags are matched whole under either label set, each
+the AST. Well-formed tags are matched whole under any label set, each
 by one regex match; only text that is not well formed goes through the
 lenient token walk, which gives the same result for well-formed tags.
 """
@@ -34,13 +34,13 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import Validated
-from .taxonomy import KINDS, ErrorType
+from .taxonomy import DEFAULT_LABELS, KINDS, ErrorType
 
 _CHILD_NAMES = ("delete", "mark")
 
 # Tag names of the grammar, those that open an editable tag, those that
 # open no statement tag under any label set, and each kind's name to its
-# kind (an extra label, such as FAVA's invented, is its own kind).
+# kind (a label that is no kind, such as FAVA's invented, is its own kind).
 _GRAMMAR_NAMES = frozenset([t.value for t in ErrorType] + list(_CHILD_NAMES))
 _EDITABLE_NAMES = frozenset(row.kind.value for row in KINDS if row.editable)
 _NON_STATEMENT_NAMES = _EDITABLE_NAMES.union(_CHILD_NAMES)
@@ -190,18 +190,20 @@ def parse(
     form: Form = Form.TAGGED_PASSAGE,
     *,
     strict: bool = False,
-    extra_statement_tags: tuple = (),
+    labels: tuple = DEFAULT_LABELS,
 ) -> ParseResult:
-    """Parse `text` into a TaggedDocument.
+    """Parse `text` into a TaggedDocument under the label set `labels`.
 
+    The grammar's own names are always known. A label that is no kind of
+    the taxonomy, such as FAVA's ``invented``, is a statement-level tag
+    whose Statement's kind is the label itself; any other name is unknown.
     Parsing never fails: violating constructs are demoted to literal text and
     reported as warnings that name their ParseErrorKind, so the AST preserves
     every input byte. Strict mode runs the same parse and raises ParseError
-    from the first demotion. Well-formed tags are matched whole, under the
-    grammar's names and `extra_statement_tags` alike; only text that is not
-    well formed is walked token by token.
+    from the first demotion. Well-formed tags are matched whole, under any
+    label set; only text that is not well formed is walked token by token.
     """
-    known = _GRAMMAR_NAMES.union(extra_statement_tags)
+    known = _GRAMMAR_NAMES.union(labels)
     statements = known - _NON_STATEMENT_NAMES
     result = _parse_whole(text, form, known, statements)
     if result is None:

@@ -83,11 +83,10 @@ _ROW_OF = {row.kind: row for row in KINDS}
 DEFAULT_LABELS = tuple(row.kind.value for row in KINDS)
 
 # FAVA's labels in its column order. Four are kinds of this taxonomy; the
-# other two are statement-level tags accepted only when scoring corpora
-# annotated with FAVA's taxonomy, and never occur in documents this
-# package emits.
+# other two are statement-level tags that `parse` knows only under this
+# label set, as it knows any label that is no kind, and that never occur
+# in documents this package emits.
 FAVA_LABELS = (
     ErrorType.ENTITY.value, ErrorType.RELATION.value, ErrorType.CONTRADICTORY.value,
     "invented", "subjective", ErrorType.UNVERIFIABLE.value,
 )
-FAVA_EXTRA_STATEMENT_TAGS = tuple(label for label in FAVA_LABELS if label not in DEFAULT_LABELS)

@@ -20,11 +20,12 @@ from fintag.detect_eval import (
     evaluate_corpus,
     f1_from_pr,
     parse_prediction,
+    read_gold_documents,
     score,
     strip_reply_envelope,
 )
-from fintag.markup import Form, TagSpan, parse
-from fintag.taxonomy import DEFAULT_LABELS, FAVA_EXTRA_STATEMENT_TAGS, FAVA_LABELS, KINDS, ErrorType
+from fintag.markup import Form, Statement, TaggedDocument, TagSpan, Text, parse
+from fintag.taxonomy import DEFAULT_LABELS, FAVA_LABELS, KINDS, ErrorType
 
 
 class TestParsePrediction:
@@ -73,7 +74,7 @@ def _span(kind, start, end):
 def _span_lists(labels):
     """Span lists over `labels` on a short line, so spans often overlap and
     sometimes coincide (the only candidates in exact mode)."""
-    kinds = [label if label in FAVA_EXTRA_STATEMENT_TAGS else ErrorType(label) for label in labels]
+    kinds = [ErrorType(label) if label in DEFAULT_LABELS else label for label in labels]
     span = st.builds(
         lambda kind, start, size: _span(kind, start, start + size),
         st.sampled_from(kinds),
@@ -323,7 +324,8 @@ class TestF1:
 
 
 _EDITABLE = [row.kind.value for row in KINDS if row.editable]
-_STATEMENTS = [row.kind.value for row in KINDS if not row.editable] + list(FAVA_EXTRA_STATEMENT_TAGS)
+_STATEMENTS = [row.kind.value for row in KINDS if not row.editable] + [
+    label for label in FAVA_LABELS if label not in DEFAULT_LABELS]
 _WORDS = st.lists(st.sampled_from(["Revenue ", "rose ", "$5.2 ", "2020", ". ", "\n", "<", "é"]),
                   max_size=4).map("".join)
 _TAGGED = (
@@ -333,6 +335,10 @@ _TAGGED = (
 )
 # Target-output passages: plain text and tags of every label, FAVA's too.
 _TARGETS = st.lists(_WORDS | _TAGGED, max_size=4).map("".join)
+
+
+# A label set with a label that neither taxonomy has.
+_CUSTOM_LABELS = DEFAULT_LABELS + ("speculative",)
 
 
 class TestCorpus:
@@ -350,8 +356,7 @@ class TestCorpus:
         targets=st.lists(_TARGETS, min_size=1, max_size=6),
     )
     def test_gold_as_its_own_reply_scores_100(self, labels, mode, targets):
-        extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
-        parsed = [parse(t, Form.TARGET_OUTPUT, extra_statement_tags=extra) for t in targets]
+        parsed = [parse(t, Form.TARGET_OUTPUT, labels=labels) for t in targets]
         gold = {f"d{i}": doc for i, (doc, _) in enumerate(parsed)}
         report = evaluate_corpus(gold, {f"d{i}": t for i, t in enumerate(targets)}, labels, mode)
         # A gold row whose own parse demoted a tag (FAVA's tags under the
@@ -378,14 +383,13 @@ class TestCorpus:
         data=st.data(),
     )
     def test_report_does_not_depend_on_row_order(self, labels, mode, data):
-        extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
         rows = []
         for target in data.draw(st.lists(_TARGETS, min_size=1, max_size=6)):
             # No reply, the gold itself (maybe in a JSON envelope), another
             # passage, or the gold cut short.
             reply = data.draw(st.none() | st.sampled_from([
                 target, json.dumps({"Edited": target}), target[: len(target) // 2]]) | _TARGETS)
-            rows.append((parse(target, Form.TARGET_OUTPUT, extra_statement_tags=extra).document, reply))
+            rows.append((parse(target, Form.TARGET_OUTPUT, labels=labels).document, reply))
 
         def corpus(order):
             gold = {f"d{i}": rows[i][0] for i in order}
@@ -405,11 +409,10 @@ class TestCorpus:
     def test_cli_report_is_the_library_report(self, tmp_path_factory, labels, mode, data):
         # Gold rows with replies missing, replies no gold row has, the
         # replies in another order, and ids written as numbers or strings.
-        extra = tuple(t for t in FAVA_EXTRA_STATEMENT_TAGS if t in labels)
         gold, replies, gold_rows = {}, {}, []
         for i, target in enumerate(data.draw(st.lists(_TARGETS, max_size=7))):
             gold_rows.append({"id": data.draw(st.sampled_from([i, str(i)])), "target": target})
-            gold[str(i)] = parse(target, Form.TARGET_OUTPUT, extra_statement_tags=extra).document
+            gold[str(i)] = parse(target, Form.TARGET_OUTPUT, labels=labels).document
             reply = data.draw(st.none() | st.sampled_from([target, json.dumps({"Edited": target})]) | _TARGETS)
             if reply is not None:
                 replies[str(i)] = reply
@@ -442,15 +445,39 @@ class TestCorpus:
             f"{unpaired([r for r in order if r not in gold], 'prediction ids without gold')}\n"
         )
 
-    def test_fava_label_set_accepts_extra_statement_tags(self):
+    def test_fava_label_set_accepts_its_own_statement_tags(self):
         raw = "ok. <invented>Entirely made-up fact.</invented> <subjective>A matter of taste.</subjective>"
-        gold, warnings = parse(
-            raw, Form.TARGET_OUTPUT, extra_statement_tags=("invented", "subjective")
-        )
+        gold, warnings = parse(raw, Form.TARGET_OUTPUT, labels=FAVA_LABELS)
         assert warnings == ()
         report = evaluate_corpus({"a": gold}, {"a": raw}, labels=FAVA_LABELS)
         assert report.per_kind["invented"].f1 == 100.0
         assert report.per_kind["subjective"].f1 == 100.0
+
+    def test_a_label_no_taxonomy_has_scores_in_its_own_column(self):
+        # Gold used as its own reply under a label set of neither taxonomy.
+        gold = TaggedDocument(
+            parse(WORKED_TARGET, Form.TARGET_OUTPUT).document.segments
+            + (Text(" "), Statement("speculative", "Rates may fall.")),
+            Form.TARGET_OUTPUT,
+        )
+        raw = WORKED_TARGET + " <speculative>Rates may fall.</speculative>"
+        report = evaluate_corpus({"a": gold}, {"a": raw}, labels=_CUSTOM_LABELS)
+        assert report.unparseable == 0
+        counts = report.per_kind["speculative"]
+        assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
+        assert counts.f1 == 100.0
+        assert report.overall.f1 == 100.0
+
+    def test_gold_file_parses_a_custom_label_as_a_statement(self, tmp_path):
+        target = "Sales rose. <speculative>Rates may fall.</speculative>"
+        path = tmp_path / "gold.jsonl"
+        path.write_text(json.dumps({"id": "a", "target": target}) + "\n", encoding="utf-8")
+        [(rid, doc)] = read_gold_documents(path, _CUSTOM_LABELS)
+        assert rid == "a"
+        assert doc.segments == (Text("Sales rose. "), Statement("speculative", "Rates may fall."))
+        # The label is a tag only under a label set that has it.
+        [(_, plain)] = read_gold_documents(path)
+        assert not plain.has_tags
 
     def test_macro_overall_flag(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)

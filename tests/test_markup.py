@@ -38,7 +38,7 @@ from fintag.markup import (
     serialize,
     to_target_output,
 )
-from fintag.taxonomy import FAVA_EXTRA_STATEMENT_TAGS, ErrorType
+from fintag.taxonomy import DEFAULT_LABELS, FAVA_LABELS, ErrorType
 
 _EDITABLE_TYPES = [t for t in ErrorType if t.row.editable]
 _STATEMENT_TYPES = [t for t in ErrorType if not t.row.editable]
@@ -357,31 +357,43 @@ def test_lenient_parse_keeps_every_byte(text, form):
 
 _TAG_SHAPE_RE = re.compile(r"<(/?)([A-Za-z]+)>")
 _CONTENT = st.text(st.sampled_from("ab <>/\n\u2003é2,.$%"), max_size=8)
-_SEGMENT = st.one_of(
-    st.builds(Text, _CONTENT),
-    st.builds(Edit, st.sampled_from(_EDITABLE_TYPES), _CONTENT, _CONTENT),
-    st.builds(Statement, st.sampled_from(_STATEMENT_TYPES), _CONTENT),
-)
-_DOCUMENTS = st.builds(
-    TaggedDocument, st.lists(_SEGMENT, max_size=8).map(tuple), st.sampled_from(list(Form))
-).filter(
-    lambda doc: not any(
-        _TAG_SHAPE_RE.search(piece)
-        for seg in doc.segments
-        for piece in ((seg.original_text, seg.error_text) if isinstance(seg, Edit) else (seg.content,))
+
+
+def _documents(labels):
+    """Documents whose statements are of `labels`' statement labels: a kind
+    of the taxonomy as its ErrorType, any other label as its plain name."""
+    editable = {t.value for t in _EDITABLE_TYPES}
+    statements = [ErrorType(l) if l in DEFAULT_LABELS else l for l in labels if l not in editable]
+    segment = st.one_of(
+        st.builds(Text, _CONTENT),
+        st.builds(Edit, st.sampled_from(_EDITABLE_TYPES), _CONTENT, _CONTENT),
+        st.builds(Statement, st.sampled_from(statements), _CONTENT),
     )
-)
+    return st.builds(
+        TaggedDocument, st.lists(segment, max_size=8).map(tuple), st.sampled_from(list(Form))
+    ).filter(
+        lambda doc: not any(
+            _TAG_SHAPE_RE.search(piece)
+            for seg in doc.segments
+            for piece in ((seg.original_text, seg.error_text) if isinstance(seg, Edit) else (seg.content,))
+        )
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_DOCUMENTS)
-def test_parse_inverts_serialize(doc):
-    back, warnings = parse(serialize(doc), doc.form, strict=True)
+@given(
+    labels_doc=st.sampled_from([DEFAULT_LABELS, FAVA_LABELS]).flatmap(
+        lambda labels: st.tuples(st.just(labels), _documents(labels)))
+)
+def test_parse_inverts_serialize(labels_doc):
+    labels, doc = labels_doc
+    back, warnings = parse(serialize(doc), doc.form, strict=True, labels=labels)
     assert warnings == ()
     assert back == doc
 
 
-_FAVA_TAGS = [f"<{c}{n}>" for n in FAVA_EXTRA_STATEMENT_TAGS for c in ("", "/")]
+_FAVA_ONLY = [label for label in FAVA_LABELS if label not in DEFAULT_LABELS]
+_FAVA_TAGS = [f"<{c}{n}>" for n in _FAVA_ONLY for c in ("", "/")]
 _SOUP = st.lists(_MARKUP | st.sampled_from(_FAVA_TAGS), max_size=6).map("".join)
 
 
@@ -389,14 +401,14 @@ _SOUP = st.lists(_MARKUP | st.sampled_from(_FAVA_TAGS), max_size=6).map("".join)
 @given(
     text=_SOUP,
     form=st.sampled_from(list(Form)),
-    extra=st.sampled_from([(), FAVA_EXTRA_STATEMENT_TAGS]),
+    labels=st.sampled_from([DEFAULT_LABELS, FAVA_LABELS]),
 )
-def test_strict_raises_exactly_from_the_first_lenient_demotion(text, form, extra):
-    lenient = parse(text, form, extra_statement_tags=extra)
+def test_strict_raises_exactly_from_the_first_lenient_demotion(text, form, labels):
+    lenient = parse(text, form, labels=labels)
     demoted = [w for w in lenient.warnings if w.category == "demoted"]
     assert all(isinstance(w.kind, ParseErrorKind) for w in demoted)
     try:
-        strict = parse(text, form, strict=True, extra_statement_tags=extra)
+        strict = parse(text, form, strict=True, labels=labels)
     except ParseError as err:
         assert demoted
         assert (err.kind, err.offset, err.tag) == (demoted[0].kind, demoted[0].offset, demoted[0].tag)
@@ -412,47 +424,50 @@ _EDIT_GAPS = "<temporal>{}<delete>a</delete>{}<mark>b</mark>{}</temporal>"
 @given(
     text=_SOUP,
     form=st.sampled_from(list(Form)),
-    extra=st.sampled_from([(), FAVA_EXTRA_STATEMENT_TAGS]),
+    labels=st.sampled_from([DEFAULT_LABELS, FAVA_LABELS]),
 )
-@example(text=_EDIT_GAPS.format("\x1c", "", ""), form=Form.TAGGED_PASSAGE, extra=())
-@example(text=_EDIT_GAPS.format("", "\x85", ""), form=Form.TARGET_OUTPUT, extra=())
-@example(text=_EDIT_GAPS.format("", "", "\u2003"), form=Form.TAGGED_PASSAGE, extra=())
-@example(text=_EDIT_GAPS.format("", "\u200b", ""), form=Form.TAGGED_PASSAGE, extra=())  # not whitespace
-@example(text="<unverifiable>a < b</unverifiable>", form=Form.TAGGED_PASSAGE, extra=())
-@example(text="<contradictory>a <x> b</contradictory>", form=Form.TAGGED_PASSAGE, extra=())
-@example(text="<entity><delete>a<b</delete><mark>c</mark></entity>", form=Form.TARGET_OUTPUT, extra=())
-@example(text="<entity><mark>b</mark><mark>c</mark></entity>", form=Form.TAGGED_PASSAGE, extra=())
-@example(text="<entity><delete>a</delete><mark>b</mark></temporal>", form=Form.TAGGED_PASSAGE, extra=())
-@example(text="<x><unverifiable>a</unverifiable></x> <mark>", form=Form.TARGET_OUTPUT, extra=())
-@example(text="<X><numerical><mark>1</mark><delete>2</delete></numerical>", form=Form.TAGGED_PASSAGE, extra=())
-@example(text="<invented>x</invented>", form=Form.TARGET_OUTPUT, extra=())
-@example(text="<invented>x</invented>", form=Form.TARGET_OUTPUT, extra=FAVA_EXTRA_STATEMENT_TAGS)
-@example(text="a <foo>x</foo> b", form=Form.TAGGED_PASSAGE, extra=FAVA_EXTRA_STATEMENT_TAGS)
-@example(text="<mark>x</mark>", form=Form.TARGET_OUTPUT, extra=())
-@example(text="<numerical>x</numerical>", form=Form.TAGGED_PASSAGE, extra=FAVA_EXTRA_STATEMENT_TAGS)
+@example(text=_EDIT_GAPS.format("\x1c", "", ""), form=Form.TAGGED_PASSAGE, labels=DEFAULT_LABELS)
+@example(text=_EDIT_GAPS.format("", "\x85", ""), form=Form.TARGET_OUTPUT, labels=DEFAULT_LABELS)
+@example(text=_EDIT_GAPS.format("", "", "\u2003"), form=Form.TAGGED_PASSAGE, labels=DEFAULT_LABELS)
+@example(text=_EDIT_GAPS.format("", "\u200b", ""), form=Form.TAGGED_PASSAGE, labels=DEFAULT_LABELS)  # not whitespace
+@example(text="<unverifiable>a < b</unverifiable>", form=Form.TAGGED_PASSAGE, labels=DEFAULT_LABELS)
+@example(text="<contradictory>a <x> b</contradictory>", form=Form.TAGGED_PASSAGE, labels=DEFAULT_LABELS)
+@example(text="<entity><delete>a<b</delete><mark>c</mark></entity>", form=Form.TARGET_OUTPUT, labels=DEFAULT_LABELS)
+@example(text="<entity><mark>b</mark><mark>c</mark></entity>", form=Form.TAGGED_PASSAGE, labels=DEFAULT_LABELS)
+@example(text="<entity><delete>a</delete><mark>b</mark></temporal>", form=Form.TAGGED_PASSAGE, labels=DEFAULT_LABELS)
+@example(text="<x><unverifiable>a</unverifiable></x> <mark>", form=Form.TARGET_OUTPUT, labels=DEFAULT_LABELS)
+@example(
+    text="<X><numerical><mark>1</mark><delete>2</delete></numerical>",
+    form=Form.TAGGED_PASSAGE,
+    labels=DEFAULT_LABELS,
+)
+@example(text="<invented>x</invented>", form=Form.TARGET_OUTPUT, labels=DEFAULT_LABELS)
+@example(text="<invented>x</invented>", form=Form.TARGET_OUTPUT, labels=FAVA_LABELS)
+@example(text="a <foo>x</foo> b", form=Form.TAGGED_PASSAGE, labels=FAVA_LABELS)
+@example(text="<mark>x</mark>", form=Form.TARGET_OUTPUT, labels=DEFAULT_LABELS)
+@example(text="<numerical>x</numerical>", form=Form.TAGGED_PASSAGE, labels=FAVA_LABELS)
 @example(
     text="<unverifiable><delete>a</delete><mark>b</mark></unverifiable>",
     form=Form.TAGGED_PASSAGE,
-    extra=FAVA_EXTRA_STATEMENT_TAGS,
+    labels=FAVA_LABELS,
 )
-@example(text="<Invented>x</Invented>", form=Form.TARGET_OUTPUT, extra=FAVA_EXTRA_STATEMENT_TAGS)
-@example(text="<entity>x</entity><mark>y</mark>", form=Form.TAGGED_PASSAGE, extra=("entity", "mark"))
-def test_whole_tag_match_gives_what_the_token_walk_gives(text, form, extra):
+@example(text="<Invented>x</Invented>", form=Form.TARGET_OUTPUT, labels=FAVA_LABELS)
+@example(text="<entity>x</entity><mark>y</mark>", form=Form.TAGGED_PASSAGE, labels=("entity", "mark"))
+def test_whole_tag_match_gives_what_the_token_walk_gives(text, form, labels):
     # The token walk is the reference: matching well-formed tags whole, and
     # falling back to the walk for anything else, must give what it gives,
     # under either label set.
-    known = markup._GRAMMAR_NAMES.union(extra)
-    assert parse(text, form, extra_statement_tags=extra) == markup._parse_tokens(text, form, known)
+    known = markup._GRAMMAR_NAMES.union(labels)
+    assert parse(text, form, labels=labels) == markup._parse_tokens(text, form, known)
 
 
-def test_fava_extra_statement_tags_are_known_only_when_passed():
+def test_fava_statement_tags_are_known_only_under_its_labels():
     text = "Sales rose. <invented>A made-up fact.</invented> <subjective>Fine.</subjective>"
-    extra = FAVA_EXTRA_STATEMENT_TAGS
-    doc, warnings = parse(text, Form.TARGET_OUTPUT, strict=True, extra_statement_tags=extra)
+    doc, warnings = parse(text, Form.TARGET_OUTPUT, strict=True, labels=FAVA_LABELS)
     assert warnings == ()
     assert doc.kinds() == ["invented", "subjective"]
     assert Statement("invented", "A made-up fact.") in doc.segments
-    # A parse with extra tags leaves the grammar's own name set as it was.
+    # A parse under FAVA's labels leaves the grammar's own name set as it was.
     assert not contains_tag_token(text)
     plain, warnings = parse(text, Form.TARGET_OUTPUT)
     assert not plain.has_tags

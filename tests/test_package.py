@@ -69,6 +69,30 @@ def test_no_module_imports_dataclasses():
     assert importers == set()
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # A name imported and never read is a dependency the module no longer
+    # has. Re-exports kept for importers are marked `# noqa: F401`.
+    package = Path(fintag.__file__).parent
+    unused = set()
+    for path in package.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.add(f"{path.stem}.{bound}")
+    assert unused == set()
+
+
 def test_replace_builds_through_the_checking_constructor():
     from fintag.edit_eval import FactScore
     from fintag.insertion import InserterConfig, InsertionPlan
