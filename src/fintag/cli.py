@@ -630,6 +630,8 @@ def _cmd_eval_edit(args) -> int:
             raise ValueError(f"the {args.judge} judge failed on all {records.units} units")
         fh.write(("\n  ]" if records.count else "]")
                  + f',\n  "mean_score": {round(mean, 4)!r},\n  "mean_pct": {round(100 * mean, 1)!r}\n}}\n')
+    if records.empty:
+        print(f"eval-edit: {records.empty} rows have no sentence and score 0.0", file=sys.stderr)
     # One table-style row: judge label, percentage score, judge failures.
     print(f"{args.judge:<16}{100 * mean:6.1f}  failed {failed}/{records.units} units", file=sys.stderr)
     return 0
@@ -638,16 +640,18 @@ def _cmd_eval_edit(args) -> int:
 class _RecordWriter:
     """The `results` of `score_corpus` for `eval-edit`: each record is
     written to `fh` as it comes, as an element of the payload's "records"
-    list laid out as `_write_json` lays it out; only counts are kept."""
+    list laid out as `_write_json` lays it out; only counts are kept:
+    records, units, and records with no unit."""
 
     def __init__(self, fh) -> None:
-        self.fh, self.count, self.units = fh, 0, 0
+        self.fh, self.count, self.units, self.empty = fh, 0, 0, 0
 
     def append(self, record: dict) -> None:
         text = json.dumps(record, ensure_ascii=False, indent=2).replace("\n", "\n    ")
         self.fh.write((",\n    " if self.count else "\n    ") + text)
         self.count += 1
         self.units += record["total"]
+        self.empty += not record["total"]
 
 
 if __name__ == "__main__":

@@ -270,6 +270,15 @@ def score(
     return report
 
 
+def _check_labels(labels: tuple) -> None:
+    """Refuse a label set with a label that is no tag name (ASCII letters
+    only): `parse` reads such a label as plain text, so its column could
+    never score."""
+    bad = [label for label in labels if not (label.isascii() and label.isalpha())]
+    if bad:
+        raise ValueError(f"labels must be tag names of ASCII letters: {', '.join(map(repr, bad))}")
+
+
 def evaluate_corpus(
     gold_docs: dict | Iterable[tuple[str, TaggedDocument]],
     raw_predictions: dict,
@@ -284,8 +293,10 @@ def evaluate_corpus(
     only its `get` is called, once per gold id. Gold ids with no
     prediction are scored against an empty reply; replies with demoted
     parse structure count toward `unparseable` but are still scored on
-    whatever survived.
+    whatever survived. A label that is no tag name raises `ValueError`
+    before any row is read.
     """
+    _check_labels(labels)
     report = DetectionReport.empty(labels)
     # Gold rows are read, their replies fetched, then both scored into the
     # running totals, a batch at a time.
@@ -313,7 +324,9 @@ def read_gold_documents(
     """Yield `(id, document)` for each row of a training-pair JSONL, in
     file order, parsing its target in target-output form under the label
     set `labels` (see `parse`). A repeated id raises `ValueError` naming
-    both lines (see `unique_ids`)."""
+    both lines (see `unique_ids`); a label that is no tag name, before
+    any row is read."""
+    _check_labels(labels)
     rows = read_jsonl(path, fields={"id": (str, int), "target": str})
     for _, rid, target in unique_ids(path, ((n, obj["id"], obj["target"]) for n, obj, _ in rows)):
         yield rid, parse(target, Form.TARGET_OUTPUT, labels=labels).document

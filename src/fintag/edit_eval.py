@@ -88,20 +88,25 @@ def _content_words(text: str) -> frozenset[str]:
 
 
 @lru_cache(maxsize=1)
-def _reference_index(
-    reference: str,
-) -> tuple[frozenset[str], tuple[str, ...], tuple[frozenset[str], ...]]:
-    """The reference's number cores as spelled, its sentences, and each
-    sentence's content words.
+def _reference_index(reference: str) -> tuple[frozenset[str], str]:
+    """The reference's number cores as spelled, and the reference lower-cased.
 
     One entry suffices: `score_editing` judges every unit of a passage
     against the same reference. The values of the number cores are read
     only when some fact spells a number otherwise (`_reference_values`),
-    and relation words only in a sentence that some fact picks as its
+    the sentences and their content words only when some fact's relation
+    word has its antonym in the reference (`_reference_sentences`), and
+    relation words only in a sentence that some fact picks as its
     counterpart, once per sentence (`_relation_words`).
     """
+    return frozenset(number_cores(reference)), reference.lower()
+
+
+@lru_cache(maxsize=1)
+def _reference_sentences(reference: str) -> tuple[tuple[str, ...], tuple[frozenset[str], ...]]:
+    """The reference's sentences, and each sentence's content words."""
     sentences = tuple(split_facts(reference) or [reference])
-    return frozenset(number_cores(reference)), sentences, tuple(map(_content_words, sentences))
+    return sentences, tuple(map(_content_words, sentences))
 
 
 @lru_cache(maxsize=1)
@@ -123,9 +128,11 @@ def containment_judge(fact: str, reference: str) -> JudgeVerdict:
     Supported iff every number/percent/currency/year token of the fact
     appears (normalized) in the reference, and no relation word in the fact
     is contradicted by its antonym in the reference sentence sharing the
-    most content words with the fact.
+    most content words with the fact. That sentence is looked for only
+    when the lower-cased reference holds some such antonym, so a reference
+    is split into sentences at most once, and only for such a fact.
     """
-    ref_cores, ref_sentences, ref_words = _reference_index(reference)
+    ref_cores, ref_lower = _reference_index(reference)
     missing = absent_values(number_cores(fact), ref_cores, _reference_values)
     if missing:
         return JudgeVerdict(
@@ -141,7 +148,11 @@ def containment_judge(fact: str, reference: str) -> JudgeVerdict:
         for word in (m.group().lower() for m in RELATION_WORD_RE.finditer(fact))
         if word in ANTONYMS
     }
-    if relation_words:
+    # A contradiction needs the antonym among the counterpart's relation
+    # words, which are matches in the lower-cased sentence: with no antonym
+    # in the lower-cased reference, no sentence can contradict the fact.
+    if any(antonym in ref_lower for antonym in relation_words.values()):
+        ref_sentences, ref_words = _reference_sentences(reference)
         fact_words = _content_words(fact)
         shared = [len(words & fact_words) for words in ref_words]
         counterpart_words = _relation_words(ref_sentences[shared.index(max(shared))])

@@ -253,7 +253,10 @@ _ABBREVIATIONS = {
     "sept", "oct", "nov", "dec", "u.s", "u.k", "e.g", "i.e",
 }
 
-_TERMINAL_RE = re.compile(r"[.!?]+")
+# A run of terminal punctuation followed by whitespace or the end of the
+# text: a run followed by anything else (a decimal point, the dots of
+# "U.S") has no suffix that is, so the engine turns it away whole.
+_TERMINAL_RE = re.compile(r"[.!?]+(?!\S)")
 
 
 def _is_abbreviation(word: str) -> bool:
@@ -279,8 +282,6 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
         end = m.end()
         if end <= start:
             continue
-        if end < n and not text[end].isspace():
-            continue  # decimal point or mid-token punctuation
         nxt = end
         while nxt < n and text[nxt].isspace():
             nxt += 1

@@ -649,6 +649,24 @@ def test_eval_edit_writes_each_id_as_a_string(tmp_path, capsys):
     assert [r["id"] for r in json.loads(out.read_text(encoding="utf-8"))["records"]] == ["5", "e2"]
 
 
+def test_eval_edit_says_how_many_rows_have_no_sentence(tmp_path, capsys):
+    rows = tmp_path / "rows.jsonl"
+    edited = (WORKED_ORIGINAL, "", " \n\t", WORKED_ERRONEOUS)
+    _write_rows(rows, [{"id": f"e{i}", "edited": text, "reference": WORKED_ORIGINAL}
+                       for i, text in enumerate(edited)])
+    out = tmp_path / "edit.json"
+    assert dispatch(["eval-edit", "--input", str(rows), "--output", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    records = json.loads(out.read_text(encoding="utf-8"))["records"]
+    assert [(r["total"], r["score"]) for r in records[1:3]] == [(0, 0.0), (0, 0.0)]
+    assert err[0] == "eval-edit: 2 rows have no sentence and score 0.0"
+    assert err[1].startswith("containment") and len(err) == 2
+    # Without such a row, only the table row is printed.
+    _write_rows(rows, [{"id": "e0", "edited": WORKED_ORIGINAL, "reference": WORKED_ORIGINAL}])
+    assert dispatch(["eval-edit", "--input", str(rows), "--output", str(out)]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().err.splitlines()] == ["containment"]
+
+
 @pytest.mark.parametrize("ids", [[], [5, "é\"2", "e3"]])
 @pytest.mark.parametrize("to_stdout", [False, True])
 def test_eval_edit_writes_the_indented_payload(tmp_path, capsys, ids, to_stdout):

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -478,6 +479,17 @@ class TestCorpus:
         # The label is a tag only under a label set that has it.
         [(_, plain)] = read_gold_documents(path)
         assert not plain.has_tags
+
+    @pytest.mark.parametrize("extra", [("made_up",), ("",), ("spéculatif", "made_up")])
+    def test_a_label_that_is_no_tag_name_is_refused_before_any_row(self, tmp_path, extra):
+        # Such a label parses as plain text: its column could never score.
+        labels = DEFAULT_LABELS + extra
+        named = ", ".join(map(repr, extra))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            evaluate_corpus({"a": parse("A. B.").document}, {"a": "A. <made_up>B.</made_up>"}, labels)
+        # No file is opened: the check comes before the first row is read.
+        with pytest.raises(ValueError, match=re.escape(named)):
+            next(read_gold_documents(tmp_path / "absent.jsonl", labels))
 
     def test_macro_overall_flag(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)

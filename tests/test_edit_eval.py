@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import WORKED_ERRONEOUS, WORKED_ORIGINAL, make_context, make_passage
 from fintag import edit_eval
@@ -181,8 +181,10 @@ _RELATION_PAIRS = (("rose", "fell"), ("increased", "decreased"), ("up", "down"),
                    ("has", "does not have"))
 # A small vocabulary so that facts and reference sentences often tie on
 # shared content words. "loſs" and "RİSE" match the relation regex under
-# IGNORECASE but lower-case to no lexicon entry.
-_WORDS = ("sales", "costs", "margin", "the", "of", "loſs", "RİSE")
+# IGNORECASE but lower-case to no lexicon entry. "upside" and "downturn"
+# hold an antonym inside a word, "FELL" and "Has" in other cases.
+_WORDS = ("sales", "costs", "margin", "the", "of", "loſs", "RİSE", "upside", "downturn", "FELL",
+          "Has", "ſ")
 # Spellings of one value with different cores ("1,200", "1200" and the
 # Arabic-Indic "١٢٠٠"; "19.5" and "19.500"; "012" and "12%"), so that the
 # judge's raw-core path and its normalizing fallback both run.
@@ -240,6 +242,11 @@ def _outcome(judge, fact, reference):
 class TestReferenceIndex:
     @settings(max_examples=400, deadline=None)
     @given(_reference_and_facts())
+    # The reference holds a fact's antonym only inside a word, only in
+    # upper case, or split across two sentences.
+    @example(("The upside of sales. Costs downturn.", ["Sales down.", "Costs up."]))
+    @example(("SALES FELL. Costs ROSE.", ["Sales rose.", "Costs fell."]))
+    @example(("Sales does not. Have costs.", ["Sales has costs."]))
     def test_indexed_judge_matches_per_fact_oracle(self, case):
         reference, facts = case
         for fact in facts:
@@ -273,6 +280,7 @@ class TestReferenceIndex:
         monkeypatch.setattr(edit_eval, "sentence_spans", counting("sentences", edit_eval.sentence_spans))
         monkeypatch.setattr(edit_eval, "number_values", counting("values", edit_eval.number_values))
         edit_eval._reference_index.cache_clear()
+        edit_eval._reference_sentences.cache_clear()
         edit_eval._reference_values.cache_clear()
         edit_eval._relation_words.cache_clear()
         scan = RELATION_WORD_RE.finditer
@@ -296,11 +304,23 @@ class TestReferenceIndex:
         counterparts = [text for text in calls["relations"] if text.islower()]
         assert sorted(counterparts) == ["costs fell to 19.5.", "sales rose to $1,200 in 2018."]
         assert len(calls["relations"]) == 5 + 2
+        # A reference that holds no antonym of any fact's relation word
+        # ("fell", "down", "decreased") is never split into sentences, and
+        # no sentence of it is scanned for relation words.
+        calls["relations"].clear()
+        reference = "Sales rose to $1,200. Margin was up 12%."
+        fs = score_editing("Sales rose. Margin was up. Costs increased.", reference, containment_judge)
+        assert (fs.total, fs.supported) == (3, 3)
+        assert calls["sentences"].count(reference) == 0
+        assert len(calls["relations"]) == 3
 
     def test_index_holds_only_immutable_values(self):
-        cores, sentences, words = edit_eval._reference_index("Sales rose 1,200. Costs fell.")
+        reference = "Sales rose 1,200. Costs FELL."
+        cores, lower = edit_eval._reference_index(reference)
         assert cores == frozenset({"1,200"})
+        assert lower == reference.lower()
         assert edit_eval._reference_values(cores) == frozenset({"1200"})
+        sentences, words = edit_eval._reference_sentences(reference)
         assert isinstance(sentences, tuple) and all(isinstance(s, str) for s in sentences)
         assert isinstance(words, tuple) and len(words) == len(sentences)
         assert all(isinstance(w, frozenset) for w in words)

@@ -93,6 +93,35 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == set()
 
 
+def test_every_cache_is_bounded():
+    # Stages stream their rows, so their memory stays flat however large
+    # the corpus; a cache that grows with it would break that. Every
+    # `lru_cache` is called with its bound, an integer literal.
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    package = Path(fintag.__file__).parent
+    unbounded = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded.update(f"{path.stem}: functools.cache" for a in node.names if a.name == "cache")
+            elif isinstance(node, ast.Attribute) and named(node.value) == "functools" and node.attr == "cache":
+                unbounded.add(f"{path.stem}: functools.cache")
+            elif isinstance(node, ast.Call) and named(node.func) == "lru_cache":
+                called.add(node.func)
+                bounds = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+                if not (len(bounds) == 1 and isinstance(bounds[0], ast.Constant)
+                        and type(bounds[0].value) is int):
+                    unbounded.add(f"{path.stem}:{node.lineno}")
+        unbounded.update(f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                         if isinstance(node, (ast.Name, ast.Attribute))
+                         and named(node) == "lru_cache" and node not in called)
+    assert unbounded == set()
+
+
 def test_replace_builds_through_the_checking_constructor():
     from fintag.edit_eval import FactScore
     from fintag.insertion import InserterConfig, InsertionPlan

@@ -303,3 +303,64 @@ def test_no_word_list_scanner_bypasses_the_guard():
         and value.pattern.lstrip().startswith(r"\b(?:")
     ]
     assert unguarded == []
+
+
+_ORACLE_TERMINAL_RE = re.compile(r"[.!?]+")
+
+
+def oracle_sentence_spans(text: str) -> list[tuple[int, int]]:
+    """`sentence_spans` as it was before its scanner turned away terminal
+    runs glued to the next character: every maximal run reaches the loop,
+    which skips one not followed by whitespace or the end of the text.
+    Kept as the oracle for the scanner's lookahead."""
+    spans: list[tuple[int, int]] = []
+    n = len(text)
+    start = 0
+    while start < n and text[start].isspace():
+        start += 1
+    if start >= n:
+        return []
+    for m in _ORACLE_TERMINAL_RE.finditer(text):
+        end = m.end()
+        if end <= start:
+            continue
+        if end < n and not text[end].isspace():
+            continue  # decimal point or mid-token punctuation
+        nxt = end
+        while nxt < n and text[nxt].isspace():
+            nxt += 1
+        if nxt < n and not (text[nxt].isupper() or text[nxt].isdigit() or text[nxt] in "\"'($“"):
+            continue
+        word_start = m.start()
+        while word_start > 0 and not text[word_start - 1].isspace():
+            word_start -= 1
+        if patterns._is_abbreviation(text[word_start:m.start()]):
+            continue
+        spans.append((start, end))
+        start = nxt
+    if start < n:
+        end = n
+        while end > start and text[end - 1].isspace():
+            end -= 1
+        if end > start:
+            spans.append((start, end))
+    return spans
+
+
+# Terminal runs, decimals, abbreviations, the openers the loop lets start a
+# sentence, words, and whitespace that `str.isspace` and `\s` both know,
+# ASCII or not.
+_SEGMENT_PIECES = st.sampled_from((
+    ".", "...", "?!", "!", "?", ".!?", "2.4", "19.50", "3.", "U.S", "Inc", "e.g", "U.K.", "J",
+    '"', "'", "(", "$", "“", "Sales", "rose", "a", "7", " ", "  ", "\n", "\t", "\x85", "\x1c",
+    "\u00a0", "\u2028",
+))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(_SEGMENT_PIECES, max_size=16).map("".join))
+@example(text="Revenue was $2.4 billion. Net income rose.")
+@example(text="U.S. sales rose.\x85Costs fell... (Margin?!) 7.5% e.g. Inc.")
+@example(text="Wait...?!\x1c“Yes.” Done.")
+def test_sentence_spans_match_the_loop_oracle(text):
+    assert patterns.sentence_spans(text) == oracle_sentence_spans(text)
