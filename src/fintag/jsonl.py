@@ -207,30 +207,35 @@ def open_output(path: str | Path):
     replaces `path` when the block ends, or, inside `outputs_together`,
     when that block ends; it is removed when either block raises. A stage
     that fails part-way thus leaves no output, an existing output keeps
-    its bytes, and a stage may write the file it reads. A path that names
-    something other than a regular file (a FIFO, /dev/stdout) is written
-    in place. When `path` is None the block gets standard output, which it
-    leaves open; inside `outputs_together`, a temporary file copied to
-    standard output when that block ends without raising.
+    its bytes, and a stage may write the file it reads. When `path` is
+    None the block gets standard output, which it leaves open. Standard
+    output and a path that names something other than a regular file (a
+    FIFO, /dev/stdout) cannot be replaced: inside `outputs_together`, the
+    block gets an unnamed temporary file, copied to them when that block
+    ends without raising; outside one, they are written in place.
     """
-    if path is None:
+    regular = False
+    if path is not None:
+        try:
+            regular = stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            regular = bool(os.fspath(path))  # "" names no file: open() says so
+    if not regular:
         if _staged is None:
-            yield sys.stdout
+            if path is None:
+                yield sys.stdout
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    yield fh
             return
         import tempfile
 
+        # Opened now: a path that cannot be opened fails the stage before its work.
+        out = None if path is None else open(path, "wb")
         # No newline translation, so the copy gives the bytes a direct write would.
         fh = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-        _staged.append((partial(_copy_out, fh), fh.close))
+        _staged.append((partial(_copy_out, fh, out), partial(_close, fh, out)))
         yield fh
-        return
-    try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        regular = bool(os.fspath(path))  # "" names no file: open() says so
-    if not regular:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
         return
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, tail = os.path.split(target)
@@ -251,20 +256,27 @@ def open_output(path: str | Path):
         _staged.append((partial(os.replace, temp, target), partial(os.unlink, temp)))
 
 
-def _copy_out(fh) -> None:
-    """Copy `fh`, a staged standard output, to standard output: its UTF-8
-    bytes, as every output file holds them, whatever the locale's encoding.
-    A standard output with no binary buffer gets the text."""
+def _copy_out(fh, out=None) -> None:
+    """Copy `fh`, a held output, to `out`, the binary file it is held for,
+    or else to standard output: its UTF-8 bytes, as every output file holds
+    them, whatever the locale's encoding. A standard output with no binary
+    buffer gets the text."""
     import shutil
 
-    with fh:
-        fh.seek(0)
-        out = getattr(sys.stdout, "buffer", None)
-        if out is None:
-            shutil.copyfileobj(fh, sys.stdout, 1 << 16)
-            return
-        sys.stdout.flush()  # what was printed before goes first
-        shutil.copyfileobj(fh.buffer, out, 1 << 16)
+    fh.seek(0)
+    sys.stdout.flush()  # what was printed before goes first
+    binary = out or getattr(sys.stdout, "buffer", None)
+    if binary is None:
+        shutil.copyfileobj(fh, sys.stdout, 1 << 16)
+    else:
+        shutil.copyfileobj(fh.buffer, binary, 1 << 16)
+    _close(fh, out)
+
+
+def _close(*files) -> None:
+    for fh in files:
+        if fh is not None:
+            fh.close()
 
 
 def batches(items: Iterable) -> Iterator[list]:

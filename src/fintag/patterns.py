@@ -254,37 +254,28 @@ _ABBREVIATIONS = {
 }
 
 # A run of terminal punctuation followed by whitespace or the end of the
-# text: a run followed by anything else (a decimal point, the dots of
-# "U.S") has no suffix that is, so the engine turns it away whole.
-_TERMINAL_RE = re.compile(r"[.!?]+(?!\S)")
+# text; group 1 is that whitespace, so the next sentence starts at `end()`.
+# A run followed by anything else (a decimal point, the dots of "U.S") has
+# no suffix that is, so the engine turns it away whole.
+_TERMINAL_RE = re.compile(r"[.!?]+(?!\S)(\s*)")
 
 
-def _is_abbreviation(word: str) -> bool:
-    token = word.rstrip(".").lower()
-    if not token:
-        return False
-    if token in _ABBREVIATIONS:
-        return True
-    # Single initials ("J.") and dotted acronyms ("u.s") read as abbreviations.
-    return len(token) == 1 and token.isalpha()
+def _is_abbreviation(token: str) -> bool:
+    # A known abbreviation, dotted ones ("u.s") included, or an initial ("J").
+    # `token` comes before a whole terminal run, so it never ends in ".".
+    token = token.lower()
+    return token in _ABBREVIATIONS or (len(token) == 1 and token.isalpha())
 
 
 def sentence_spans(text: str) -> list[tuple[int, int]]:
-    """(start, end) spans of sentences in `text`, excluding separators."""
+    """(start, end) spans of sentences in `text`, excluding separators.
+    The scanner and `str.strip` find the whitespace; only the word before
+    a terminal run is walked in Python, to tell an abbreviation."""
     spans: list[tuple[int, int]] = []
-    n = len(text)
-    start = 0
-    while start < n and text[start].isspace():
-        start += 1
-    if start >= n:
-        return []
-    for m in _TERMINAL_RE.finditer(text):
-        end = m.end()
-        if end <= start:
-            continue
-        nxt = end
-        while nxt < n and text[nxt].isspace():
-            nxt += 1
+    start = len(text) - len(text.lstrip())
+    n = len(text.rstrip())
+    for m in _TERMINAL_RE.finditer(text, start):
+        nxt = m.end()
         if nxt < n and not (text[nxt].isupper() or text[nxt].isdigit() or text[nxt] in "\"'($“"):
             continue
         word_start = m.start()
@@ -292,14 +283,10 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
             word_start -= 1
         if _is_abbreviation(text[word_start:m.start()]):
             continue
-        spans.append((start, end))
+        spans.append((start, m.start(1)))
         start = nxt
     if start < n:
-        end = n
-        while end > start and text[end - 1].isspace():
-            end -= 1
-        if end > start:
-            spans.append((start, end))
+        spans.append((start, n))
     return spans
 
 

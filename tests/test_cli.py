@@ -506,6 +506,25 @@ def test_insert_sources_out_is_the_indented_json_map(tmp_path, capsys, ids):
     assert sources.read_text(encoding="utf-8") == json.dumps(expected, ensure_ascii=False, indent=2) + "\n"
 
 
+def test_pairs_skips_a_record_that_fails_the_gate(tmp_path, capsys):
+    qa = tmp_path / "qa.jsonl"
+    _qa_file(qa, n=3)
+    records, out = tmp_path / "records.jsonl", tmp_path / "pairs.jsonl"
+    assert dispatch(["insert", "--input", str(qa), "--output", str(records)]) == 0
+    lines = records.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[2])
+    lines[2] = json.dumps(row | {"original": row["original"] + " Extra words."})
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch(["pairs", "--records", str(records), "--qa", str(qa), "--output", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"pairs: skipping {row['id']}: fails quality gate",
+        "pairs: wrote 2",
+    ]
+    written = [json.loads(line)["id"] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert row["id"] not in written and len(written) == 2
+
+
 def test_insert_rule_mode_reads_no_exemplar_pool(tmp_path, capsys):
     qa = tmp_path / "qa.jsonl"
     _qa_file(qa, n=6, seed=3)

@@ -104,6 +104,33 @@ class TestComplete:
             assert err.value.kind is ClientErrorKind.BAD_REPLY, body
             assert transport.calls == 1
 
+    @pytest.mark.parametrize("body", [
+        {"choices": [{"text": "done"}]},
+        {"text": "done"},
+        {"content": "done"},
+        {"output": "done"},
+    ])
+    def test_other_reply_shapes_give_their_text(self, body):
+        transport = SequenceTransport([(200, json.dumps(body))])
+        client = LlmClient(_profile(), transport, sleeper=lambda s: None)
+        assert client.complete(_request()).text == "done"
+
+    def test_a_body_that_is_not_json_is_a_bad_reply(self):
+        transport = SequenceTransport([(200, "<html>busy</html>")])
+        client = LlmClient(_profile(), transport, sleeper=lambda s: None)
+        with pytest.raises(ClientError, match="reply is not JSON") as err:
+            client.complete(_request())
+        assert err.value.kind is ClientErrorKind.BAD_REPLY
+        assert transport.calls == 1
+
+    def test_a_status_no_retry_mends_is_a_bad_reply_at_once(self):
+        transport = SequenceTransport([(404, ""), (200, _reply_body("late"))])
+        client = LlmClient(_profile(), transport, sleeper=lambda s: None)
+        with pytest.raises(ClientError, match="HTTP 404") as err:
+            client.complete(_request())
+        assert err.value.kind is ClientErrorKind.BAD_REPLY
+        assert transport.calls == 1
+
     def test_api_key_header_from_environment(self, monkeypatch):
         seen = {}
 
@@ -269,6 +296,19 @@ class TestCache:
         path.write_bytes(b"")
         assert client.cached_complete(_request()).text == "fourth"
         assert transport.calls == 4
+        client.close()
+
+    def test_a_key_in_upper_case_hex_reads_as_a_miss(self, tmp_path):
+        # Keys are written as lower-case hex; any other spelling of the same
+        # digest is no key the client wrote.
+        path = tmp_path / "cache.jsonl"
+        transport = SequenceTransport([(200, _reply_body("fresh"))])
+        client = LlmClient(_profile(cache_path=str(path)), transport, sleeper=lambda s: None)
+        key = client._cache_key(_request())
+        entry = {"key": key.upper(), "reply": {"text": "stale", "model": "unit-model"}}
+        path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        assert client.cached_complete(_request()).text == "fresh"
+        assert transport.calls == 1
         client.close()
 
     def test_cache_key_bytes_are_pinned(self):

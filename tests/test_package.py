@@ -171,6 +171,32 @@ def test_only_the_taxonomy_module_spells_a_kind_name():
     assert spelled == {"taxonomy.py"}
 
 
+def test_only_patterns_spells_a_number_or_date_pattern():
+    # The number and date grammars live in `patterns`; a regex elsewhere
+    # that spells a digit class or a month name is a second copy of one.
+    from fintag.patterns import MONTH_NAMES
+
+    month = re.compile(rf"(?<![a-z])(?:{'|'.join(MONTH_NAMES)})(?![a-z])")
+    package = Path(fintag.__file__).parent
+    calls, spelled = 0, []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "patterns.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "re"):
+                continue
+            calls += 1
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                for const in ast.walk(arg):
+                    if isinstance(const, ast.Constant) and isinstance(const.value, str) and (
+                        "\\d" in const.value or month.search(const.value.lower())
+                    ):
+                        spelled.append(f"{path.name}:{node.lineno}")
+    assert calls > 0  # the scan sees the package's regex calls
+    assert spelled == []
+
+
 def test_every_jsonl_read_declares_its_fields():
     # A reader that passes no field table hands unchecked rows on; only
     # `split`, which copies lines verbatim, reads rows it does not use. A

@@ -24,6 +24,7 @@ from fintag.patterns import (
     NUMBER_TOKEN_RE,
     QUARTER_ORDINALS,
     extract_numbers,
+    flip_relation_word,
     is_numeric_span,
     numbers_within,
 )
@@ -305,14 +306,34 @@ def test_no_word_list_scanner_bypasses_the_guard():
     assert unguarded == []
 
 
+@pytest.mark.parametrize(
+    "word, flipped",
+    [("Increased", "Decreased"), ("fell", "rose"), ("Has", "Does not have"), ("widget", None)],
+)
+def test_flip_relation_word_keeps_a_leading_capital(word, flipped):
+    assert flip_relation_word(word) == flipped
+
+
 _ORACLE_TERMINAL_RE = re.compile(r"[.!?]+")
+
+
+def _oracle_is_abbreviation(word: str) -> bool:
+    """The abbreviation test as it was when its caller could pass a word
+    ending in "." or an empty one."""
+    token = word.rstrip(".").lower()
+    if not token:
+        return False
+    if token in patterns._ABBREVIATIONS:
+        return True
+    return len(token) == 1 and token.isalpha()
 
 
 def oracle_sentence_spans(text: str) -> list[tuple[int, int]]:
     """`sentence_spans` as it was before its scanner turned away terminal
     runs glued to the next character: every maximal run reaches the loop,
-    which skips one not followed by whitespace or the end of the text.
-    Kept as the oracle for the scanner's lookahead."""
+    which skips one not followed by whitespace or the end of the text, and
+    reads the whitespace around a run one character at a time. Kept as the
+    oracle for the scanner's lookahead and its whitespace group."""
     spans: list[tuple[int, int]] = []
     n = len(text)
     start = 0
@@ -334,7 +355,7 @@ def oracle_sentence_spans(text: str) -> list[tuple[int, int]]:
         word_start = m.start()
         while word_start > 0 and not text[word_start - 1].isspace():
             word_start -= 1
-        if patterns._is_abbreviation(text[word_start:m.start()]):
+        if _oracle_is_abbreviation(text[word_start:m.start()]):
             continue
         spans.append((start, end))
         start = nxt

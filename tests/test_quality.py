@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -218,6 +218,33 @@ def test_reconstruction_compares_everything_but_whitespace(data, words, at):
     assert inconsistent(original) == []
     where = data.draw(st.sampled_from([i for i, ch in enumerate(original) if not ch.isspace()]))
     assert len(inconsistent(original[:where] + "#" + original[where + 1:])) == 1
+
+
+def test_a_statement_first_in_the_passage_folds_away():
+    record, warnings = _record("<unverifiable>Rumor.</unverifiable> Revenue rose.", "Revenue rose.")
+    assert derive_original(record.doc) == "Revenue rose."
+    assert check(record, warnings) == []
+
+
+_STATEMENT = "<unverifiable>Rumor has it.</unverifiable>"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sentences=st.lists(st.sampled_from(["Revenue rose.", "Costs fell 3%.", "Q3 was flat!"]), min_size=1, max_size=4),
+    at=st.lists(st.integers(0, 4), max_size=3),
+)
+@example(sentences=["Revenue rose."], at=[0])  # a statement first in the passage
+def test_statements_at_any_sentence_boundary_fold_away(sentences, at):
+    # A statement joined to the passage by one space, as the inserters
+    # place it, leaves the passage as it was, wherever it stands.
+    pieces = list(sentences)
+    for i in sorted(at, reverse=True):
+        pieces.insert(min(i, len(pieces)), _STATEMENT)
+    passage = " ".join(sentences)
+    record, warnings = _record(" ".join(pieces), passage)
+    assert derive_original(record.doc) == passage
+    assert check(record, warnings) == []
 
 
 class TestFix:

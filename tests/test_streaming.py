@@ -465,7 +465,7 @@ def test_output_through_a_symlink_replaces_its_target(tmp_path, capsys):
     assert len(target.read_text(encoding="utf-8").splitlines()) == 4  # _meta and three rows
 
 
-def test_output_that_is_not_a_regular_file_is_written_in_place(tmp_path, capsys):
+def test_output_that_is_not_a_regular_file_is_held_until_the_stage_ends(tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     _records(records, _GOOD)
     fifo = tmp_path / "out.fifo"
@@ -480,6 +480,23 @@ def test_output_that_is_not_a_regular_file_is_written_in_place(tmp_path, capsys)
     capsys.readouterr()
     assert len(received[0].splitlines()) == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo", "records.jsonl"]
+
+
+def test_a_failed_stage_writes_nothing_to_an_output_that_is_not_a_regular_file(tmp_path, capsys):
+    # 100 good rows, then one that fails: the first 64-row batch is written
+    # before the stage reads the bad row, and must not reach the reader.
+    records = tmp_path / "records.jsonl"
+    _records(records, [{"id": f"r{i}", "original": "Sales rose.", "tagged": "Sales rose."} for i in range(100)]
+             + [{"id": "bad", "original": 5, "tagged": "Sales rose."}])
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert dispatch(["fix", "--input", str(records), "--output", str(fifo)]) == 1
+        assert os.read(reader, 1 << 20) == b""
+    finally:
+        os.close(reader)
+    assert "fintag: error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("output", ["missing-dir/fixed.jsonl", ""])
