@@ -101,26 +101,49 @@ class CompletionReply(NamedTuple):
 
 
 def _default_transport(profile: ClientProfile, payload: dict, headers: dict) -> tuple[int, str]:
-    # Imported here, not at module level: the HTTP stack costs more start-up
-    # time than the rest of the package, and only a cache miss against a
-    # live endpoint needs it.
-    import requests
+    # Imported here, not at module level: the HTTP stack costs a stage
+    # process more start-up time and memory than the rest of the package,
+    # and only a cache miss against a live endpoint needs it.
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
 
     try:
-        response = requests.post(
-            profile.endpoint, json=payload, headers=headers, timeout=profile.timeout
-        )
-    except requests.Timeout as exc:
-        raise ClientError(ClientErrorKind.TIMEOUT, str(exc)) from exc
-    except ValueError as exc:
-        # A malformed URL, header or proxy (`MissingSchema`, `InvalidURL`,
-        # ...): a fault of the request that no retry mends.
+        # urllib would open an `ftp:` or `file:` URL, and reports a missing
+        # host as it reports a refused connection, which is retried.
+        url = urllib.parse.urlsplit(profile.endpoint)
+        url.port  # raises on a port that is no number
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError("an http or https URL with a host is required")
+        request = urllib.request.Request(profile.endpoint, json.dumps(payload).encode("utf-8"),
+                                         headers, method="POST")
+        # A refused redirect surfaces as its 3xx status; followed, urllib
+        # would send the POST on as a GET.
+        refuse = urllib.request.HTTPRedirectHandler()
+        refuse.redirect_request = lambda *args: None
+        try:
+            response = urllib.request.build_opener(refuse).open(request, timeout=profile.timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc  # a status other than 2xx is read, not raised
+        with response:
+            status, data = response.status, response.read()
+            charset = response.headers.get_content_charset() or "utf-8"
+    except (ValueError, http.client.InvalidURL) as exc:
+        # A malformed URL or header: a fault of the request that no retry mends.
         raise ValueError(
             f"client profile {profile.name!r}: endpoint {profile.endpoint!r} rejected: {exc}"
         ) from exc
-    except requests.RequestException as exc:
-        raise ClientError(ClientErrorKind.TRANSPORT, str(exc)) from exc
-    return response.status_code, response.text
+    except (OSError, http.client.HTTPException) as exc:
+        # A `URLError` wraps a failure to connect or to send; a garbage
+        # status line raises `BadStatusLine`, which is no OSError.
+        cause = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+        kind = ClientErrorKind.TIMEOUT if isinstance(cause, TimeoutError) else ClientErrorKind.TRANSPORT
+        raise ClientError(kind, str(exc)) from exc
+    try:
+        return status, data.decode(charset, errors="replace")
+    except LookupError:  # a charset Python does not know
+        return status, data.decode("utf-8", errors="replace")
 
 
 def _parse_reply_text(body: str) -> str:

@@ -57,11 +57,18 @@ def _run_probe(probe, *argv, cwd=None):
     return out.stdout
 
 
-def test_cli_import_leaves_http_stack_unloaded():
+def test_cli_import_leaves_http_stack_unloaded(tmp_path, stub_endpoint):
     # The HTTP stack is for live LLM calls only; every stage process pays
-    # for whatever `fintag.cli` imports.
-    probe = "import sys, fintag.cli; print('requests' in sys.modules)"
-    assert _run_probe(probe).strip() == "False"
+    # for whatever `fintag.cli` imports, and a warm-cache replay calls no
+    # model.
+    probe = ("import sys, fintag.cli\n"
+             "rc = fintag.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "print([m for m in ('urllib.request', 'http.client') if m in sys.modules])\n"
+             "sys.exit(rc)\n")
+    assert _run_probe(probe).strip() == "[]"
+    argv, _ = _warm_insert(tmp_path, stub_endpoint)
+    assert _run_probe(probe, *argv, "--output", str(tmp_path / "warm.jsonl"), cwd=tmp_path).strip() == "[]"
+    assert _StubEndpoint.calls == 6  # every call replayed
 
 
 # Standard modules that no build or evaluation stage but `split` needs:

@@ -3,14 +3,19 @@ in-flight limiter."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import json
 import os
+import re
+import socket
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -658,9 +663,113 @@ def test_default_transport_maps_refused_connection_to_transport_error():
 def test_default_transport_fails_at_once_on_an_endpoint_the_http_stack_rejects():
     # An empty or malformed endpoint is a fault of the request, not of the
     # network: no attempt is retried, so nothing sleeps.
-    for endpoint in ("", "unit.test/v1/chat", "http://"):
+    for endpoint in ("", "unit.test/v1/chat", "http://", "http://127.0.0.1:abc/v1", "http://[::1/v1",
+                     "ftp://unit.test/chat", "file:///dev/null", "http://a b/v1"):
         slept = []
         client = LlmClient(_profile(endpoint=endpoint), sleeper=slept.append)
-        with pytest.raises(ValueError, match=f"'test': endpoint {endpoint!r} rejected"):
+        with pytest.raises(ValueError, match=re.escape(f"'test': endpoint {endpoint!r} rejected")):
             client.complete(_request())
         assert slept == []
+
+
+class _Endpoint(BaseHTTPRequestHandler):
+    """A local endpoint that answers the n-th POST with the raw bytes of
+    `replies[n]` (the last one once they run out) and a GET with 200 "GOT",
+    and records the method of every request."""
+
+    replies: tuple
+    methods: list
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.wfile.write(self.replies[min(len(self.methods), len(self.replies) - 1)])
+        self.methods.append("POST")
+
+    def do_GET(self):
+        self.methods.append("GET")
+        self.wfile.write(b"HTTP/1.0 200 OK\r\nContent-Length: 3\r\n\r\nGOT")
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _endpoint(*replies: bytes):
+    """The URL of an `_Endpoint` that answers with `replies`, and the list
+    of the methods it has seen."""
+    handler = type("Handler", (_Endpoint,), {"replies": replies, "methods": []})
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat", handler.methods
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(10)
+
+
+def _http_reply(status: str, body: bytes = b"", *headers: str) -> bytes:
+    head = [f"HTTP/1.0 {status}", f"Content-Length: {len(body)}", *headers]
+    return "\r\n".join(head).encode("ascii") + b"\r\n\r\n" + body
+
+
+def _complete_at(url, **profile):
+    """The reply, or the `ClientError`, of one `complete` through the
+    default transport, and the delays it slept."""
+    slept = []
+    client = LlmClient(_profile(endpoint=url, **profile), sleeper=slept.append)
+    try:
+        return client.complete(_request()), slept
+    except ClientError as exc:
+        return exc, slept
+
+
+def test_default_transport_refuses_a_redirect():
+    # urllib would follow a 302 on a POST with a GET; refused, the 3xx is a
+    # status no retry mends.
+    with _endpoint(_http_reply("302 Found", b"", "Location: /v1/elsewhere")) as (url, methods):
+        error, slept = _complete_at(url, timeout=5)
+    assert (error.kind, str(error), slept) == (ClientErrorKind.BAD_REPLY, "bad_reply: HTTP 302", [])
+    assert methods == ["POST"]
+
+
+def test_default_transport_counts_a_garbage_status_line_as_a_transport_error():
+    with _endpoint(b"garbage\r\n\r\n") as (url, methods):
+        error, slept = _complete_at(url, timeout=5)
+    assert error.kind is ClientErrorKind.TRANSPORT
+    assert methods == ["POST"] * llm_client.MAX_ATTEMPTS
+    assert len(slept) == llm_client.MAX_ATTEMPTS - 1
+
+
+@pytest.mark.parametrize("charset, encoding", [("latin-1", "latin-1"), ("no-such-charset", "utf-8")])
+def test_default_transport_reads_an_error_status_and_decodes_by_the_charset(charset, encoding):
+    # A 500 is read as its status and retried; the body of the 200 is decoded
+    # by its declared charset, or as UTF-8 when Python knows no such charset.
+    body = json.dumps({"choices": [{"message": {"content": "café £"}}]}, ensure_ascii=False).encode(encoding)
+    with _endpoint(_http_reply("500 Internal Server Error", b"down"),
+                   _http_reply("200 OK", body, f"Content-Type: application/json; charset={charset}")) as (url, _):
+        reply, slept = _complete_at(url, timeout=5)
+    assert (reply.text, slept) == ("café £", [llm_client.BACKOFF_BASE])
+
+
+def test_default_transport_maps_an_endpoint_that_never_answers_to_timeout():
+    # The socket listens, so the kernel accepts each connection, but nothing
+    # ever reads the request or answers it.
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        error, slept = _complete_at(f"http://127.0.0.1:{server.getsockname()[1]}/v1/chat", timeout=0.2)
+    assert error.kind is ClientErrorKind.TIMEOUT
+    assert slept == [1.0, 2.0, 4.0, 8.0]
+
+
+def test_default_transport_needs_only_the_standard_library(tmp_path):
+    # With site-packages off, a live call still goes through.
+    probe = ("import sys\n"
+             "from fintag.llm_client import ClientProfile, CompletionRequest, LlmClient\n"
+             "profile = ClientProfile(name='stdlib', endpoint=sys.argv[1], model='m', timeout=5)\n"
+             "print(LlmClient(profile).complete(CompletionRequest('sys', 'hello')).text)\n")
+    src = os.path.dirname(os.path.dirname(llm_client.__file__))
+    with _endpoint(_http_reply("200 OK", _reply_body("from the stub").encode())) as (url, methods):
+        out = subprocess.run([sys.executable, "-S", "-c", probe, url], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, encoding="utf-8", cwd=tmp_path)
+    assert (out.returncode, out.stdout, methods) == (0, "from the stub\n", ["POST"]), out.stderr
