@@ -502,7 +502,8 @@ def _cmd_split(args) -> int:
 
     # Only each line's byte span is kept, and kept lines are read back verbatim.
     with rereadable(args.input) as source, open(source, "rb") as fh:
-        spans = [span for _, _, span in read_jsonl(source)]
+        # A generator, so that a bad ratio is reported before any line is read.
+        spans = (span for _, _, span in read_jsonl(source))
         train, val = split_records(spans, ratio=args.ratio, seed=args.seed)
         meta = _meta("split", seed=args.seed, ratio=args.ratio)
         write_jsonl(args.train_out, (line_at(fh, span) for span in train), meta)
@@ -604,17 +605,16 @@ def _cmd_eval_edit(args) -> int:
     with ExitStack() as held:
         source, judge = args.input, containment_judge
         if args.judge == "llm":
+            if args.profile is None:
+                raise ValueError("--judge llm needs --profile")
+            profiles = {p.name: p for p in _client_profiles(_load_ini(args.config), args.config)}
+            if args.profile not in profiles:
+                defined = ", ".join(profiles) or "none"
+                raise ValueError(f"unknown client profile {args.profile!r} (the config defines: {defined})")
             source = held.enter_context(rereadable(args.input))
             # Every row is checked before the first judge call is paid for.
             for _ in read_editing_rows(source):
                 pass
-            if args.profile is None:
-                raise ValueError("--judge llm needs --profile")
-            cp = _load_ini(args.config)
-            profiles = {p.name: p for p in _client_profiles(cp, args.config)}
-            if args.profile not in profiles:
-                defined = ", ".join(profiles) or "none"
-                raise ValueError(f"unknown client profile {args.profile!r} (the config defines: {defined})")
             from .llm_client import LlmClient
 
             judge = llm_judge(held.enter_context(closing(LlmClient(profiles[args.profile]))))

@@ -14,6 +14,7 @@ clean.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from functools import cached_property
@@ -192,6 +193,8 @@ def _perturb_number_token(token: str, rng: random.Random) -> str | None:
     grouped = "," in core
     decimals = len(core.split(".")[1]) if "." in core else 0
     value = float(core.replace(",", ""))
+    if value * 2 == math.inf:  # no float holds the shifted value
+        return None
     for _ in range(8):
         factor = rng.choice((-1, 1)) * rng.uniform(0.1, 0.5)
         candidate = value * (1 + factor) if value else rng.uniform(1, 9)

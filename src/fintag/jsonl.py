@@ -17,7 +17,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -203,16 +203,15 @@ def outputs_together():
 
 @contextmanager
 def open_output(path: str | Path):
-    """A text file to write `path` through: a temporary file beside it that
-    replaces `path` when the block ends, or, inside `outputs_together`,
-    when that block ends; it is removed when either block raises. A stage
-    that fails part-way thus leaves no output, an existing output keeps
-    its bytes, and a stage may write the file it reads. When `path` is
-    None the block gets standard output, which it leaves open. Standard
-    output and a path that names something other than a regular file (a
-    FIFO, /dev/stdout) cannot be replaced: inside `outputs_together`, the
-    block gets an unnamed temporary file, copied to them when that block
-    ends without raising; outside one, they are written in place.
+    """A text file to write `path` through, committed when the block ends,
+    or, inside `outputs_together`, when that block ends; when either block
+    raises, it is discarded. A stage that fails part-way thus leaves no
+    output, an existing output keeps its bytes, and a stage may write the
+    file it reads. A regular file is written into a temporary file beside
+    it, which replaces it on commit. Standard output (when `path` is None)
+    and a path that names something other than a regular file (a FIFO,
+    /dev/stdout) cannot be replaced: the block gets an unnamed temporary
+    file, whose UTF-8 bytes are copied to them on commit.
     """
     regular = False
     if path is not None:
@@ -220,40 +219,33 @@ def open_output(path: str | Path):
             regular = stat.S_ISREG(os.stat(path).st_mode)
         except FileNotFoundError:
             regular = bool(os.fspath(path))  # "" names no file: open() says so
-    if not regular:
-        if _staged is None:
-            if path is None:
-                yield sys.stdout
-            else:
-                with open(path, "w", encoding="utf-8") as fh:
-                    yield fh
-            return
+    if regular:
+        target = os.path.realpath(path)  # replace a symlink's target, not the link
+        head, tail = os.path.split(target)
+        temp = os.path.join(head, f".{tail}.{os.getpid()}.{next(_temps)}.tmp")
+        try:
+            fh = open(temp, "w", encoding="utf-8")
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+        commit, discard = partial(os.replace, temp, target), partial(os.unlink, temp)
+    else:
         import tempfile
 
-        # Opened now: a path that cannot be opened fails the stage before its work.
+        # Opened now: a path that cannot be opened fails before the work.
         out = None if path is None else open(path, "wb")
         # No newline translation, so the copy gives the bytes a direct write would.
         fh = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-        _staged.append((partial(_copy_out, fh, out), partial(_close, fh, out)))
-        yield fh
-        return
-    target = os.path.realpath(path)  # replace a symlink's target, not the link
-    head, tail = os.path.split(target)
-    temp = os.path.join(head, f".{tail}.{os.getpid()}.{next(_temps)}.tmp")
+        commit, discard = partial(_copy_out, fh, out), partial(_close, fh, out)
     try:
-        fh = open(temp, "w", encoding="utf-8")
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with fh:
+        with fh if regular else nullcontext():  # the held copy stays open for its commit
             yield fh
+        if _staged is None:
+            commit()
+        else:
+            _staged.append((commit, discard))
     except BaseException:
-        os.unlink(temp)
+        discard()
         raise
-    if _staged is None:
-        os.replace(temp, target)
-    else:
-        _staged.append((partial(os.replace, temp, target), partial(os.unlink, temp)))
 
 
 def _copy_out(fh, out=None) -> None:

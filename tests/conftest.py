@@ -4,8 +4,10 @@ exhaustive brute-force matching oracle used to validate the scorer."""
 
 from __future__ import annotations
 
+import os
 import random
 
+import fintag
 from fintag.corpus import TrainingPair
 from fintag.insertion import InserterConfig
 from fintag.jsonl import read_jsonl, write_jsonl
@@ -294,3 +296,10 @@ def random_spans(rng: random.Random, labels, max_tags: int = 6, length: int = 12
         end = min(length, start + rng.randint(1, 18))
         spans.append(TagSpan(rng.choice(labels), start, end, "x" * (end - start), None))
     return spans
+
+
+def checkout_env(**extra) -> dict:
+    """The environment of a fresh process that imports this checkout's fintag."""
+    src = os.path.dirname(os.path.dirname(fintag.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -21,6 +20,7 @@ from conftest import (
     WORKED_ORIGINAL,
     WORKED_TAGGED,
     WORKED_TARGET,
+    checkout_env,
     make_context,
     make_passage,
     write_qa_records,
@@ -42,17 +42,10 @@ def _qa_file(path, n=30, seed=0):
     return records
 
 
-def _checkout_env(**extra):
-    """The environment of a fresh process that imports this checkout's fintag."""
-    src = os.path.dirname(os.path.dirname(fintag.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, **extra)
-
-
 def _run_probe(probe, *argv, cwd=None):
     """Stdout of `python -c probe argv...` in a fresh process that imports
     this checkout's fintag."""
-    out = subprocess.run([sys.executable, "-c", probe, *argv], env=_checkout_env(), cwd=cwd,
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=checkout_env(), cwd=cwd,
                          capture_output=True, encoding="utf-8", check=True)
     return out.stdout
 
@@ -302,8 +295,8 @@ def test_stdout_holds_the_bytes_of_the_output_file_whatever_the_io_encoding(tmp_
     for argv in (["derive", "--input", str(raw), "--form", "erroneous", "--raw"],
                  ["derive", "--input", str(records), "--form", "erroneous"]):
         stage = [sys.executable, "-m", "fintag.cli", *argv]
-        subprocess.run([*stage, "--output", str(out)], env=_checkout_env(), capture_output=True, check=True)
-        shown = subprocess.run(stage, env=_checkout_env(PYTHONIOENCODING=io_encoding), capture_output=True)
+        subprocess.run([*stage, "--output", str(out)], env=checkout_env(), capture_output=True, check=True)
+        shown = subprocess.run(stage, env=checkout_env(PYTHONIOENCODING=io_encoding), capture_output=True)
         assert (shown.returncode, shown.stderr) == (0, b"")
         assert shown.stdout == out.read_bytes()
         assert "€7".encode("utf-8") in shown.stdout
@@ -401,6 +394,16 @@ def test_split_rejects_a_corrupt_line(tmp_path, capsys):
                      "--val-out", str(val)]) == 1
     err = capsys.readouterr().err
     assert f"fintag: error: {data}:2: bad JSON" in err
+    assert not train.exists() and not val.exists()
+
+
+def test_split_reports_a_bad_ratio_before_it_reads_a_line(tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    data.write_text('{"id": 0}\n{oops\n', encoding="utf-8")
+    train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    assert dispatch(["split", "--input", str(data), "--train-out", str(train),
+                     "--val-out", str(val), "--ratio", "1.5"]) == 1
+    assert capsys.readouterr().err == "fintag: error: ratio must be strictly between 0 and 1\n"
     assert not train.exists() and not val.exists()
 
 
@@ -659,6 +662,16 @@ def test_eval_edit_llm_judge_names_its_profile_problem(tmp_path, capsys, profile
     assert dispatch(["eval-edit", "--input", str(_edit_rows(tmp_path / "rows.jsonl")), "--judge", "llm",
                      "--config", str(config), "--output", str(out), *profile]) == 1
     assert capsys.readouterr().err == f"fintag: error: {reason}\n"
+    assert not out.exists()
+
+
+def test_eval_edit_llm_judge_names_a_missing_profile_before_it_reads_a_row(tmp_path, capsys):
+    rows = tmp_path / "bad.jsonl"
+    rows.write_text(_edit_rows(tmp_path / "rows.jsonl").read_text(encoding="utf-8").splitlines()[0]
+                    + "\n{oops\n", encoding="utf-8")
+    out = tmp_path / "edit.json"
+    assert dispatch(["eval-edit", "--input", str(rows), "--judge", "llm", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "fintag: error: --judge llm needs --profile\n"
     assert not out.exists()
 
 
@@ -1231,7 +1244,7 @@ def test_a_cache_written_under_one_hash_seed_replays_under_another(tmp_path, stu
         subprocess.run(
             [sys.executable, "-m", "fintag.cli", "insert", "--input", str(qa), "--output", str(out),
              "--mode", "llm", "--config", config, "--no-ground-filter"],
-            env=_checkout_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
+            env=checkout_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
         )
         outputs.append((out.read_bytes(), cache.read_bytes()))
         assert _StubEndpoint.calls == 6  # the second run misses no key
@@ -1357,7 +1370,7 @@ def test_rule_insert_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         subprocess.run(
             [sys.executable, "-m", "fintag.cli", "insert", "--input", str(qa), "--output", str(out),
              "--seed", "5"],
-            env=_checkout_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
+            env=checkout_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
         )
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

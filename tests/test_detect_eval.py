@@ -125,6 +125,10 @@ class TestAlign:
         pairs, ug, up = align_spans(gold, pred, mode="exact")
         assert pairs == () and len(ug) == 1 and len(up) == 1
 
+    def test_an_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown match mode 'fuzzy'"):
+            align_spans([_span(ErrorType.ENTITY, 0, 5)], [_span(ErrorType.ENTITY, 0, 5)], mode="fuzzy")
+
     @pytest.mark.parametrize("mode", ["overlap", "exact"])
     def test_an_empty_span_matches_only_its_twin(self, mode):
         gold = [_span(ErrorType.ENTITY, 7, 7), _span(ErrorType.TEMPORAL, 9, 9)]

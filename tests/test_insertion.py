@@ -36,6 +36,7 @@ from fintag.llm_client import CompletionReply
 from fintag.markup import (
     Edit,
     Statement,
+    Text,
     derive_erroneous,
     derive_original,
     serialize,
@@ -421,6 +422,43 @@ def test_numeric_sites_skip_exactly_the_tokens_in_date_sites(passage):
         and not any(m.start() < e and s < m.end() for s, e, _ in temporal)
     ]
     assert insertion._numeric_sites(passage, temporal) == expected
+
+
+def test_contradictory_skips_a_passage_with_no_flippable_sentence():
+    passage = "Revenue was strong. Costs were stable."  # no antonym, number or date to flip
+    result = insert_rule_based(passage, "", _plan(ErrorType.CONTRADICTORY))
+    assert [(s.kind, s.reason) for s in result.skipped] == [(ErrorType.CONTRADICTORY, "no flippable sentence")]
+    assert result.record.doc.segments == (Text(passage),)
+
+
+def test_a_token_that_is_no_number_is_not_perturbed():
+    assert insertion._perturb_number_token("Revenue", random.Random(0)) is None
+
+
+# Number tokens of every shape, and values of a unit or two of their last
+# printed digit, whose +/-10..50% draws mostly print the token again.
+_NUMBER_TOKENS = st.from_regex(NUMBER_TOKEN_RE, fullmatch=True) | st.builds(
+    lambda sigil, zeros, digit, pct: f"{sigil}0.{'0' * zeros}{digit}{pct}",
+    st.sampled_from(["", "$"]), st.integers(0, 12), st.sampled_from("123"), st.sampled_from(["", "%"]),
+) | st.builds(lambda digits: digits.lstrip("0") or "1", st.text("0123456789", min_size=15, max_size=400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=_NUMBER_TOKENS, seed=st.integers(0, 2**16))
+@example(token="9" * 308, seed=0)  # a shifted value past the float range
+@example(token="1" * 400 + ".5", seed=0)
+def test_a_number_token_is_perturbed_or_declined_never_kept(token, seed):
+    # The eight draws print the core again only when the value is a unit or
+    # two of its last digit, and the bump that follows them then moves it;
+    # so no number token is given back unchanged. A value whose shift no
+    # float holds is declined.
+    prefix, core, suffix = NUMBER_TOKEN_RE.fullmatch(token).groups()
+    out = insertion._perturb_number_token(token, random.Random(seed))
+    if out is None:
+        assert float(core.replace(",", "")) * 2 == float("inf")
+        return
+    m = NUMBER_TOKEN_RE.fullmatch(out)
+    assert m is not None and m.group(1, 3) == (prefix, suffix) and m.group(2) != core
 
 
 def test_shifted_year_stays_a_year():

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import checkout_env
 from fintag.jsonl import line_at, read_jsonl, row_at, write_jsonl
 
 # Characters that split a line for some reader or another: file iteration
@@ -126,6 +130,36 @@ def test_skip_callback_gets_line_numbers_and_reading_goes_on(tmp_path):
 def test_write_to_stdout_when_path_is_none(capsys):
     assert write_jsonl(None, [{"id": 1}], meta={"command": "derive"}) == 1
     assert capsys.readouterr().out == '{"_meta": {"command": "derive"}}\n{"id": 1}\n'
+
+
+def test_stdout_gets_utf8_whatever_the_io_encoding():
+    # Every output file holds UTF-8, so standard output does too, also
+    # outside a stage and under a locale that cannot encode the row.
+    probe = "from fintag.jsonl import write_jsonl; write_jsonl(None, [{'id': '\u00e9\u20ac'}])"
+    out = subprocess.run([sys.executable, "-c", probe], env=checkout_env(PYTHONIOENCODING="ascii"),
+                         capture_output=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == '{"id": "\u00e9\u20ac"}\n'.encode("utf-8")
+
+
+def test_a_write_that_raises_leaves_a_fifo_reader_nothing(tmp_path):
+    # The rows raise after two 64-row batches are written: none of them
+    # may reach the reader, and no temporary file may stay behind.
+    def rows():
+        for i in range(130):
+            yield {"id": i, "text": "Sales rose."}
+        raise RuntimeError("the rows failed")
+
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(RuntimeError, match="the rows failed"):
+            write_jsonl(str(fifo), rows())
+        assert os.read(reader, 1 << 20) == b""
+    finally:
+        os.close(reader)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
 
 _TABLE = {"id": (str, int), "text": str, "note": (str, type(None)), "any": object}

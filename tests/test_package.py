@@ -155,6 +155,29 @@ def test_only_the_jsonl_module_spells_the_meta_key():
     assert spelled == {"jsonl.py"}
 
 
+def test_only_the_jsonl_module_writes_standard_output():
+    # A stage's standard output gets only the UTF-8 copy `open_output`
+    # holds for it; a module that names `sys.stdout`, or prints without
+    # `file=sys.stderr`, writes around that copy, in the locale's encoding.
+    def is_sys(node, attr):
+        return isinstance(node, ast.Attribute) and node.attr == attr and getattr(node.value, "id", None) == "sys"
+
+    package = Path(fintag.__file__).parent
+    naming, prints, to_stdout = set(), 0, []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if is_sys(node, "stdout") or (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                                          and any(alias.name == "stdout" for alias in node.names)):
+                naming.add(path.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                prints += 1
+                if not any(kw.arg == "file" and is_sys(kw.value, "stderr") for kw in node.keywords):
+                    to_stdout.append(f"{path.name}:{node.lineno}")
+    assert naming == {"jsonl.py"}
+    assert prints > 0  # the scan sees the package's prints
+    assert to_stdout == []
+
+
 def test_only_the_taxonomy_module_spells_a_kind_name():
     # Every other spelling of a kind or a FAVA label (tag names, row titles,
     # column labels, config keys) is derived from the taxonomy's rows; a
