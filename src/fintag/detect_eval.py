@@ -11,6 +11,7 @@ the gold kind, keeping per-kind columns independent.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -22,6 +23,7 @@ from .markup import (
     TaggedDocument,
     TagSpan,
     Text,
+    check_labels,
     derive_erroneous,
     label_of,
     parse,
@@ -150,22 +152,28 @@ class BinaryCounts(KindCounts):
 
 
 class DetectionReport(Tally):
-    __slots__ = ("per_kind", "overall", "binary", "unparseable", "labels")
+    __slots__ = ("per_kind", "binary", "unparseable", "labels")
 
     def __init__(
         self,
         per_kind: dict,
-        overall: KindCounts,
         binary: BinaryCounts,
         unparseable: int = 0,
         labels: tuple = DEFAULT_LABELS,
     ) -> None:
-        self.per_kind, self.overall, self.binary = per_kind, overall, binary
+        self.per_kind, self.binary = defaultdict(KindCounts, per_kind), binary
         self.unparseable, self.labels = unparseable, labels
 
     @classmethod
     def empty(cls, labels: tuple = DEFAULT_LABELS) -> DetectionReport:
-        return cls({label: KindCounts() for label in labels}, KindCounts(), BinaryCounts(), 0, labels)
+        return cls({label: KindCounts() for label in labels}, BinaryCounts(), 0, labels)
+
+    @property
+    def overall(self) -> KindCounts:
+        """The micro aggregate: every `per_kind` column summed, a label
+        outside `labels` included."""
+        cols = self.per_kind.values()
+        return KindCounts(sum(c.tp for c in cols), sum(c.fp for c in cols), sum(c.fn for c in cols))
 
     def macro_overall(self) -> tuple[float, float, float]:
         """Unweighted mean of per-kind precision/recall, F1 from those.
@@ -231,33 +239,18 @@ def score(
     Binary is passage-level: positive iff a document contains any tag.
     """
     report = DetectionReport.empty(labels) if into is None else into
-    per_kind = report.per_kind
-
-    def bucket(kind) -> KindCounts:
-        label = label_of(kind)
-        counts = per_kind.get(label)
-        if counts is None:
-            counts = per_kind[label] = KindCounts()
-        return counts
-
-    tp = 0
+    per_kind, binary = report.per_kind, report.binary
     for g, p, type_equal in match.pairs:
         if type_equal:
-            bucket(g.kind).tp += 1
-            tp += 1
+            per_kind[label_of(g.kind)].tp += 1
         else:
-            bucket(p.kind).fp += 1
-            bucket(g.kind).fn += 1
+            per_kind[label_of(p.kind)].fp += 1
+            per_kind[label_of(g.kind)].fn += 1
     for g in match.unmatched_gold:
-        bucket(g.kind).fn += 1
+        per_kind[label_of(g.kind)].fn += 1
     for p in match.unmatched_pred:
-        bucket(p.kind).fp += 1
+        per_kind[label_of(p.kind)].fp += 1
 
-    overall, binary = report.overall, report.binary
-    mistyped = len(match.pairs) - tp
-    overall.tp += tp
-    overall.fp += mistyped + len(match.unmatched_pred)
-    overall.fn += mistyped + len(match.unmatched_gold)
     gold_pos, pred_pos = gold_doc.has_tags, pred_doc.has_tags
     if gold_pos and pred_pos:
         binary.tp += 1
@@ -268,15 +261,6 @@ def score(
     else:
         binary.tn += 1
     return report
-
-
-def _check_labels(labels: tuple) -> None:
-    """Refuse a label set with a label that is no tag name (ASCII letters
-    only): `parse` reads such a label as plain text, so its column could
-    never score."""
-    bad = [label for label in labels if not (label.isascii() and label.isalpha())]
-    if bad:
-        raise ValueError(f"labels must be tag names of ASCII letters: {', '.join(map(repr, bad))}")
 
 
 def evaluate_corpus(
@@ -296,7 +280,7 @@ def evaluate_corpus(
     whatever survived. A label that is no tag name raises `ValueError`
     before any row is read.
     """
-    _check_labels(labels)
+    check_labels(labels)
     report = DetectionReport.empty(labels)
     # Gold rows are read, their replies fetched, then both scored into the
     # running totals, a batch at a time.
@@ -326,7 +310,7 @@ def read_gold_documents(
     set `labels` (see `parse`). A repeated id raises `ValueError` naming
     both lines (see `unique_ids`); a label that is no tag name, before
     any row is read."""
-    _check_labels(labels)
+    check_labels(labels)
     rows = read_jsonl(path, fields={"id": (str, int), "target": str})
     for _, rid, target in unique_ids(path, ((n, obj["id"], obj["target"]) for n, obj, _ in rows)):
         yield rid, parse(target, Form.TARGET_OUTPUT, labels=labels).document

@@ -39,7 +39,6 @@ from .patterns import (
     sentence_spans,
 )
 from .prompts import INSERTION_PROMPT_TEMPLATE, INSERTION_SYSTEM_PROMPT, strip_reply_envelope
-from .quality import fix
 from .records import TaggedRecord
 from .taxonomy import KINDS, ErrorType
 
@@ -201,10 +200,7 @@ def _perturb_number_token(token: str, rng: random.Random) -> str | None:
         formatted = _format_like(candidate, decimals, grouped)
         if formatted != core:
             return prefix + formatted + suffix
-    bumped = _format_like(value + 10 ** -decimals, decimals, grouped)
-    if bumped == core:
-        return None
-    return prefix + bumped + suffix
+    return prefix + _format_like(value + 10 ** -decimals, decimals, grouped) + suffix
 
 
 def _shift_year(year: str, rng: random.Random) -> str:
@@ -654,6 +650,7 @@ def insert_llm(
     extra attempts, or ClientError on transport failure.
     """
     from .llm_client import CompletionRequest
+    from .quality import fix
 
     rid = record_id if record_id is not None else f"llm-{plan.seed}"
     provenance = client.name or "llm"

@@ -167,9 +167,21 @@ class ParseResult(NamedTuple):
     warnings: tuple
 
 
-# Anything shaped like a simple tag (groups: "/" or "", and the name), told
-# known or unknown by the active tag set. Bare "<" or "<3.5>" is text.
-_TAG_CANDIDATE_RE = re.compile(r"<(/?)([A-Za-z]+)>")
+# A tag name: ASCII letters only. Anything shaped like a simple tag (groups:
+# "/" or "", and the name) is told known or unknown by the active tag set.
+# Bare "<" or "<3.5>" is text.
+_TAG_NAME = "[A-Za-z]+"
+_TAG_NAME_RE = re.compile(_TAG_NAME)
+_TAG_CANDIDATE_RE = re.compile(rf"<(/?)({_TAG_NAME})>")
+
+
+def check_labels(labels: tuple) -> None:
+    """Refuse a label set with a label that is no tag name (ASCII letters
+    only): `parse` reads such a label as plain text, so a column of it
+    could never score."""
+    bad = [label for label in labels if not _TAG_NAME_RE.fullmatch(label)]
+    if bad:
+        raise ValueError(f"labels must be tag names of ASCII letters: {', '.join(map(repr, bad))}")
 
 
 class _Demote(Exception):
@@ -230,7 +242,7 @@ _WHOLE_TAG_RE = re.compile(
             | <mark>([^<]*)</mark>\s*<delete>([^<]*)</delete>
         )\s*</\1>
         | ([a-z]+)>([^<]*)</\6>
-        | (/?)([A-Za-z]+)>
+        | (/?)({_TAG_NAME})>
     )""",
     re.VERBOSE,
 )

@@ -190,14 +190,8 @@ def fix(
     if not issues:
         return FixOutcome(record, (), ())
 
-    by_index: dict[int, QualityIssue] = {}
-    for issue in issues:
-        if issue.segment_index is not None:
-            # IdenticalText wins over IncorrectType on the same segment.
-            prior = by_index.get(issue.segment_index)
-            if prior is None or issue.kind is IssueKind.IDENTICAL_TEXT:
-                by_index[issue.segment_index] = issue
-
+    # Each fixable issue names its segment, and a segment has one issue.
+    by_index = {issue.segment_index: issue for issue in issues}
     new_segments: list = []
     for idx, seg in enumerate(record.doc.segments):
         issue = by_index.get(idx)

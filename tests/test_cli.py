@@ -150,7 +150,8 @@ def _stage_argv(tmp_path, stage):
          ("insertion", "quality", "corpus", "detect_eval", "llm_client", *_STDLIB_WATCHED)),
         ("fix", "quality",
          ("insertion", "corpus", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
-        ("insert", "insertion", ("detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
+        ("insert", "insertion",
+         ("quality", "detect_eval", "edit_eval", "llm_client", *_STDLIB_WATCHED)),
         ("split", "partition",
          ("corpus", "quality", "markup", "patterns", "prompts", "taxonomy", "logging", "hashlib",
           "_hashlib", "dataclasses")),

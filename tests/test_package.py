@@ -247,3 +247,39 @@ def test_readme_library_example_runs_as_its_comments_say():
     assert names["erroneous"] == "Revenue fell in 2020."
     assert names["original"] == "Revenue rose in 2020."
     assert "<mark>rose</mark>" in names["target"]  # the correction
+
+
+def _resolve(module: str, dotted: str):
+    """The object `dotted` names in `module`; a name that is a submodule
+    of it, such as `cli`, is imported as one."""
+    obj = importlib.import_module(module)
+    for part in dotted.split("."):
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            obj = importlib.import_module(f"{obj.__name__}.{part}")
+    return obj
+
+
+def test_every_name_the_benchmark_reaches_resolves():
+    # The benchmark traces the functions its tracer's LAYERS names and
+    # imports others from the package; a name renamed or removed here
+    # would otherwise fail only in a traced run. Its files are only read.
+    bench = Path(__file__).parents[1] / "bench"
+    names = []
+    for path in sorted([*bench.glob("*.py"), *bench.glob("tests/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets):
+                layers = ast.literal_eval(node.value)
+                names += [(f"fintag.{mod}", fn) for mod, fns in layers.items() for fn in fns]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fintag":
+                names += [(node.module, alias.name) for alias in node.names]
+    assert ("fintag.llm_client", "LlmClient.cached_complete") in names  # the scan sees the tracer
+    assert ("fintag", "cli") in names
+    missing = []
+    for module, dotted in names:
+        try:
+            _resolve(module, dotted)
+        except ImportError:
+            missing.append(f"{module}:{dotted}")
+    assert missing == []

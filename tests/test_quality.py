@@ -136,9 +136,11 @@ def test_tag_tokens_inside_an_edit_span_discard_the_record():
 
 
 _SPAN_TEXTS = st.sampled_from(["", " ", "1", " 2019", "$1,204", "41.2%", "Q3 2019", "March 2020", "fiscal 2019",
-                               "increased", "decreased", "rose", "fell", "Apple", "Atlas Energy", "1<entity>x"])
+                               "increased", "decreased", "rose", "fell", "Apple", "Atlas Energy", "1<entity>x",
+                               "y> up"])
 _PIECES = st.one_of(
-    st.sampled_from(["Sales were ", "Revenue rose. ", " in ", ".", "\n", " ", "up 3% ", "Q3 2019 ", "<mark>"]),
+    st.sampled_from(["Sales were ", "Revenue rose. ", " in ", ".", "\n", " ", "up 3% ", "Q3 2019 ", "<mark>",
+                     "Sales <entit"]),
     st.builds(lambda kind, a, b: f"<{kind}><delete>{a}</delete><mark>{b}</mark></{kind}>",
               st.sampled_from([row.kind.value for row in KINDS if row.editable]), _SPAN_TEXTS, _SPAN_TEXTS),
     st.builds(lambda kind, text: f"<{kind}>{text}</{kind}>",
@@ -147,21 +149,54 @@ _PIECES = st.one_of(
 )
 
 
+def _repaired(record: TaggedRecord, issues) -> TaggedRecord:
+    """`record` with each fixable issue's repair made: an identical edit
+    unwrapped to its original text, a mistyped one relabelled as its spans
+    classify."""
+    repairs = {issue.segment_index: issue.kind for issue in issues}
+    segments = []
+    for idx, seg in enumerate(record.doc.segments):
+        if repairs.get(idx) is IssueKind.IDENTICAL_TEXT:
+            seg = Text(seg.original_text)
+        elif repairs.get(idx) is IssueKind.INCORRECT_TYPE:
+            seg = seg._replace(kind=classify_span_type(seg.original_text, seg.error_text)[0])
+        segments.append(seg)
+    return record._replace(doc=TaggedDocument(tuple(segments), record.doc.form))
+
+
 @settings(max_examples=300, deadline=None)
 @given(pieces=st.lists(_PIECES, min_size=1, max_size=8),
        original=st.sampled_from([None, "Sales were 1 units.", ""]))
+@example(pieces=["Sales <entit", "<numerical><delete>y> up</delete><mark>y> up</mark></numerical>"],
+         original=None)
 def test_fix_keeps_a_passing_record_or_discards_it_for_its_unfixable_issues(pieces, original):
-    # `fix` also discards a record whose repairs leave an issue. A relabel
-    # takes the kind its spans classify as, and an unwrap keeps the
-    # original text, so neither changes what `check` reads otherwise: no
-    # parsed record has been seen to reach that bail-out.
+    # A record with an unfixable issue is discarded for those issues. One
+    # whose issues are all fixable is discarded only when its repaired
+    # record still fails `check`, for the unfixable issues found there.
     doc, warnings = parse("".join(pieces))
     record = TaggedRecord("r", derive_original(doc) if original is None else original, doc, "test")
     outcome = fix(record, warnings)
+    unfixable = tuple(issue for issue in outcome.issues if not issue.fixable)
     if outcome.fixed:
         assert check(outcome.record) == []
+    elif unfixable:
+        assert outcome.reasons == unfixable
     else:
-        assert outcome.reasons == tuple(issue for issue in outcome.issues if not issue.fixable)
+        assert outcome.reasons and not any(issue.fixable for issue in outcome.reasons)
+        assert list(outcome.reasons) == check(_repaired(record, outcome.issues))
+
+
+def test_a_repair_that_merges_text_into_a_tag_token_discards_the_record():
+    # Unwrapping the identical edit joins "Sales <entit" and "y> up" into a
+    # text that holds "<entity>", which the re-check of the repair finds.
+    tagged = "Sales <entit<numerical><delete>y> up</delete><mark>y> up</mark></numerical> today."
+    doc, warnings = parse(tagged)
+    outcome = fix(TaggedRecord("r", derive_original(doc), doc, "test"), warnings)
+    assert not outcome.fixed
+    assert [issue.kind for issue in outcome.issues] == [IssueKind.IDENTICAL_TEXT]
+    assert [(issue.kind, issue.detail) for issue in outcome.reasons] == [
+        (IssueKind.INVALID_FORMAT, "tag tokens embedded in plain text")
+    ]
 
 
 class TestClassifier:
