@@ -6,7 +6,28 @@ two hash seeds.
 among them, a few whose evidence does not ground the response) was written
 once from `conftest`'s passage generators, and `data/golden_edit_rows.jsonl`
 once from every third of the chain's pairs, so neither moves when a
-generator changes. A change that moves an output on purpose updates
+generator changes.
+
+`data/golden_defects.jsonl` (258 records, which `validate` and `fix`
+read) was written once to reach every path of the quality gate. From
+`random.Random(35)`, each `make_passage` passage was inserted by
+`insert_rule_based` under `plan_errors(passage, InserterConfig(
+clean_probability=0.0, tokens_per_error=20), seed=n)` and given, from the
+same generator, the next construct of a cycle of 17: none; an identical
+edit; a confidently classified edit relabelled; both, on two edits; an
+empty delete or mark span; an empty statement; a statement holding tag
+tokens; an unclosed opener, a stray closer or child, or an unknown tag
+put between two words of the text; a tag token in a mark span; the first
+`</mark>` or `</delete>` dropped; an edit left with its delete only; a
+character of the original changed; an identical edit with a sentence
+added to the original; an edit in mark-first order; the original
+respaced. A passage with no site for its construct was skipped. Three
+records follow verbatim: the repair that merges text into a tag token,
+and the two constructs `fix --tally` counts twice, an unclosed opener in
+text and a tag token in a delete span. Provenance cycles through
+`model-a`, `model-b`, `model-c` and none.
+
+A change that moves an output on purpose updates
 `data/golden_manifest.json` and names each changed file, and why; a
 difference is never hidden by writing the manifest or the cache anew.
 
@@ -45,6 +66,7 @@ from conftest import checkout_env
 DATA = Path(__file__).parent / "data"
 QA = str(DATA / "golden_qa.jsonl")
 EDIT_ROWS = str(DATA / "golden_edit_rows.jsonl")
+DEFECTS = str(DATA / "golden_defects.jsonl")
 LLM_INI = str(DATA / "golden_llm.ini")
 LLM_CACHE = DATA / "golden_llm_cache.jsonl"
 
@@ -53,6 +75,9 @@ _BUILD = [
      "--sources-out", "sources.json"],
     ["fix", "--input", "records.jsonl", "--output", "fixed.jsonl", "--discarded", "discarded.jsonl",
      "--tally", "tally.json", "--seed", "7"],
+    ["validate", "--input", DEFECTS, "--output", "defects-issues.json"],
+    ["fix", "--input", DEFECTS, "--output", "defects-fixed.jsonl", "--discarded", "defects-discarded.jsonl",
+     "--tally", "defects-tally.json", "--seed", "7"],
     ["pairs", "--records", "fixed.jsonl", "--qa", QA, "--output", "pairs.jsonl", "--source", "golden"],
     ["split", "--input", "pairs.jsonl", "--train-out", "train.jsonl", "--val-out", "val.jsonl",
      "--ratio", "0.8", "--seed", "7"],
