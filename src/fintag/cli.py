@@ -170,6 +170,15 @@ def _section_kwargs(path: str, section, cls, derived: str, extra: dict | None = 
     return kwargs
 
 
+def _section_value(path: str, section: str, cls, kwargs: dict):
+    """`cls(**kwargs)`, built from one INI section; a value it refuses is
+    reported with the file and the section."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [{section}] {exc}") from None
+
+
 def _inserter_config(cp, path: str | None):
     from .insertion import InserterConfig
     from .taxonomy import KINDS
@@ -183,7 +192,7 @@ def _inserter_config(cp, path: str | None):
     weights = {kind: kwargs.pop(key) for key, kind in weight_keys.items() if key in kwargs}
     if weights:
         kwargs["type_weights"] = weights
-    return InserterConfig(**kwargs)
+    return _section_value(path, "inserter", InserterConfig, kwargs)
 
 
 def _client_profiles(cp, path: str | None) -> list:
@@ -191,10 +200,8 @@ def _client_profiles(cp, path: str | None) -> list:
 
     unset = {"endpoint": "", "model": ""}  # fields with no default
     return [
-        ClientProfile(
-            name=section.split(":", 1)[1],
-            **unset | _section_kwargs(path, cp[section], ClientProfile, "name"),
-        )
+        _section_value(path, section, ClientProfile, {"name": section.split(":", 1)[1]} | unset
+                       | _section_kwargs(path, cp[section], ClientProfile, "name"))
         for section in cp.sections()
         if section.startswith("client:")
     ]

@@ -69,6 +69,9 @@ class InserterConfig(Validated, _ConfigFields):
             raise ValueError("clean_probability must be in [0, 1]")
         if not self.type_weights or any(w <= 0 for w in self.type_weights.values()):
             raise ValueError("type weights must be positive")
+        for kind, weight in self.type_weights.items():
+            if not math.isfinite(weight):
+                raise ValueError(f"the type weight of {kind.value} must be finite, not {weight}")
         if self.tokens_per_error < 1 or self.max_errors < 1:
             raise ValueError("tokens_per_error and max_errors must be >= 1")
         return self

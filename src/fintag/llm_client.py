@@ -16,6 +16,7 @@ files).
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -83,6 +84,9 @@ class ClientProfile(Validated, _ProfileFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        for name in ("timeout", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         return self

@@ -100,32 +100,15 @@ def check(record: TaggedRecord, parse_warnings: Iterable[ParseWarning] = ()) -> 
     surface as InvalidFormat; a structural scan additionally catches tag
     tokens trapped in contents even when warnings are unavailable.
     """
-    issues: list[QualityIssue] = []
-    for w in parse_warnings:
-        if w.category == "demoted":
-            issues.append(QualityIssue(IssueKind.INVALID_FORMAT, None, w.message))
-
+    issues = [
+        QualityIssue(IssueKind.INVALID_FORMAT, None, w.message)
+        for w in parse_warnings
+        if w.category == "demoted"
+    ]
     for idx, seg in enumerate(record.doc.segments):
-        if isinstance(seg, Text):
-            if contains_tag_token(seg.content):
-                issues.append(
-                    QualityIssue(
-                        IssueKind.INVALID_FORMAT, idx, "tag tokens embedded in plain text"
-                    )
-                )
-        elif isinstance(seg, Statement):
-            if not seg.content.strip():
-                issues.append(
-                    QualityIssue(IssueKind.INVALID_FORMAT, idx, "empty statement tag")
-                )
-            elif contains_tag_token(seg.content):
-                issues.append(
-                    QualityIssue(
-                        IssueKind.INVALID_FORMAT, idx, "tag tokens inside statement content"
-                    )
-                )
-        else:
-            issues.extend(_check_edit(idx, seg))
+        found = _segment_issue(seg)
+        if found is not None:
+            issues.append(QualityIssue(found[0], idx, found[1]))
 
     # Reconstruction is only meaningful for structurally valid markup.
     if not any(i.kind is IssueKind.INVALID_FORMAT for i in issues):
@@ -141,38 +124,31 @@ def check(record: TaggedRecord, parse_warnings: Iterable[ParseWarning] = ()) -> 
     return issues
 
 
-def _check_edit(idx: int, seg: Edit) -> list[QualityIssue]:
-    issues: list[QualityIssue] = []
-    if not seg.original_text.strip() or not seg.error_text.strip():
-        issues.append(
-            QualityIssue(IssueKind.INVALID_FORMAT, idx, "empty delete/mark span")
-        )
-        return issues
+def _segment_issue(seg: Text | Statement | Edit) -> tuple[IssueKind, str] | None:
+    """The kind and detail of a segment's first issue, or None: a segment
+    carries at most one issue, which `fix` relies on."""
+    if isinstance(seg, Text):
+        if contains_tag_token(seg.content):
+            return IssueKind.INVALID_FORMAT, "tag tokens embedded in plain text"
+        return None
+    if isinstance(seg, Statement):
+        if not seg.content.strip():
+            return IssueKind.INVALID_FORMAT, "empty statement tag"
+        if contains_tag_token(seg.content):
+            return IssueKind.INVALID_FORMAT, "tag tokens inside statement content"
+        return None
+    original, error = seg.original_text.strip(), seg.error_text.strip()
+    if not original or not error:
+        return IssueKind.INVALID_FORMAT, "empty delete/mark span"
     if contains_tag_token(seg.original_text) or contains_tag_token(seg.error_text):
-        issues.append(
-            QualityIssue(IssueKind.INVALID_FORMAT, idx, "tag tokens inside edit spans")
-        )
-        return issues
-    if seg.original_text.strip() == seg.error_text.strip():
+        return IssueKind.INVALID_FORMAT, "tag tokens inside edit spans"
+    if original == error:
         # Identical spans carry no type signal; skip classification.
-        issues.append(
-            QualityIssue(
-                IssueKind.IDENTICAL_TEXT,
-                idx,
-                f"marked and deleted spans are both {seg.original_text.strip()!r}",
-            )
-        )
-        return issues
+        return IssueKind.IDENTICAL_TEXT, f"marked and deleted spans are both {original!r}"
     guessed, confidence = classify_span_type(seg.original_text, seg.error_text)
     if guessed is not seg.kind and confidence >= CONFIDENCE_THRESHOLD:
-        issues.append(
-            QualityIssue(
-                IssueKind.INCORRECT_TYPE,
-                idx,
-                f"tag says {seg.kind.value}, spans look {guessed.value}",
-            )
-        )
-    return issues
+        return IssueKind.INCORRECT_TYPE, f"tag says {seg.kind.value}, spans look {guessed.value}"
+    return None
 
 
 def fix(
@@ -190,20 +166,17 @@ def fix(
     if not issues:
         return FixOutcome(record, (), ())
 
-    # Each fixable issue names its segment, and a segment has one issue.
-    by_index = {issue.segment_index: issue for issue in issues}
-    new_segments: list = []
-    for idx, seg in enumerate(record.doc.segments):
-        issue = by_index.get(idx)
-        if issue is None:
-            new_segments.append(seg)
-        elif issue.kind is IssueKind.IDENTICAL_TEXT:
-            new_segments.append(Text(seg.original_text))
+    # Every issue left is fixable, and names its segment.
+    segments = list(record.doc.segments)
+    for issue in issues:
+        seg = segments[issue.segment_index]
+        if issue.kind is IssueKind.IDENTICAL_TEXT:
+            segments[issue.segment_index] = Text(seg.original_text)
         else:
             guessed, _ = classify_span_type(seg.original_text, seg.error_text)
-            new_segments.append(seg._replace(kind=guessed))
+            segments[issue.segment_index] = seg._replace(kind=guessed)
 
-    fixed = record._replace(doc=TaggedDocument(tuple(new_segments), record.doc.form))
+    fixed = record._replace(doc=TaggedDocument(tuple(segments), record.doc.form))
     residue = check(fixed)
     if residue:  # repairs must converge; bail out rather than loop
         return FixOutcome(None, (), tuple(residue), issues)
@@ -214,12 +187,7 @@ class QualityTally:
     """Issue counts per provenance, in the shape of a fixable/unfixable
     error-insertion audit table."""
 
-    _COLUMNS = (
-        IssueKind.INCORRECT_TYPE,
-        IssueKind.IDENTICAL_TEXT,
-        IssueKind.INVALID_FORMAT,
-        IssueKind.INCONSISTENT_CONTENT,
-    )
+    _COLUMNS = tuple(IssueKind)
     _HEADERS = ("Inc. Typ.", "Ide. Tex.", "Inv. For.", "Inc. Con.", "Tot. Unf.")
 
     def __init__(self) -> None:
@@ -250,9 +218,7 @@ class QualityTally:
         lines = ["Model".ljust(width) + "  ".join(h.rjust(9) for h in self._HEADERS)]
         for prov in sorted(self.counts):
             bucket = self.counts[prov]
-            unfixable = bucket.get(IssueKind.INVALID_FORMAT, 0) + bucket.get(
-                IssueKind.INCONSISTENT_CONTENT, 0
-            )
-            cells = [bucket.get(kind, 0) for kind in self._COLUMNS] + [unfixable]
+            unfixable = sum(bucket[kind] for kind in self._COLUMNS if kind not in _FIXABLE)
+            cells = [bucket[kind] for kind in self._COLUMNS] + [unfixable]
             lines.append(prov.ljust(width) + "  ".join(str(c).rjust(9) for c in cells))
         return "\n".join(lines)

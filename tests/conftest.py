@@ -1,6 +1,6 @@
 """Shared fixtures: the worked-example passage quartet, the quality-gate
 defect exemplars, a synthetic financial passage generator, and the
-exhaustive brute-force matching oracle used to validate the scorer."""
+exhaustive brute-force matching oracles used to validate the scorer."""
 
 from __future__ import annotations
 
@@ -286,6 +286,30 @@ def oracle_counts(gold_spans, pred_spans) -> dict:
         if pi not in matched_p:
             bucket(p.kind)["fp"] += 1
     return counts
+
+
+def overlapping_pairs(gold_spans, pred_spans) -> list:
+    """Every (gi, pi) whose spans share a character or are identical (so
+    that an empty span pairs with its twin): the pairs an alignment may
+    match."""
+    return [
+        (gi, pi)
+        for gi, g in enumerate(gold_spans)
+        for pi, p in enumerate(pred_spans)
+        if min(g.end, p.end) > max(g.start, p.start) or (g.start, g.end) == (p.start, p.end)
+    ]
+
+
+def best_true_positives(gold_spans, pred_spans) -> int:
+    """The most true positives (matched pairs of one label) over every
+    one-to-one matching of overlapping spans, found by enumerating them."""
+    overlaps: dict[int, list] = {}
+    for gi, pi in overlapping_pairs(gold_spans, pred_spans):
+        overlaps.setdefault(gi, []).append(pi)
+    return max(
+        sum(label_of(gold_spans[gi].kind) == label_of(pred_spans[pi].kind) for gi, pi in matching)
+        for matching in _all_matchings(len(gold_spans), overlaps)
+    )
 
 
 def random_spans(rng: random.Random, labels, max_tags: int = 6, length: int = 120):

@@ -251,6 +251,12 @@ _CLIENT = "[client:a]\nendpoint = x\nmodel = m\n"
         pytest.param(_INI + ["--mode", "llm"],
                      {"qa.jsonl": [_QA], "fintag.ini": "[client:a]\nendpoint = x\nmodle = m\n"},
                      "fintag.ini", "[client:a] unknown key 'modle'", id="ini-client-key"),
+        *(pytest.param(_INI, {"qa.jsonl": [_QA], "fintag.ini": f"[inserter]\nweight.numerical = {v}\n"},
+                       "fintag.ini", f"[inserter] the type weight of numerical must be finite, not {v}",
+                       id=f"ini-weight-{v}") for v in ("nan", "inf")),
+        *(pytest.param(_INI + ["--mode", "llm"], {"qa.jsonl": [_QA], "fintag.ini": _CLIENT + f"{k} = {v}\n"},
+                       "fintag.ini", f"[client:a] {k} must be finite, not {v}", id=f"ini-{k}-{v}")
+          for k, v in (("timeout", "inf"), ("timeout", "nan"), ("temperature", "nan"))),
     ],
 )
 def test_bad_input_exits_1_naming_where(tmp_path, capsys, argv, files, where, reason):

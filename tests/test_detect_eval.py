@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WORKED_TARGET, oracle_counts, random_spans
+from conftest import WORKED_TARGET, best_true_positives, oracle_counts, overlapping_pairs, random_spans
 from fintag.cli import dispatch
 from fintag.detect_eval import (
     align,
@@ -245,6 +245,41 @@ class TestScore:
         rev = evaluate_corpus({"b": gold_b, "a": gold_a}, pred)
         assert fwd.binary == rev.binary
         assert fwd.to_json() == rev.to_json()
+
+
+class TestBestMatching:
+    """The greedy alignment against the best one-to-one matching: the most
+    true positives that any matching of overlapping spans finds."""
+
+    @staticmethod
+    def _true_positives(gold, pred) -> int:
+        pairs, _, _ = align_spans(gold, pred)
+        return sum(type_equal for *_, type_equal in pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gold=_span_lists(DEFAULT_LABELS), pred=_span_lists(DEFAULT_LABELS))
+    def test_greedy_is_best_where_no_span_overlaps_two(self, gold, pred):
+        greedy, best = self._true_positives(gold, pred), best_true_positives(gold, pred)
+        assert greedy <= best
+        pairs = overlapping_pairs(gold, pred)
+        if len({gi for gi, _ in pairs}) == len(pairs) == len({pi for _, pi in pairs}):
+            assert greedy == best
+
+    def test_greedy_can_miss_a_same_kind_match(self):
+        # The reply overlaps the numerical span more than the temporal one,
+        # so greedy pairs it there (tp 0); pairing it with the temporal
+        # span would score tp 1. Pinned as the scorer has it.
+        gold = [_span(ErrorType.NUMERICAL, 0, 10), _span(ErrorType.TEMPORAL, 10, 14)]
+        pred = [_span(ErrorType.TEMPORAL, 5, 13)]
+        assert align_spans(gold, pred) == (((gold[0], pred[0], False),), (gold[1],), ())
+        assert self._true_positives(gold, pred) == 0
+        assert best_true_positives(gold, pred) == 1
+        from fintag.detect_eval import MatchSet
+
+        doc = TaggedDocument((Text("x"),))
+        per_kind = score(MatchSet(*align_spans(gold, pred)), doc, doc).per_kind
+        assert [(per_kind[label].tp, per_kind[label].fp, per_kind[label].fn)
+                for label in ("numerical", "temporal")] == [(0, 0, 1), (0, 1, 1)]
 
 
 class TestOracleEquivalence:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -88,6 +89,12 @@ class TestPlanErrors:
     def test_empty_passage_rejected(self):
         with pytest.raises(ValueError):
             plan_errors("   ")
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_config_refuses_a_non_finite_weight(self, weight):
+        weights = {ErrorType.NUMERICAL: weight, ErrorType.ENTITY: 1.0}
+        with pytest.raises(ValueError, match=f"^the type weight of numerical must be finite, not {weight}$"):
+            InserterConfig(type_weights=weights)
 
     def test_plan_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import contextlib
 import gc
 import itertools
 import json
+import math
 import os
 import re
 import socket
@@ -152,6 +153,14 @@ class TestComplete:
             _profile(max_in_flight=0)
         with pytest.raises(ValueError):
             _profile(timeout=0)
+
+    @pytest.mark.parametrize("field, value", [("timeout", math.inf), ("timeout", math.nan),
+                                              ("temperature", math.nan), ("temperature", -math.inf)])
+    def test_profile_refuses_a_non_finite_number(self, field, value):
+        # An infinite timeout would reach `socket.settimeout` and a NaN
+        # temperature the request body; neither is a setting.
+        with pytest.raises(ValueError, match=f"^{field} must be finite, not {value}$"):
+            _profile(**{field: value})
 
 
 class TestCache:

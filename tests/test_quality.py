@@ -459,18 +459,61 @@ def test_fix_and_tally_account_for_exactly_the_injected_defects(data, seed, kind
     assert Counter(issue.kind for issue in outcome.applied) == injected
 
 
+_SEGMENTS = st.one_of(
+    st.builds(Text, st.sampled_from(["Sales were ", " ", "up <mark> 3%", "a </entity> b", "<foo>"])),
+    st.builds(Statement, st.sampled_from([row.kind for row in KINDS if not row.editable]),
+              st.sampled_from(["", " ", "Sales fell.", "It <numerical>may rise."])),
+    st.builds(Edit, st.sampled_from(_EDITABLE), _SPAN_TEXTS, _SPAN_TEXTS),
+)
+_DOCUMENTS = st.one_of(
+    st.lists(_PIECES, min_size=1, max_size=8).map(lambda pieces: parse("".join(pieces))),
+    st.lists(_SEGMENTS, max_size=8).map(lambda segments: (TaggedDocument(tuple(segments)), ())),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parsed=_DOCUMENTS, original=st.sampled_from([None, "Sales were 1 units."]))
+def test_check_gives_each_segment_at_most_one_issue(parsed, original):
+    # `fix` repairs a segment by the one issue that names it.
+    doc, warnings = parsed
+    record = TaggedRecord("r", derive_original(doc) if original is None else original, doc, "test")
+    issues = check(record, warnings)
+    named = [issue.segment_index for issue in issues if issue.segment_index is not None]
+    assert len(named) == len(set(named))
+    assert all(issue.segment_index is not None for issue in issues if issue.fixable)
+
+
 def test_quality_tally_shapes():
     tally = QualityTally()
     record, warnings = _record(INCORRECT_TYPE_TAGGED, INCORRECT_TYPE_ORIGINAL, provenance="model-a")
     tally.add("model-a", check(record, warnings), discarded=False)
     record, warnings = _record(INVALID_FORMAT_TAGGED, INVALID_FORMAT_ORIGINAL, provenance="model-b")
     tally.add("model-b", check(record, warnings), discarded=True)
+    # model-a also gets one record of each other kind: the unclosed opener
+    # counts twice, as a demotion and as tag tokens in plain text.
+    for tagged, original, discarded in [
+        (IDENTICAL_TEXT_TAGGED, IDENTICAL_TEXT_ORIGINAL, False),
+        ("Revenue <numerical>rose in 2020.", "Revenue rose in 2020.", True),
+        (INCONSISTENT_CONTENT_TAGGED, INCONSISTENT_CONTENT_ORIGINAL, True),
+    ]:
+        record, warnings = _record(tagged, original, provenance="model-a")
+        tally.add("model-a", check(record, warnings), discarded=discarded)
     payload = tally.to_json()
     assert payload["model-a"]["incorrect_type"] == 1
     assert payload["model-b"]["records"] == 1
     assert payload["model-b"]["discarded"] == 1
     table = tally.format_table()
     assert "Tot. Unf." in table and "model-b" in table
+    # The statement exemplar has six demoted tag tokens and its content.
+    assert table == (
+        "Model    Inc. Typ.  Ide. Tex.  Inv. For.  Inc. Con.  Tot. Unf.\n"
+        "model-a          1          1          2          1          3\n"
+        "model-b          0          0          7          0          7"
+    )
+    for row in table.splitlines()[1:]:
+        provenance, *cells = row.split()
+        counts = payload[provenance]
+        assert int(cells[-1]) == counts["invalid_format"] + counts["inconsistent_content"]
 
 
 def test_record_jsonl_round_trip(tmp_path):
