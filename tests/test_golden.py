@@ -1,6 +1,7 @@
 """Golden digests of the chain: the sha256 of every file the CLI stages
 write from a committed QA fixture must equal a committed manifest, under
-two hash seeds.
+two hash seeds. The chain runs every stage: `derive` renders the fixed
+records in each of its three forms, original, erroneous and target.
 
 `data/golden_qa.jsonl` (300 rows, long passages and every sentence shape
 among them, a few whose evidence does not ground the response) was written
@@ -75,6 +76,8 @@ _BUILD = [
      "--sources-out", "sources.json"],
     ["fix", "--input", "records.jsonl", "--output", "fixed.jsonl", "--discarded", "discarded.jsonl",
      "--tally", "tally.json", "--seed", "7"],
+    *(["derive", "--input", "fixed.jsonl", "--form", form, "--output", f"derive-{form}.jsonl"]
+      for form in ("original", "erroneous", "target")),
     ["validate", "--input", DEFECTS, "--output", "defects-issues.json"],
     ["fix", "--input", DEFECTS, "--output", "defects-fixed.jsonl", "--discarded", "defects-discarded.jsonl",
      "--tally", "defects-tally.json", "--seed", "7"],
