@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--discarded", help="JSONL of discarded record ids and reasons")
     p.add_argument("--tally", help="JSON quality tally per provenance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="only labels the output's _meta header: fix draws nothing")
     p.set_defaults(handler=_cmd_fix)
 
     p = sub.add_parser("derive", help="render a passage form from tagged records")

@@ -1,6 +1,9 @@
 """Corpus pipeline: ingest financial QA records, filter for grounded
-responses, drive insertion, split train/validation, emit training pairs,
-and report error-type distributions.
+responses, emit training pairs, and report error-type distributions.
+
+Insertion is `insertion`'s, which `cli` calls between ingest and the
+gate; the train/validation split is `partition.split`, re-exported here
+as `corpus.split`.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ def align_spans(
     gold_spans: Sequence[TagSpan],
     pred_spans: Sequence[TagSpan],
     mode: str = "overlap",
-) -> tuple:
+) -> MatchSet:
     """Greedy one-to-one matching over candidate pairs with >=1 character
     overlap or identical spans, so that an empty span can match its twin
     (mode "exact" restricts candidates to identical spans)."""
@@ -91,7 +91,7 @@ def align_spans(
         pairs.append((g, p, label_of(g.kind) == label_of(p.kind)))
     unmatched_gold = tuple(g for i, g in enumerate(gold_spans) if i not in used_g)
     unmatched_pred = tuple(p for i, p in enumerate(pred_spans) if i not in used_p)
-    return tuple(pairs), unmatched_gold, unmatched_pred
+    return MatchSet(tuple(pairs), unmatched_gold, unmatched_pred)
 
 
 def _leading_space(doc: TaggedDocument) -> int:
@@ -113,7 +113,7 @@ def align(gold: TaggedDocument, pred: TaggedDocument, mode: str = "overlap") -> 
     if shift:
         pred_spans = [TagSpan(p.kind, p.start + shift, p.end + shift, p.error_text, p.correction)
                       for p in pred_spans]
-    return MatchSet(*align_spans(gold_spans, pred_spans, mode))
+    return align_spans(gold_spans, pred_spans, mode)
 
 
 def _rate(numer: int, denom: int) -> float:
@@ -152,21 +152,13 @@ class BinaryCounts(KindCounts):
 
 
 class DetectionReport(Tally):
+    """Detection counts under the label set `labels`, all zero at first."""
+
     __slots__ = ("per_kind", "binary", "unparseable", "labels")
 
-    def __init__(
-        self,
-        per_kind: dict,
-        binary: BinaryCounts,
-        unparseable: int = 0,
-        labels: tuple = DEFAULT_LABELS,
-    ) -> None:
-        self.per_kind, self.binary = defaultdict(KindCounts, per_kind), binary
-        self.unparseable, self.labels = unparseable, labels
-
-    @classmethod
-    def empty(cls, labels: tuple = DEFAULT_LABELS) -> DetectionReport:
-        return cls({label: KindCounts() for label in labels}, BinaryCounts(), 0, labels)
+    def __init__(self, labels: tuple = DEFAULT_LABELS) -> None:
+        self.per_kind = defaultdict(KindCounts, {label: KindCounts() for label in labels})
+        self.binary, self.unparseable, self.labels = BinaryCounts(), 0, labels
 
     @property
     def overall(self) -> KindCounts:
@@ -223,22 +215,15 @@ class DetectionReport(Tally):
         return "\n".join([header] + rows)
 
 
-def score(
-    match: MatchSet,
-    gold_doc: TaggedDocument,
-    pred_doc: TaggedDocument,
-    labels: tuple = DEFAULT_LABELS,
-    into: DetectionReport | None = None,
-) -> DetectionReport:
-    """Score one aligned document pair, into a new report or added to the
-    counts of `into`, which is returned.
+def score(match: MatchSet, report: DetectionReport) -> DetectionReport:
+    """Add the counts of one aligned document pair to `report`; return it.
 
     Per-kind: a type-equal pair is a TP of that kind; a type-unequal pair
     contributes FP to the predicted kind and FN to the gold kind; unmatched
     spans are FP/FN of their own kind. Overall micro-aggregates the kinds.
-    Binary is passage-level: positive iff a document contains any tag.
+    Binary is passage-level: a side is positive iff it has a span, matched
+    or not, so iff its document has a tag (each tag gives one span).
     """
-    report = DetectionReport.empty(labels) if into is None else into
     per_kind, binary = report.per_kind, report.binary
     for g, p, type_equal in match.pairs:
         if type_equal:
@@ -251,7 +236,8 @@ def score(
     for p in match.unmatched_pred:
         per_kind[label_of(p.kind)].fp += 1
 
-    gold_pos, pred_pos = gold_doc.has_tags, pred_doc.has_tags
+    gold_pos = match.pairs or match.unmatched_gold
+    pred_pos = match.pairs or match.unmatched_pred
     if gold_pos and pred_pos:
         binary.tp += 1
     elif gold_pos:
@@ -264,31 +250,31 @@ def score(
 
 
 def evaluate_corpus(
-    gold_docs: dict | Iterable[tuple[str, TaggedDocument]],
+    gold_docs: Iterable[tuple[str, TaggedDocument]],
     raw_predictions: dict,
     labels: tuple = DEFAULT_LABELS,
     mode: str = "overlap",
 ) -> DetectionReport:
     """Score a corpus of raw predictions against gold documents by id.
 
-    `gold_docs` maps each id to its gold document, or is an iterable of
-    `(id, document)` pairs, which is read once, in order, a batch at a
-    time (see `jsonl.batches`). `raw_predictions` maps ids to raw replies;
-    only its `get` is called, once per gold id. Gold ids with no
-    prediction are scored against an empty reply; replies with demoted
-    parse structure count toward `unparseable` but are still scored on
-    whatever survived. A label that is no tag name raises `ValueError`
-    before any row is read.
+    `gold_docs` is an iterable of `(id, document)` pairs, which is read
+    once, in order, a batch at a time (see `jsonl.batches`).
+    `raw_predictions` maps ids to raw replies; only its `get` is called,
+    once per gold id. Gold ids with no prediction are scored against an
+    empty reply; replies with demoted parse structure count toward
+    `unparseable` but are still scored on whatever survived. A label set
+    that cannot score (see `check_labels`) raises `ValueError` before any
+    row is read.
     """
     check_labels(labels)
-    report = DetectionReport.empty(labels)
+    report = DetectionReport(labels)
     # Gold rows are read, their replies fetched, then both scored into the
     # running totals, a batch at a time.
-    for batch in batches(gold_docs.items() if isinstance(gold_docs, dict) else gold_docs):
+    for batch in batches(gold_docs):
         replies = [raw_predictions.get(rid, "") for rid, _ in batch]
         for (_, gold), raw in zip(batch, replies):
             pred, warnings = parse_prediction(raw, labels)
-            score(align(gold, pred, mode), gold, pred, labels, into=report)
+            score(align(gold, pred, mode), report)
             report.unparseable += any(w.category == "demoted" for w in warnings)
         del batch, replies, gold, raw, pred, warnings  # before the next batch is drawn
     return report
@@ -308,8 +294,8 @@ def read_gold_documents(
     """Yield `(id, document)` for each row of a training-pair JSONL, in
     file order, parsing its target in target-output form under the label
     set `labels` (see `parse`). A repeated id raises `ValueError` naming
-    both lines (see `unique_ids`); a label that is no tag name, before
-    any row is read."""
+    both lines (see `unique_ids`); a label set that cannot score (see
+    `check_labels`), before any row is read."""
     check_labels(labels)
     rows = read_jsonl(path, fields={"id": (str, int), "target": str})
     for _, rid, target in unique_ids(path, ((n, obj["id"], obj["target"]) for n, obj, _ in rows)):

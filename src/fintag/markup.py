@@ -176,12 +176,16 @@ _TAG_CANDIDATE_RE = re.compile(rf"<(/?)({_TAG_NAME})>")
 
 
 def check_labels(labels: tuple) -> None:
-    """Refuse a label set with a label that is no tag name (ASCII letters
-    only): `parse` reads such a label as plain text, so a column of it
-    could never score."""
-    bad = [label for label in labels if not _TAG_NAME_RE.fullmatch(label)]
+    """Refuse a label set that cannot score: an empty one, which has no
+    column, or one with a label that is no tag name (ASCII letters only)
+    or is `delete` or `mark`, an edit's child. `parse` reads neither as a
+    tag of its own, so a column of it could never score."""
+    if not labels:
+        raise ValueError("labels must name at least one tag: none given")
+    bad = [label for label in labels if label in _CHILD_NAMES or not _TAG_NAME_RE.fullmatch(label)]
     if bad:
-        raise ValueError(f"labels must be tag names of ASCII letters: {', '.join(map(repr, bad))}")
+        names = ", ".join(map(repr, bad))
+        raise ValueError(f"labels must be tag names of ASCII letters, not delete or mark: {names}")
 
 
 class _Demote(Exception):

@@ -1,5 +1,7 @@
 """Prompt templates shared by the corpus builder, the LLM inserter, and the
-baseline evaluation path, plus the built-in few-shot exemplar pool.
+baseline evaluation path. The built-in few-shot exemplar pool, which
+fills the insertion template's `{exemplars}` unless `insert --exemplars`
+names a file, is `insertion.DEFAULT_EXEMPLARS`.
 
 The detection template is the structured prompt wrapped around every
 (reference, erroneous passage) pair, for training pairs and baseline

@@ -36,7 +36,7 @@ from conftest import (
 from fintag.cli import dispatch
 from fintag.corpus import QARecord, distribution_report
 from fintag.detect_eval import (
-    MatchSet,
+    DetectionReport,
     align_spans,
     evaluate_corpus,
     f1_from_pr,
@@ -166,7 +166,6 @@ def test_criterion_5_scorer_equals_brute_force_oracle():
         started = time.monotonic()
         rng = random.Random(1005)
         labels = list(ErrorType)
-        doc_any, _ = parse("x")
         for case in range(10_000):
             if case % 20 == 0:
                 # dense adversarial layout: everything overlaps
@@ -181,8 +180,7 @@ def test_criterion_5_scorer_equals_brute_force_oracle():
             else:
                 gold = random_spans(rng, labels)
                 pred = random_spans(rng, labels)
-            pairs, ug, up = align_spans(gold, pred)
-            report = score(MatchSet(pairs, ug, up), doc_any, doc_any)
+            report = score(align_spans(gold, pred), DetectionReport())
             got = {
                 label: {"tp": c.tp, "fp": c.fp, "fn": c.fn}
                 for label, c in report.per_kind.items()
@@ -261,7 +259,7 @@ def test_criterion_8_trivial_detection_bounds():
             gold_docs[f"t{i}"] = doc
             raw_gold[f"t{i}"] = target_text
 
-        perfect = evaluate_corpus(gold_docs, raw_gold)
+        perfect = evaluate_corpus(gold_docs.items(), raw_gold)
         assert perfect.overall.precision == 100.0
         assert perfect.overall.recall == 100.0
         assert perfect.overall.f1 == 100.0
@@ -271,7 +269,7 @@ def test_criterion_8_trivial_detection_bounds():
                 assert counts.f1 == 100.0
         assert perfect.unparseable == 0
 
-        empty = evaluate_corpus(gold_docs, {})
+        empty = evaluate_corpus(gold_docs.items(), {})
         assert empty.overall.recall == 0.0
         assert empty.binary.recall == 0.0
         for counts in empty.per_kind.values():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import WORKED_TARGET, best_true_positives, oracle_counts, overlapping_pairs, random_spans
 from fintag.cli import dispatch
 from fintag.detect_eval import (
+    DetectionReport,
     align,
     align_spans,
     evaluate_corpus,
@@ -154,7 +155,7 @@ class TestAlign:
 class TestScore:
     def test_perfect_prediction_scores_100_everywhere(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)
-        report = score(align(gold, gold), gold, gold)
+        report = score(align(gold, gold), DetectionReport())
         assert report.binary.tp == 1
         for label in ("temporal", "unverifiable"):
             assert report.per_kind[label].f1 == 100.0
@@ -163,7 +164,7 @@ class TestScore:
     def test_empty_prediction_scores_zero_recall(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)
         empty, _ = parse("", Form.TARGET_OUTPUT)
-        report = score(align(gold, empty), gold, empty)
+        report = score(align(gold, empty), DetectionReport())
         assert report.overall.recall == 0.0
         assert report.binary.fn == 1
         assert report.per_kind["temporal"].fn == 1
@@ -171,11 +172,7 @@ class TestScore:
     def test_type_confusion_counts_fp_and_fn(self):
         gold = [_span(ErrorType.ENTITY, 0, 6)]
         pred = [_span(ErrorType.RELATION, 0, 6)]
-        pairs, ug, up = align_spans(gold, pred)
-        gold_doc, _ = parse("<entity><delete>a</delete><mark>b</mark></entity>")
-        from fintag.detect_eval import MatchSet
-
-        report = score(MatchSet(pairs, ug, up), gold_doc, gold_doc)
+        report = score(align_spans(gold, pred), DetectionReport())
         assert report.per_kind["relation"].fp == 1
         assert report.per_kind["entity"].fn == 1
         assert report.overall.tp == 0
@@ -186,11 +183,7 @@ class TestScore:
         for _ in range(200):
             gold = random_spans(rng, labels)
             pred = random_spans(rng, labels)
-            pairs, ug, up = align_spans(gold, pred)
-            from fintag.detect_eval import MatchSet
-
-            doc, _ = parse("x")
-            report = score(MatchSet(pairs, ug, up), doc, doc)
+            report = score(align_spans(gold, pred), DetectionReport())
             assert report.overall.tp == sum(c.tp for c in report.per_kind.values())
             assert report.overall.fp == sum(c.fp for c in report.per_kind.values())
             assert report.overall.fn == sum(c.fn for c in report.per_kind.values())
@@ -202,13 +195,10 @@ class TestScore:
         data=st.data(),
     )
     def test_symmetry_swapping_gold_and_pred_swaps_p_and_r(self, labels, mode, data):
-        from fintag.detect_eval import MatchSet
-
         spans = _span_lists(labels)
         gold, pred = data.draw(spans), data.draw(spans)
-        doc, _ = parse("x")
-        fwd = score(MatchSet(*align_spans(gold, pred, mode)), doc, doc, labels)
-        rev = score(MatchSet(*align_spans(pred, gold, mode)), doc, doc, labels)
+        fwd = score(align_spans(gold, pred, mode), DetectionReport(labels))
+        rev = score(align_spans(pred, gold, mode), DetectionReport(labels))
         # Swapping the sides keeps every true positive and exchanges the
         # false positives with the false negatives, so P and R swap exactly.
         assert {label: (c.tp, c.fp, c.fn) for label, c in fwd.per_kind.items()} == {
@@ -217,22 +207,23 @@ class TestScore:
         assert (fwd.overall.tp, fwd.overall.fp, fwd.overall.fn) == (
             rev.overall.tp, rev.overall.fn, rev.overall.fp
         )
+        # A passage positive on one side only swaps between FP and FN too.
+        assert (fwd.binary.tp, fwd.binary.fp, fwd.binary.fn, fwd.binary.tn) == (
+            rev.binary.tp, rev.binary.fn, rev.binary.fp, rev.binary.tn
+        )
 
     def test_adding_exact_correct_prediction_never_hurts(self):
         rng = random.Random(29)
         labels = list(ErrorType)
-        doc, _ = parse("x")
-        from fintag.detect_eval import MatchSet
-
         for _ in range(300):
             gold = random_spans(rng, labels, max_tags=4)
             pred = random_spans(rng, labels, max_tags=3)
             if not gold:
                 continue
             target = rng.choice(gold)
-            before = score(MatchSet(*align_spans(gold, pred)), doc, doc)
+            before = score(align_spans(gold, pred), DetectionReport())
             pred_plus = pred + [target]
-            after = score(MatchSet(*align_spans(gold, pred_plus)), doc, doc)
+            after = score(align_spans(gold, pred_plus), DetectionReport())
             assert after.overall.tp >= before.overall.tp
             for label in before.per_kind:
                 assert after.per_kind[label].recall >= before.per_kind[label].recall - 1e-9
@@ -241,8 +232,8 @@ class TestScore:
         gold_a, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)
         gold_b, _ = parse("clean text", Form.TARGET_OUTPUT)
         pred = {"a": WORKED_TARGET, "b": "clean text"}
-        fwd = evaluate_corpus({"a": gold_a, "b": gold_b}, pred)
-        rev = evaluate_corpus({"b": gold_b, "a": gold_a}, pred)
+        fwd = evaluate_corpus([("a", gold_a), ("b", gold_b)], pred)
+        rev = evaluate_corpus([("b", gold_b), ("a", gold_a)], pred)
         assert fwd.binary == rev.binary
         assert fwd.to_json() == rev.to_json()
 
@@ -274,10 +265,7 @@ class TestBestMatching:
         assert align_spans(gold, pred) == (((gold[0], pred[0], False),), (gold[1],), ())
         assert self._true_positives(gold, pred) == 0
         assert best_true_positives(gold, pred) == 1
-        from fintag.detect_eval import MatchSet
-
-        doc = TaggedDocument((Text("x"),))
-        per_kind = score(MatchSet(*align_spans(gold, pred)), doc, doc).per_kind
+        per_kind = score(align_spans(gold, pred), DetectionReport()).per_kind
         assert [(per_kind[label].tp, per_kind[label].fp, per_kind[label].fn)
                 for label in ("numerical", "temporal")] == [(0, 0, 1), (0, 1, 1)]
 
@@ -384,7 +372,7 @@ _CUSTOM_LABELS = DEFAULT_LABELS + ("speculative",)
 class TestCorpus:
     def test_gold_as_prediction_scores_100(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)
-        report = evaluate_corpus({"a": gold}, {"a": WORKED_TARGET})
+        report = evaluate_corpus([("a", gold)], {"a": WORKED_TARGET})
         assert report.overall.f1 == 100.0
         assert report.binary.f1 == 100.0
         assert report.unparseable == 0
@@ -398,7 +386,7 @@ class TestCorpus:
     def test_gold_as_its_own_reply_scores_100(self, labels, mode, targets):
         parsed = [parse(t, Form.TARGET_OUTPUT, labels=labels) for t in targets]
         gold = {f"d{i}": doc for i, (doc, _) in enumerate(parsed)}
-        report = evaluate_corpus(gold, {f"d{i}": t for i, t in enumerate(targets)}, labels, mode)
+        report = evaluate_corpus(gold.items(), {f"d{i}": t for i, t in enumerate(targets)}, labels, mode)
         # A gold row whose own parse demoted a tag (FAVA's tags under the
         # default label set) is still a perfect reply, but an unparseable one.
         assert report.unparseable == sum(any(w.category == "demoted" for w in ws) for _, ws in parsed)
@@ -410,9 +398,25 @@ class TestCorpus:
             assert counts.f1 == (100.0 if tagged else 0.0)
         assert report.binary.tn == sum(not doc.has_tags for doc in gold.values())
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labels=st.sampled_from([DEFAULT_LABELS, FAVA_LABELS]),
+        mode=st.sampled_from(["overlap", "exact"]),
+        target=_TARGETS,
+        reply=_TARGETS,
+    )
+    def test_binary_counts_follow_whether_each_document_has_a_tag(self, labels, mode, target, reply):
+        gold = parse(target, Form.TARGET_OUTPUT, labels=labels).document
+        pred = parse_prediction(reply, labels).document
+        binary = score(align(gold, pred, mode), DetectionReport(labels)).binary
+        cell = {(True, True): "tp", (False, True): "fp", (True, False): "fn", (False, False): "tn"}
+        assert {name: getattr(binary, name) for name in cell.values()} == {
+            name: int(name == cell[gold.has_tags, pred.has_tags]) for name in cell.values()
+        }
+
     def test_unparseable_prediction_counted_but_scored(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)
-        report = evaluate_corpus({"a": gold}, {"a": "<temporal><mark>x</mark>"})
+        report = evaluate_corpus([("a", gold)], {"a": "<temporal><mark>x</mark>"})
         assert report.unparseable == 1
         assert report.binary.fn == 1
 
@@ -432,7 +436,7 @@ class TestCorpus:
             rows.append((parse(target, Form.TARGET_OUTPUT, labels=labels).document, reply))
 
         def corpus(order):
-            gold = {f"d{i}": rows[i][0] for i in order}
+            gold = [(f"d{i}", rows[i][0]) for i in order]
             return gold, {f"d{i}": rows[i][1] for i in order if rows[i][1] is not None}
 
         listed = evaluate_corpus(*corpus(range(len(rows))), labels, mode)
@@ -475,7 +479,7 @@ class TestCorpus:
                              "--match-mode", mode, "--format", "json", "--output", str(out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         del payload["meta"]
-        assert payload == evaluate_corpus(gold, replies, labels, mode).to_json()
+        assert payload == evaluate_corpus(gold.items(), replies, labels, mode).to_json()
 
         def unpaired(ids, what):
             return f"{len(ids)} {what}" + (f" (e.g. {', '.join(ids[:5])})" if ids else "")
@@ -489,7 +493,7 @@ class TestCorpus:
         raw = "ok. <invented>Entirely made-up fact.</invented> <subjective>A matter of taste.</subjective>"
         gold, warnings = parse(raw, Form.TARGET_OUTPUT, labels=FAVA_LABELS)
         assert warnings == ()
-        report = evaluate_corpus({"a": gold}, {"a": raw}, labels=FAVA_LABELS)
+        report = evaluate_corpus([("a", gold)], {"a": raw}, labels=FAVA_LABELS)
         assert report.per_kind["invented"].f1 == 100.0
         assert report.per_kind["subjective"].f1 == 100.0
 
@@ -501,7 +505,7 @@ class TestCorpus:
             Form.TARGET_OUTPUT,
         )
         raw = WORKED_TARGET + " <speculative>Rates may fall.</speculative>"
-        report = evaluate_corpus({"a": gold}, {"a": raw}, labels=_CUSTOM_LABELS)
+        report = evaluate_corpus([("a", gold)], {"a": raw}, labels=_CUSTOM_LABELS)
         assert report.unparseable == 0
         counts = report.per_kind["speculative"]
         assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
@@ -519,20 +523,28 @@ class TestCorpus:
         [(_, plain)] = read_gold_documents(path)
         assert not plain.has_tags
 
-    @pytest.mark.parametrize("extra", [("made_up",), ("",), ("spéculatif", "made_up")])
+    @pytest.mark.parametrize("extra", [("made_up",), ("",), ("spéculatif", "made_up"), ("delete",), ("mark",)])
     def test_a_label_that_is_no_tag_name_is_refused_before_any_row(self, tmp_path, extra):
-        # Such a label parses as plain text: its column could never score.
+        # Such a label, or an edit's child outside an edit, parses as plain
+        # text: its column could never score.
         labels = DEFAULT_LABELS + extra
         named = ", ".join(map(repr, extra))
         with pytest.raises(ValueError, match=re.escape(named)):
-            evaluate_corpus({"a": parse("A. B.").document}, {"a": "A. <made_up>B.</made_up>"}, labels)
+            evaluate_corpus([("a", parse("A. B.").document)], {"a": "A. <made_up>B.</made_up>"}, labels)
         # No file is opened: the check comes before the first row is read.
         with pytest.raises(ValueError, match=re.escape(named)):
             next(read_gold_documents(tmp_path / "absent.jsonl", labels))
 
+    def test_an_empty_label_set_is_refused_before_any_row(self, tmp_path):
+        # Its report has no column to average, so `to_json` would divide by 0.
+        with pytest.raises(ValueError, match="labels must name at least one tag"):
+            evaluate_corpus([("a", parse("A. B.").document)], {"a": "A. B."}, ())
+        with pytest.raises(ValueError, match="labels must name at least one tag"):
+            next(read_gold_documents(tmp_path / "absent.jsonl", ()))
+
     def test_macro_overall_flag(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)
-        report = evaluate_corpus({"a": gold}, {"a": WORKED_TARGET})
+        report = evaluate_corpus([("a", gold)], {"a": WORKED_TARGET})
         # Two of six kinds have perfect scores, the rest have no support:
         # macro averages over the whole label set.
         p, r, f1 = report.macro_overall()
@@ -541,12 +553,12 @@ class TestCorpus:
 
     def test_table_layout(self):
         gold, _ = parse(WORKED_TARGET, Form.TARGET_OUTPUT)
-        report = evaluate_corpus({"a": gold}, {"a": WORKED_TARGET})
+        report = evaluate_corpus([("a", gold)], {"a": WORKED_TARGET})
         table = report.format_table()
         header = table.splitlines()[0]
         for abbrev in ("Num.", "Tem.", "Ent.", "Rel.", "Con.", "Unv.", "Ov.", "Bi."):
             assert abbrev in header
         tp = report.overall.tp
-        assert score(align(gold, gold), gold, gold, into=report) is report
+        assert score(align(gold, gold), report) is report
         assert report.overall.tp == 2 * tp
         assert set(report.to_json()["per_kind"]) == set(DEFAULT_LABELS)
